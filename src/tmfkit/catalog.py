@@ -35,7 +35,7 @@ from .ncalgebra import (
     hilbert_series,
     normalizing_automorphism,
 )
-from .linalg import rank as k_rank
+from .linalg import coefficient_matrix, rank as k_rank
 from .scalars import MINUS_ONE, ONE, Scalar, try_sqrt
 from .tmf import NormalContext, TMF, verify
 
@@ -557,8 +557,9 @@ def zhang_crosscheck(entry: CatalogEntry, trials: int = 32, seed: int = 0) -> li
     tw = ZhangTwist(A, phi_zh)
     twisted = tw.twisted
     # the twist is commutative: all rule coefficients are 1
-    for (_, _), rhs in twisted.rules.items():
-        assert len(rhs) == 1 and rhs[0][0] == ONE
+    for rhs in twisted.rules.values():
+        if len(rhs) != 1 or rhs[0][0] != ONE:
+            raise tm.OracleMismatch("the Zhang twist is not commutative")
     # f in twist coordinates: x*z - q^{-delta} y^n
     delta = -(n * (n - 1) // 2)
     f_xi = twisted.monomial((1, 0, 1)) - twisted.monomial((0, n, 0), q ** (-delta))
@@ -698,21 +699,12 @@ def run_suite(
     hs = hilbert_series(A, D)
     ok_hs = True
     for e in range(D + 1):
-        basis = A.monomials_of_degree(e)
-        cols = []
-        coords: dict = {}
-        for m in A.monomials_of_degree(e - ctx.d):
-            col = ctx.f * A.monomial(m)
-            for exps in col.terms:
-                coords.setdefault(exps, len(coords))
-            cols.append(col)
-        rows = [[Scalar.from_int(0)] * len(cols) for _ in coords]
-        for jc, col in enumerate(cols):
-            for exps, c in col.terms.items():
-                rows[coords[exps]][jc] = c
-        image = k_rank(rows) if cols else 0
+        cols = [
+            (ctx.f * A.monomial(m)).terms for m in A.monomials_of_degree(e - ctx.d)
+        ]
+        image = k_rank(coefficient_matrix(cols))
         expect = hs[e] - (hs[e - ctx.d] if e >= ctx.d else 0)
-        if len(basis) - image != expect:
+        if len(A.monomials_of_degree(e)) - image != expect:
             ok_hs = False
             break
     record("hilbert-quotient-oracle", ok_hs)
@@ -729,8 +721,10 @@ def run_suite(
             result.unit_first == 0 and result.f_first == 0 and result.reduced == t,
         )
         record(f"endo-dim-1:{label}", tm.endomorphism_dimension(t) == 1)
-        series = tm.coker_hilbert(t, D)
-        record(f"coker-oracle:{label}", True, f"prefix {series}")
+        try:
+            record(f"coker-oracle:{label}", True, f"prefix {tm.coker_hilbert(t, D)}")
+        except tm.OracleMismatch as exc:
+            record(f"coker-oracle:{label}", False, str(exc))
     for i, la in enumerate(labels):
         for lb in labels[i + 1 :]:
             verdict = tm.probably_isomorphic_tmf(

@@ -367,10 +367,6 @@ def is_invertible(mat: GradedMatrix) -> tuple[bool, GradedMatrix | None]:
 # ---------------------------------------------------------------------------
 
 
-def _entry_basis(algebra: GradedAlgebra, degree: int):
-    return algebra.monomials_of_degree(degree) if degree >= 0 else ()
-
-
 @dataclass
 class IntertwinerSpace:
     """k-basis of pairs (alpha, beta) with alpha*PHI' = PHI*beta."""
@@ -402,49 +398,32 @@ def solve_intertwiners(
     unknowns: list[tuple[str, int, int, tuple]] = []
     for i in range(F.rank):
         for j in range(Fp.rank):
-            for mono in _entry_basis(algebra, F.shifts[i] - Fp.shifts[j]):
+            for mono in algebra.monomials_of_degree(F.shifts[i] - Fp.shifts[j]):
                 unknowns.append(("a", i, j, mono))
     for i in range(G.rank):
         for j in range(Gp.rank):
-            for mono in _entry_basis(algebra, G.shifts[i] - Gp.shifts[j]):
+            for mono in algebra.monomials_of_degree(G.shifts[i] - Gp.shifts[j]):
                 unknowns.append(("b", i, j, mono))
-    nunk = len(unknowns)
 
-    # residual entry (i, k) of alpha*phi' - phi*beta, coefficientwise
-    rows: list[list[Scalar]] = []
-    coords: dict[tuple[int, int, tuple], int] = {}
-
-    def row_of(i: int, k: int, exps: tuple) -> list[Scalar]:
-        key = (i, k, exps)
-        idx = coords.get(key)
-        if idx is None:
-            coords[key] = len(rows)
-            rows.append([ZERO] * nunk)
-            idx = coords[key]
-        return rows[idx]
-
-    for u, (kind, i, j, mono) in enumerate(unknowns):
+    # column u: coefficients of unknown u in alpha*phi' - phi*beta, keyed by
+    # (residual entry, PBW monomial)
+    columns = []
+    for kind, i, j, mono in unknowns:
         mono_poly = algebra.monomial(mono)
+        col: dict[tuple[int, int, tuple], Scalar] = {}
         if kind == "a":
             # contributes + mono * phi'[j][k] at residual (i, k)
             for k in range(Gp.rank):
-                entry = phi_prime.entries[j][k]
-                if entry.is_zero():
-                    continue
-                prod = mono_poly * entry
-                for exps, c in prod.terms.items():
-                    row_of(i, k, exps)[u] = row_of(i, k, exps)[u] + c
+                for exps, c in (mono_poly * phi_prime.entries[j][k]).terms.items():
+                    col[(i, k, exps)] = c
         else:
             # contributes - phi[i0][i] * mono at residual (i0, j)
             for i0 in range(F.rank):
-                entry = phi.entries[i0][i]
-                if entry.is_zero():
-                    continue
-                prod = entry * mono_poly
-                for exps, c in prod.terms.items():
-                    row_of(i0, j, exps)[u] = row_of(i0, j, exps)[u] - c
+                for exps, c in (phi.entries[i0][i] * mono_poly).terms.items():
+                    col[(i0, j, exps)] = -c
+        columns.append(col)
 
-    null = linalg.nullspace(rows, nunk)
+    null = linalg.nullspace(linalg.coefficient_matrix(columns), len(unknowns))
     basis: list[tuple[GradedMatrix, GradedMatrix]] = []
     for vec in null:
         a_entries = [[algebra.zero() for _ in range(Fp.rank)] for _ in range(F.rank)]

@@ -9,6 +9,23 @@ from __future__ import annotations
 from .scalars import ONE, ZERO, Scalar
 
 
+def coefficient_matrix(columns: list[dict]) -> list[list[Scalar]]:
+    """Matrix of a k-linear map on a graded slice, one column per image.
+
+    Each column is a ``{coordinate: Scalar}`` dict; there is one row per
+    coordinate that occurs, in first-seen order, and absent ones read as 0.
+    """
+    index: dict = {}
+    for col in columns:
+        for key in col:
+            index.setdefault(key, len(index))
+    rows = [[ZERO] * len(columns) for _ in index]
+    for j, col in enumerate(columns):
+        for key, c in col.items():
+            rows[index[key]][j] = c
+    return rows
+
+
 def rref(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
     """Reduced row echelon form (copy) and pivot column indices."""
     m = [row[:] for row in rows]

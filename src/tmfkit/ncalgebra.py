@@ -19,7 +19,8 @@ from .scalars import (
     ZERO,
     Scalar,
     ScalarParseError,
-    _tokenize,
+    _LiteralParser,
+    _scalar_atom,
     format_scalar,
     parse_scalar,
 )
@@ -700,40 +701,27 @@ def normalizing_automorphism(f: NCPoly) -> GradedAutomorphism:
     algebra = f.algebra
     if f.is_zero():
         raise NotNormal("zero element has no normalizing automorphism")
-    d = f.degree()
+    f.degree()  # raises ValueError when f is not homogeneous
     images: list[NCPoly] = []
     for g in range(algebra.ngens):
-        gdeg = algebra.degrees[g]
-        basis = algebra.monomials_of_degree(gdeg)
-        columns = [f * algebra.monomial(m) for m in basis]
-        target = algebra.gen(g) * f
-        coords: list[Exps] = sorted(
-            {e for col in columns for e in col.terms} | set(target.terms)
-        )
-        index = {e: i for i, e in enumerate(coords)}
-        rows = [[ZERO] * len(basis) for _ in coords]
-        for j, col in enumerate(columns):
-            for e, c in col.terms.items():
-                rows[index[e]][j] = c
-        rhs = [ZERO] * len(coords)
-        for e, c in target.terms.items():
-            rhs[index[e]] = c
-        solution = linalg.solve(rows, rhs)
-        if solution is None:
+        basis = algebra.monomials_of_degree(algebra.degrees[g])
+        n = len(basis)
+        # augmented system [f*m for m in basis | a_g*f]
+        columns = [(f * algebra.monomial(m)).terms for m in basis]
+        columns.append((algebra.gen(g) * f).terms)
+        echelon, pivots = linalg.rref(linalg.coefficient_matrix(columns))
+        if n in pivots:
             raise NotNormal(
                 f"{algebra.names[g]}*f is not a right f-multiple: f is not normal"
             )
-        if linalg.nullspace(rows, len(basis)):
+        if len(pivots) < n:
             raise Ambiguous(
                 f"normalizing image of {algebra.names[g]} is not unique "
                 "(f is not regular on this window)"
             )
-        img = algebra.zero()
-        for j, m in enumerate(basis):
-            img = img + algebra.monomial(m, solution[j])
-        images.append(img)
-    sigma = GradedAutomorphism(algebra, images)
-    return sigma
+        solution = {basis[pc]: echelon[r][n] for r, pc in enumerate(pivots)}
+        images.append(NCPoly(algebra, solution))
+    return GradedAutomorphism(algebra, images)
 
 
 def check_regular(f: NCPoly, max_degree: int | None = None) -> bool:
@@ -745,20 +733,8 @@ def check_regular(f: NCPoly, max_degree: int | None = None) -> bool:
     bound = 2 * d if max_degree is None else max_degree
     for e in range(bound + 1):
         basis = algebra.monomials_of_degree(e)
-        if not basis:
-            continue
-        coords: dict[Exps, int] = {}
-        columns = []
-        for m in basis:
-            col = f * algebra.monomial(m)
-            for exp in col.terms:
-                coords.setdefault(exp, len(coords))
-            columns.append(col)
-        rows = [[ZERO] * len(basis) for _ in coords]
-        for j, col in enumerate(columns):
-            for exp, c in col.terms.items():
-                rows[coords[exp]][j] = c
-        if linalg.nullspace(rows, len(basis)):
+        columns = [(f * algebra.monomial(m)).terms for m in basis]
+        if linalg.rank(linalg.coefficient_matrix(columns)) < len(basis):
             return False
     return True
 
@@ -924,107 +900,24 @@ def zhang_transport(
 
 
 def parse_poly(text: str, algebra: GradedAlgebra) -> NCPoly:
-    """Parse a polynomial literal: scalar factors and generator powers joined
-    by '*' (and '/' for scalar factors), terms joined by '+'/'-'."""
+    """Parse a polynomial literal: the scalar literal grammar with generator
+    names as further atoms.  'i' is always the scalar; 't' is the scalar
+    unless the algebra has a generator named t.  '/' and negative powers
+    need scalar operands."""
+
+    def atom(tok) -> NCPoly:
+        if tok.kind == "name" and tok.value != "i" and tok.value in algebra.names:
+            return algebra.gen(tok.value)
+        return algebra.scalar(_scalar_atom(tok))
+
+    def as_scalar(p: NCPoly) -> Scalar | None:
+        const = p.constant_term()
+        return const if p == algebra.scalar(const) else None
+
     try:
-        toks = _tokenize(text)
-    except ScalarParseError as exc:
+        return _LiteralParser(text, atom, as_scalar, algebra.one()).parse()
+    except (ScalarParseError, ZeroDivisionError) as exc:
         raise PolyParseError(str(exc)) from exc
-    k = 0
-
-    def peek():
-        return toks[k]
-
-    def take():
-        nonlocal k
-        tok = toks[k]
-        k += 1
-        return tok
-
-    def parse_exponent() -> int:
-        sign = 1
-        if peek().kind == "-":
-            take()
-            sign = -1
-        tok = take()
-        if tok.kind != "int":
-            raise PolyParseError(f"exponent must be an integer (pos {tok.pos})")
-        return sign * tok.value
-
-    def parse_factor() -> NCPoly:
-        neg = False
-        while peek().kind == "-":
-            take()
-            neg = not neg
-        tok = take()
-        if tok.kind == "int":
-            val = algebra.scalar(Scalar.from_int(tok.value))
-        elif tok.kind == "name":
-            name = tok.value
-            if name == "i":
-                val = algebra.scalar(parse_scalar("i"))
-            elif name == "t" and "t" not in algebra.names:
-                val = algebra.scalar(parse_scalar("t"))
-            else:
-                try:
-                    val = algebra.gen(name)
-                except KeyError:
-                    raise PolyParseError(
-                        f"unknown symbol {name!r} (pos {tok.pos})"
-                    ) from None
-        elif tok.kind == "(":
-            val = parse_sum()
-            close = take()
-            if close.kind != ")":
-                raise PolyParseError(f"expected ')' (pos {close.pos})")
-        else:
-            raise PolyParseError(f"unexpected token {tok.value!r} (pos {tok.pos})")
-        if peek().kind == "^":
-            take()
-            e = parse_exponent()
-            if e < 0:
-                const = val.constant_term()
-                if len(val.terms) > 1 or (val.terms and const.is_zero()):
-                    raise PolyParseError("negative power of a non-scalar factor")
-                val = algebra.scalar(const ** e)
-            else:
-                val = val ** e
-        return -val if neg else val
-
-    def parse_term() -> NCPoly:
-        val = parse_factor()
-        while peek().kind in "*/":
-            op = take().kind
-            rhs = parse_factor()
-            if op == "/":
-                const = rhs.constant_term()
-                if len(rhs.terms) > 1 or const.is_zero():
-                    raise PolyParseError("division by a non-scalar factor")
-                val = val.scale(const.inverse())
-            else:
-                val = val * rhs
-        return val
-
-    def parse_sum() -> NCPoly:
-        tok = peek()
-        neg = False
-        if tok.kind in "+-":
-            take()
-            neg = tok.kind == "-"
-        val = parse_term()
-        if neg:
-            val = -val
-        while peek().kind in "+-":
-            op = take().kind
-            rhs = parse_term()
-            val = val - rhs if op == "-" else val + rhs
-        return val
-
-    result = parse_sum()
-    tok = peek()
-    if tok.kind != "end":
-        raise PolyParseError(f"trailing input {tok.value!r} (pos {tok.pos})")
-    return result
 
 
 def _format_monomial(algebra: GradedAlgebra, exps: Exps) -> str:

@@ -246,8 +246,13 @@ class Scalar:
             self.num = num
             self.den = den
             return
+        # the polynomial helpers return stripped tuples; callers' tuples may not be
+        if den and den[-1].is_zero():
+            den = _pstrip(list(den))
         if not den:
             raise ZeroDivisionError("zero denominator in Q(i)(t)")
+        if num and num[-1].is_zero():
+            num = _pstrip(list(num))
         if not num:
             self.num, self.den = P_ZERO, P_ONE
             return
@@ -382,13 +387,16 @@ def evaluate(a: Scalar, t0: GaussRational | Fraction | int) -> GaussRational:
 # ---------------------------------------------------------------------------
 # literal grammar
 #
-#   scalar := term (('+'|'-') term)*
+#   sum    := ('+'|'-')? term (('+'|'-') term)*
 #   term   := factor (('*'|'/') factor)*
-#   factor := ('-')* atom ('^' integer)?
-#   atom   := rational | 'i' | 't' | '(' scalar ')'
+#   factor := ('-')* atom ('^' '-'? integer)?
+#   atom   := integer | name | '(' sum ')'
 #
-# This accepts a superset of the spec grammar ('*' and '/' associate left to
-# right); the printer stays inside the spec grammar so round trips are stable.
+# One parser reads the literals of every ring over k.  For scalars a name is
+# 'i' or 't'; polynomial literals add generator names (ncalgebra.parse_poly).
+# '/' and negative powers need operands that are scalars.  This accepts a
+# superset of the spec grammar ('*' and '/' associate left to right); the
+# printer stays inside the spec grammar so round trips are stable.
 # ---------------------------------------------------------------------------
 
 
@@ -401,7 +409,7 @@ class _Tok:
         self.pos = pos
 
 
-def _tokenize(text: str, extra_name_chars: str = "") -> list[_Tok]:
+def _tokenize(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
     k, n = 0, len(text)
     while k < n:
@@ -418,7 +426,7 @@ def _tokenize(text: str, extra_name_chars: str = "") -> list[_Tok]:
             continue
         if ch.isalpha() or ch == "_":
             j = k
-            while j < n and (text[j].isalnum() or text[j] == "_" or text[j] in extra_name_chars):
+            while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             toks.append(_Tok("name", text[k:j], k))
             k = j
@@ -432,10 +440,20 @@ def _tokenize(text: str, extra_name_chars: str = "") -> list[_Tok]:
     return toks
 
 
-class _ScalarParser:
-    def __init__(self, toks: list[_Tok]) -> None:
-        self.toks = toks
+class _LiteralParser:
+    """Recursive descent over one ring's literals.
+
+    ``atom`` turns an int or name token into a ring value, ``as_scalar``
+    returns a ring value as a Scalar (None when it is not one), and ``unit``
+    is the ring's one, which lifts a Scalar into the ring.
+    """
+
+    def __init__(self, text: str, atom, as_scalar, unit) -> None:
+        self.toks = _tokenize(text)
         self.k = 0
+        self.atom_rule = atom
+        self.as_scalar = as_scalar
+        self.unit = unit
 
     def peek(self) -> _Tok:
         return self.toks[self.k]
@@ -445,14 +463,20 @@ class _ScalarParser:
         self.k += 1
         return tok
 
-    def parse(self) -> Scalar:
+    def parse(self):
         val = self.sum()
         tok = self.peek()
         if tok.kind != "end":
             raise ScalarParseError(f"trailing input {tok.value!r}", tok.pos)
         return val
 
-    def sum(self) -> Scalar:
+    def scalar(self, val, what: str, pos: int) -> Scalar:
+        s = self.as_scalar(val)
+        if s is None:
+            raise ScalarParseError(f"{what} a non-scalar factor", pos)
+        return s
+
+    def sum(self):
         tok = self.peek()
         neg = False
         if tok.kind in "+-":
@@ -467,27 +491,28 @@ class _ScalarParser:
             val = val - rhs if op == "-" else val + rhs
         return val
 
-    def term(self) -> Scalar:
+    def term(self):
         val = self.factor()
         while self.peek().kind in "*/":
-            op = self.take().kind
+            op = self.take()
             rhs = self.factor()
-            if op == "/":
-                if rhs.is_zero():
+            if op.kind == "/":
+                divisor = self.scalar(rhs, "division by", op.pos)
+                if divisor.is_zero():
                     raise ZeroDivisionError("division by zero in scalar literal")
-                val = val / rhs
+                val = val * divisor.inverse()
             else:
                 val = val * rhs
         return val
 
-    def factor(self) -> Scalar:
+    def factor(self):
         neg = False
         while self.peek().kind == "-":
             self.take()
             neg = not neg
         val = self.atom()
         if self.peek().kind == "^":
-            self.take()
+            caret = self.take()
             sign = 1
             if self.peek().kind == "-":
                 self.take()
@@ -495,19 +520,17 @@ class _ScalarParser:
             tok = self.take()
             if tok.kind != "int":
                 raise ScalarParseError("exponent must be an integer", tok.pos)
-            val = val ** (sign * tok.value)
+            e = sign * tok.value
+            if e < 0:
+                val = self.unit * self.scalar(val, "negative power of", caret.pos) ** e
+            else:
+                val = val ** e
         return -val if neg else val
 
-    def atom(self) -> Scalar:
+    def atom(self):
         tok = self.take()
-        if tok.kind == "int":
-            return Scalar.from_int(tok.value)
-        if tok.kind == "name":
-            if tok.value == "i":
-                return I
-            if tok.value == "t":
-                return T
-            raise ScalarParseError(f"unknown symbol {tok.value!r}", tok.pos)
+        if tok.kind in ("int", "name"):
+            return self.atom_rule(tok)
         if tok.kind == "(":
             val = self.sum()
             close = self.take()
@@ -517,8 +540,18 @@ class _ScalarParser:
         raise ScalarParseError(f"unexpected token {tok.value!r}", tok.pos)
 
 
+def _scalar_atom(tok: _Tok) -> Scalar:
+    if tok.kind == "int":
+        return Scalar.from_int(tok.value)
+    if tok.value == "i":
+        return I
+    if tok.value == "t":
+        return T
+    raise ScalarParseError(f"unknown symbol {tok.value!r}", tok.pos)
+
+
 def parse_scalar(text: str) -> Scalar:
-    return _ScalarParser(_tokenize(text)).parse()
+    return _LiteralParser(text, _scalar_atom, lambda s: s, ONE).parse()
 
 
 def _format_fraction(f: Fraction) -> str:

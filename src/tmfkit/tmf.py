@@ -409,11 +409,16 @@ def _slice_tmf(t: TMF, drop_f: int, drop_g: int) -> TMF:
     return TMF(t.context, phi, psi)
 
 
+def _require_zero(*entries: NCPoly) -> None:
+    if not all(e.is_zero() for e in entries):
+        raise OracleMismatch("reduce: a cleared pivot still shares its row or column")
+
+
 def reduce(t: TMF) -> ReduceResult:
     """Split off trivial summands by pivoting on invertible degree-0 entries.
 
-    The output has no nonzero degree-0 entries in phi or psi; verify is
-    preserved at every step (asserted).
+    The output has no nonzero degree-0 entries in phi or psi; every step is
+    checked, and a failed check raises OracleMismatch.
     """
     current = t
     unit_first = 0
@@ -424,17 +429,16 @@ def reduce(t: TMF) -> ReduceResult:
             i, j = pivot
             row_ops, col_ops = _clearing_pair(current.phi, i, j)
             ok, row_inv = gm.is_invertible(row_ops)
-            assert ok
+            if not ok:
+                raise OracleMismatch("reduce: a clearing matrix is not invertible")
             current = conjugate(current, row_inv, col_ops)
             # the cleared pivot spans a unit-first trivial summand
             for j2 in range(current.phi.target.rank):
                 if j2 != j:
-                    assert current.phi.entries[i][j2].is_zero()
-                    assert current.psi.entries[j2][i].is_zero()
+                    _require_zero(current.phi.entries[i][j2], current.psi.entries[j2][i])
             for i2 in range(current.phi.source.rank):
                 if i2 != i:
-                    assert current.phi.entries[i2][j].is_zero()
-                    assert current.psi.entries[j][i2].is_zero()
+                    _require_zero(current.phi.entries[i2][j], current.psi.entries[j][i2])
             current = _slice_tmf(current, i, j)
             unit_first += 1
             continue
@@ -446,15 +450,16 @@ def reduce(t: TMF) -> ReduceResult:
             sigma = current.context.sigma
             d = current.context.d
             ok, row_inv = gm.is_invertible(row_ops)
-            assert ok
+            if not ok:
+                raise OracleMismatch("reduce: a clearing matrix is not invertible")
             beta = gm.twist_matrix(row_inv, sigma.inverse(), -d)
             current = conjugate(current, col_ops, beta)
             for j2 in range(current.phi.target.rank):
                 if j2 != k:
-                    assert current.phi.entries[i0][j2].is_zero()
+                    _require_zero(current.phi.entries[i0][j2])
             for i2 in range(current.phi.source.rank):
                 if i2 != i0:
-                    assert current.phi.entries[i2][k].is_zero()
+                    _require_zero(current.phi.entries[i2][k])
             current = _slice_tmf(current, i0, k)
             f_first += 1
             continue
@@ -606,25 +611,19 @@ def coker_hilbert(t: TMF, max_degree: int) -> list[int]:
     series_a = [hs_g[e] - hs_f[e] for e in range(max_degree + 1)]
     series_b = []
     for e in range(max_degree + 1):
-        coords: dict[tuple, int] = {}
-        for j in range(G.rank):
-            for mono in algebra.monomials_of_degree(e - G.shifts[j]):
-                coords[(j, mono)] = len(coords)
-        vectors = []
+        # one column per k-basis element m*e_i of F_e: its image m*phi[i]
+        columns = []
         for i in range(F.rank):
             for mono in algebra.monomials_of_degree(e - F.shifts[i]):
                 m_poly = algebra.monomial(mono)
-                vec = [Scalar.from_int(0)] * len(coords)
-                for j in range(G.rank):
-                    entry = t.phi.entries[i][j]
-                    if entry.is_zero():
-                        continue
-                    prod = m_poly * entry
-                    for exps, coeff in prod.terms.items():
-                        vec[coords[(j, exps)]] = vec[coords[(j, exps)]] + coeff
-                vectors.append(vec)
-        image_rank = linalg.rank(vectors) if vectors else 0
-        series_b.append(len(coords) - image_rank)
+                columns.append({
+                    (j, exps): c
+                    for j in range(G.rank)
+                    for exps, c in (m_poly * t.phi.entries[i][j]).terms.items()
+                })
+        image_rank = linalg.rank(linalg.coefficient_matrix(columns))
+        dim_g = sum(len(algebra.monomials_of_degree(e - s)) for s in G.shifts)
+        series_b.append(dim_g - image_rank)
     if series_a != series_b:
         raise OracleMismatch(
             f"cokernel series disagree: {series_a} vs {series_b}"

@@ -131,6 +131,18 @@ def test_run_suite_h_and_c():
         assert endo and all(c.ok for c in endo)
 
 
+def test_run_suite_records_a_coker_oracle_failure(monkeypatch):
+    def disagree(t, max_degree):
+        raise tm.OracleMismatch("cokernel series disagree: [1] vs [2]")
+
+    monkeypatch.setattr(tm, "coker_hilbert", disagree)
+    report = run_suite(build("c"), seed=2, trials=8)
+    assert report.ok is False
+    failed = [c for c in report.checks if not c.ok]
+    assert failed and all(c.name.startswith("coker-oracle:") for c in failed)
+    assert all(c.detail == "cokernel series disagree: [1] vs [2]" for c in failed)
+
+
 def test_g_f_alias_is_unit_multiple():
     entry = build("g", 3)
     q = Scalar.t_power(2)

@@ -9,6 +9,7 @@ from tmfkit.ncalgebra import (
     GradedAutomorphism,
     IllDefined,
     NotNormal,
+    PolyParseError,
     SkewDerivation,
     algebra_from_json,
     algebra_to_json,
@@ -18,7 +19,7 @@ from tmfkit.ncalgebra import (
     ore_extension,
     parse_poly,
 )
-from tmfkit.scalars import MINUS_ONE, ONE, Scalar, parse_scalar
+from tmfkit.scalars import I, MINUS_ONE, ONE, Scalar, parse_scalar
 
 S = parse_scalar
 
@@ -354,6 +355,46 @@ def test_poly_parse_format_roundtrip():
     for text in texts:
         p = parse_poly(text, A)
         assert parse_poly(format_poly(p), A) == p
+
+
+def test_scalar_poly_literals_match_parse_scalar():
+    A = case_h_algebra()
+    texts = [
+        "0",
+        "-3/4",
+        "(1+i)*(1-i)",
+        "t^-2*(t+1)",
+        "(t^2 - 1)/(t - 1)",
+        "2/(3*i)",
+        "-(-t)^-2",
+        "i^-3 + t^0",
+    ]
+    for text in texts:
+        assert parse_poly(text, A) == A.scalar(parse_scalar(text))
+
+
+def test_poly_literal_edge_values():
+    A = case_h_algebra()
+    a1 = A.gen("a1")
+    assert parse_poly("a1^-0", A) == A.one()
+    assert parse_poly("(t+1)^-2*a1", A) == a1.scale(S("1/(t^2 + 2*t + 1)"))
+    assert parse_poly("a1/(2*i)", A) == a1.scale(S("(-1/2)*i"))
+    assert parse_poly("-(-t)^-2", A) == A.scalar(-Scalar.t_power(-2))
+
+
+def test_poly_literal_errors():
+    A = case_h_algebra()
+    for text in ("a1/a2", "a1^-1", "(a1", "x", "1/0"):
+        with pytest.raises(PolyParseError):
+            parse_poly(text, A)
+
+
+def test_poly_literal_t_is_a_generator_only_when_named():
+    B = GradedAlgebra([("t", 1), ("i", 1)], {(1, 0): [(ONE, (1, 1))]})
+    assert parse_poly("t", B) == B.gen("t")
+    assert parse_poly("i", B) == B.scalar(I)
+    A = case_h_algebra()
+    assert parse_poly("t*a1", A) == A.gen("a1").scale(Scalar.t_power(1))
 
 
 def test_algebra_json_roundtrip():

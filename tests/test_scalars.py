@@ -5,6 +5,9 @@ import pytest
 
 from tmfkit import scalars as sc
 from tmfkit.scalars import (
+    GR_ONE,
+    GR_ZERO,
+    P_ONE,
     GaussRational,
     NoSquareRoot,
     PoleAtPoint,
@@ -143,3 +146,13 @@ def test_parse_errors():
 def test_negative_t_power_literal():
     assert S("t^-2") == Scalar.t_power(-2)
     assert S("t^-2") * S("t^2") == sc.ONE
+
+
+def test_constructor_strips_trailing_zero_coefficients():
+    # caller-built tuples with trailing zeros still give canonical values
+    assert Scalar((GR_ONE, GR_ZERO), P_ONE) == sc.ONE
+    zero = Scalar((GR_ZERO,), P_ONE)
+    assert zero.is_zero() and zero == sc.ZERO
+    assert Scalar((GR_ONE,), (GR_ONE, GR_ZERO)) == sc.ONE
+    with pytest.raises(ZeroDivisionError):
+        Scalar(P_ONE, (GR_ZERO,))

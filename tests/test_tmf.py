@@ -1,4 +1,8 @@
+import ast
 import json
+from pathlib import Path
+
+import pytest
 
 from tmfkit import gradedmod as gm
 from tmfkit import tmf as tm
@@ -297,6 +301,23 @@ def test_reduce_examples():
     assert result.reduced == c
     again = reduce(result.reduced)
     assert again.reduced == result.reduced
+
+
+def test_reduce_raises_when_a_clearing_matrix_is_not_invertible(monkeypatch):
+    ctx = case_c_context()
+    t = direct_sum_tmf(case_c_tmf(), trivial(ctx, FreeModule(ctx.algebra, (2,)), "unit-first"))
+    monkeypatch.setattr(gm, "is_invertible", lambda mat: (False, None))
+    with pytest.raises(tm.OracleMismatch):
+        reduce(t)
+
+
+def test_library_has_no_assert_statements():
+    # checks must survive python -O, so they raise typed errors instead
+    package = Path(tm.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not asserts, f"{path.name}: assert on lines {asserts}"
 
 
 def test_reduce_interleaved_units():
