@@ -587,22 +587,7 @@ def zhang_crosscheck(entry: CatalogEntry, trials: int = 32, seed: int = 0) -> li
             twisted,
             [twisted.gen(1), twisted.gen(2), twisted.gen(0)],
         )
-        over_xi = tm.TMF(
-            ctx_xi,
-            GradedMatrix(
-                FreeModule(twisted, printed_form.phi.source.shifts),
-                FreeModule(twisted, printed_form.phi.target.shifts),
-                [[mor(e) for e in row] for row in printed_form.phi.entries],
-                check=False,
-            ),
-            GradedMatrix(
-                FreeModule(twisted, printed_form.psi.source.shifts),
-                FreeModule(twisted, printed_form.psi.target.shifts),
-                [[mor(e) for e in row] for row in printed_form.psi.entries],
-                check=False,
-            ),
-            strict=False,
-        )
+        over_xi = tm.map_tmf(printed_form, mor, ctx_xi)
         transported = zhang_untransport_tmf(tw, over_xi, entry.context)
         report = verify(transported)
         printed = entry.factorization(f"j={j}")
@@ -735,8 +720,12 @@ def run_suite(
             )
             record(f"non-isomorphic:{la}|{lb}", not verdict.isomorphic)
 
-    # cover functors
-    cover = make_cover(ctx)
+    # cover functors; a deep run reuses the first cover its second cover built
+    if deep:
+        sc = second_cover(ctx)
+        cover = sc.first
+    else:
+        cover = make_cover(ctx)
     record("cover-normality", True, "f + z^2 normal (validated at construction)")
     for label in labels:
         t = entry.factorization(label)
@@ -744,7 +733,6 @@ def run_suite(
         record(f"functor-C-verifies:{label}", verify(ct).ok)
         record(f"lemma-5-5:{label}", check_lemma_5_5(cover, t))
     if deep:
-        sc = second_cover(ctx)
         for label in labels:
             t = entry.factorization(label)
             record(f"functor-H-verifies:{label}", verify(functor_H(sc, t)).ok)

@@ -1,9 +1,9 @@
 """Command line interface: verify, catalog, functor, iso.
 
-Exit codes: 0 pass, 1 verification failure, 2 input error, 3 probabilistic
-negative.  All randomized procedures take an explicit seed (flag --seed,
-falling back to the TMFKIT_SEED environment variable, then 0), so reports
-are reproducible.
+Exit codes: 0 pass, 1 verification failure, 2 input error (an exhausted
+rewrite budget included), 3 probabilistic negative.  All randomized
+procedures take an explicit seed (flag --seed, falling back to the
+TMFKIT_SEED environment variable, then 0), so reports are reproducible.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .gradedmod import FreeModule
 from .ncalgebra import (
     GradedAutomorphism,
     PolyParseError,
+    RewriteLimitExceeded,
     algebra_from_json,
     algebra_to_json,
     format_poly,
@@ -539,15 +540,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "catalog":
-        return cmd_catalog(args)
-    if args.command == "functor":
-        return cmd_functor(args)
-    if args.command == "iso":
-        return cmd_iso(args)
-    return 2
+    commands = {
+        "verify": cmd_verify,
+        "catalog": cmd_catalog,
+        "functor": cmd_functor,
+        "iso": cmd_iso,
+    }
+    try:
+        return commands[args.command](args)
+    except RewriteLimitExceeded as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

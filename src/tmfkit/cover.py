@@ -104,12 +104,7 @@ def make_cover(base: NormalContext, name: str = "z") -> CoverContext:
 
 
 def lift_matrix(mat: GradedMatrix, extended: GradedAlgebra) -> GradedMatrix:
-    return GradedMatrix(
-        FreeModule(extended, mat.source.shifts),
-        FreeModule(extended, mat.target.shifts),
-        [[e.lift(extended) for e in row] for row in mat.entries],
-        check=False,
-    )
+    return mat.map_entries(lambda e: e.lift(extended), extended)
 
 
 def assemble_blocks(
@@ -184,26 +179,15 @@ def functor_C(cover: CoverContext, t: TMF) -> TMF:
 
 def restrict_tmf(t: TMF, base: NormalContext) -> TMF:
     """Set the cover variables to zero: TMF(f + z^2) -> TMF(f)."""
-    phi = GradedMatrix(
-        FreeModule(base.algebra, t.phi.source.shifts),
-        FreeModule(base.algebra, t.phi.target.shifts),
-        [[e.restrict(base.algebra) for e in row] for row in t.phi.entries],
-        check=False,
-    )
-    psi = GradedMatrix(
-        FreeModule(base.algebra, t.psi.source.shifts),
-        FreeModule(base.algebra, t.psi.target.shifts),
-        [[e.restrict(base.algebra) for e in row] for row in t.psi.entries],
-        check=False,
-    )
-    return TMF(base, phi, psi)
+    return tm.map_tmf(t, lambda e: e.restrict(base.algebra), base)
 
 
 def truncate_context(ctx: NormalContext, count: int = 1) -> NormalContext:
     """Drop the last cover variables from a context (z = 0, then w = 0).
 
     The remaining presentation must be closed under the first generators
-    (always true for Ore extensions) and f, sigma, tau must restrict."""
+    (always true for Ore extensions) and f, sigma, tau must restrict;
+    HypothesisViolation otherwise."""
     A = ctx.algebra
     keep = A.ngens - count
     if keep <= 0:
@@ -219,13 +203,16 @@ def truncate_context(ctx: NormalContext, count: int = 1) -> NormalContext:
                 raise HypothesisViolation("base rules involve cover variables")
             cleaned.append((c, e[:keep]))
         rules[(b, a)] = cleaned
-    base = GradedAlgebra(gens, rules)
-    f = ctx.f.restrict(base)
-    sigma = GradedAutomorphism(base, [ctx.sigma.images[g].restrict(base) for g in range(keep)])
-    tau = None
-    if ctx.tau is not None:
-        tau = GradedAutomorphism(base, [ctx.tau.images[g].restrict(base) for g in range(keep)])
-    return NormalContext(base, f, sigma, tau)
+    try:
+        base = GradedAlgebra(gens, rules)
+        f = ctx.f.restrict(base)
+        sigma = GradedAutomorphism(base, [ctx.sigma.images[g].restrict(base) for g in range(keep)])
+        tau = None
+        if ctx.tau is not None:
+            tau = GradedAutomorphism(base, [ctx.tau.images[g].restrict(base) for g in range(keep)])
+        return NormalContext(base, f, sigma, tau)
+    except ValueError as exc:
+        raise HypothesisViolation(f"the context does not truncate: {exc}") from exc
 
 
 def functor_Res(cover: CoverContext, t: TMF) -> TMF:
@@ -514,23 +501,6 @@ def functor_H(sc: SecondCover, t: TMF) -> TMF:
     return out
 
 
-def apply_morphism_tmf(t: TMF, mor: AlgebraMorphism, ctx: NormalContext) -> TMF:
-    """Entrywise algebra morphism, keeping shift vectors."""
-    phi = GradedMatrix(
-        FreeModule(ctx.algebra, t.phi.source.shifts),
-        FreeModule(ctx.algebra, t.phi.target.shifts),
-        [[mor(e) for e in row] for row in t.phi.entries],
-        check=False,
-    )
-    psi = GradedMatrix(
-        FreeModule(ctx.algebra, t.psi.source.shifts),
-        FreeModule(ctx.algebra, t.psi.target.shifts),
-        [[mor(e) for e in row] for row in t.psi.entries],
-        check=False,
-    )
-    return TMF(ctx, phi, psi)
-
-
 def _block_scalar_matrix(
     algebra: GradedAlgebra,
     sizes: list[int],
@@ -580,7 +550,7 @@ def check_lemma_5_13(sc: SecondCover, t: TMF) -> Lemma513Report:
 
     c1 = functor_C(sc.first, t)
     c2 = functor_C(sc.second, c1)
-    mapped = apply_morphism_tmf(c2, sc.to_uv, sc.context_uv)
+    mapped = tm.map_tmf(c2, sc.to_uv, sc.context_uv)
     rF, rG = t.phi.source.rank, t.phi.target.rank
     pattern = [[parse_scalar(x) for x in row] for row in LEMMA_5_13_MATRIX]
     p_src = _block_scalar_matrix(

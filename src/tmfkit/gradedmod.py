@@ -177,12 +177,14 @@ class GradedMatrix:
             check=False,
         )
 
-    def map_entries(self, fn) -> GradedMatrix:
-        """Apply fn entrywise, keeping modules (caller owns degree sanity)."""
+    def map_entries(self, fn, algebra: GradedAlgebra) -> GradedMatrix:
+        """Apply fn entrywise and move both modules to `algebra`, keeping
+        the shift vectors (caller owns degree sanity)."""
         return GradedMatrix(
-            self.source,
-            self.target,
+            FreeModule(algebra, self.source.shifts),
+            FreeModule(algebra, self.target.shifts),
             [[fn(e) for e in row] for row in self.entries],
+            check=False,
         )
 
 

@@ -436,15 +436,79 @@ class NCPoly:
         return NCPoly(sub_algebra, out)
 
 
-class GradedAutomorphism:
-    """Degree-0 algebra endomorphism given by generator images.
+class AlgebraMorphism:
+    """Graded homomorphism between presentations, given by generator images.
 
     Well-definedness (every rule maps to zero) is checked at construction
-    unless the caller opts out; inversion is supported for generator-linear
-    images only.
+    unless the caller opts out.
     """
 
-    __slots__ = ("algebra", "images", "_mono_cache", "_inverse")
+    __slots__ = ("source", "target", "images", "_mono_cache")
+
+    def __init__(
+        self,
+        source: GradedAlgebra,
+        target: GradedAlgebra,
+        images: list[NCPoly],
+        check: bool = True,
+    ) -> None:
+        if len(images) != source.ngens:
+            raise ValueError("one image per generator required")
+        for g, img in enumerate(images):
+            if img.algebra != target:
+                raise AlgebraMismatch("image lives over a different algebra")
+            if not img.is_zero() and img.degree() != source.degrees[g]:
+                raise IllDefined(
+                    f"image of {source.names[g]} is not homogeneous of its degree"
+                )
+        self.source = source
+        self.target = target
+        self.images = tuple(images)
+        self._mono_cache: dict = {}
+        if check:
+            self.check_well_defined()
+
+    def check_well_defined(self) -> None:
+        for (b, a), rhs in self.source.rules.items():
+            lhs = self.images[b] * self.images[a]
+            for coeff, exps in rhs:
+                lhs = lhs - self._apply_monomial(exps).scale(coeff)
+            if not lhs.is_zero():
+                raise IllDefined(
+                    f"rule ({self.source.names[b]}, {self.source.names[a]}) "
+                    "does not map to zero"
+                )
+
+    def _apply_monomial(self, exps: Exps) -> NCPoly:
+        hit = self._mono_cache.get(exps)
+        if hit is not None:
+            return hit
+        if not any(exps):
+            result = self.target.one()
+        else:
+            last = max(g for g in range(self.source.ngens) if exps[g])
+            head = list(exps)
+            head[last] -= 1
+            result = self._apply_monomial(tuple(head)) * self.images[last]
+        self._mono_cache[exps] = result
+        return result
+
+    def __call__(self, p: NCPoly) -> NCPoly:
+        if p.algebra != self.source:
+            raise AlgebraMismatch("element lives over a different algebra")
+        out: dict = {}
+        for e, c in p.terms.items():
+            _acc_into(out, self._apply_monomial(e).terms, c)
+        return NCPoly(self.target, out)
+
+
+class GradedAutomorphism(AlgebraMorphism):
+    """Degree-0 algebra endomorphism: the source = target AlgebraMorphism.
+
+    Inversion is supported for generator-linear images only.
+    """
+
+    __slots__ = ("_inverse",)
 
     def __init__(
         self,
@@ -452,21 +516,17 @@ class GradedAutomorphism:
         images: list[NCPoly],
         check: bool = True,
     ) -> None:
-        if len(images) != algebra.ngens:
-            raise ValueError("one image per generator required")
-        for g, img in enumerate(images):
-            if img.algebra != algebra:
-                raise AlgebraMismatch("image lives over a different algebra")
-            if not img.is_zero() and img.degree() != algebra.degrees[g]:
-                raise IllDefined(
-                    f"image of {algebra.names[g]} is not homogeneous of its degree"
-                )
-        self.algebra = algebra
-        self.images = tuple(images)
-        self._mono_cache: dict = {}
         self._inverse: GradedAutomorphism | None = None
-        if check:
-            self.check_well_defined()
+        super().__init__(algebra, algebra, images, check)
+
+    # The benchmark's span tracer (perfbench/spans.py) wraps these two
+    # through vars(GradedAutomorphism), so they are bound here by name.
+    __call__ = AlgebraMorphism.__call__
+    check_well_defined = AlgebraMorphism.check_well_defined
+
+    @property
+    def algebra(self) -> GradedAlgebra:
+        return self.source
 
     @staticmethod
     def identity(algebra: GradedAlgebra) -> GradedAutomorphism:
@@ -478,39 +538,6 @@ class GradedAutomorphism:
         return all(
             self.images[g] == self.algebra.gen(g) for g in range(self.algebra.ngens)
         )
-
-    def check_well_defined(self) -> None:
-        for (b, a), rhs in self.algebra.rules.items():
-            lhs = self.images[b] * self.images[a]
-            for coeff, exps in rhs:
-                lhs = lhs - self._apply_monomial(exps).scale(coeff)
-            if not lhs.is_zero():
-                raise IllDefined(
-                    f"rule ({self.algebra.names[b]}, {self.algebra.names[a]}) "
-                    "does not map to zero"
-                )
-
-    def _apply_monomial(self, exps: Exps) -> NCPoly:
-        hit = self._mono_cache.get(exps)
-        if hit is not None:
-            return hit
-        if not any(exps):
-            result = self.algebra.one()
-        else:
-            last = max(g for g in range(self.algebra.ngens) if exps[g])
-            head = list(exps)
-            head[last] -= 1
-            result = self._apply_monomial(tuple(head)) * self.images[last]
-        self._mono_cache[exps] = result
-        return result
-
-    def __call__(self, p: NCPoly) -> NCPoly:
-        if p.algebra != self.algebra:
-            raise AlgebraMismatch("element lives over a different algebra")
-        out: dict = {}
-        for e, c in p.terms.items():
-            _acc_into(out, self._apply_monomial(e).terms, c)
-        return NCPoly(self.algebra, out)
 
     def fixes(self, p: NCPoly) -> bool:
         return self(p) == p
@@ -531,16 +558,11 @@ class GradedAutomorphism:
     def inverse(self) -> GradedAutomorphism:
         if self._inverse is not None:
             return self._inverse
-        mat = self.linear_matrix()
-        inv = linalg.invert(mat)
+        inv = linalg.invert(self.linear_matrix())
         if inv is None:
             raise Singular("generator coefficient matrix is singular")
-        images = []
-        for g in range(self.algebra.ngens):
-            img = self.algebra.zero()
-            for h in range(self.algebra.ngens):
-                img = img + self.algebra.gen(h).scale(inv[g][h])
-            images.append(img)
+        units = [self.algebra._unit(h) for h in range(self.algebra.ngens)]
+        images = [NCPoly(self.algebra, dict(zip(units, row))) for row in inv]
         result = GradedAutomorphism(self.algebra, images, check=False)
         for g in range(self.algebra.ngens):
             if result(self.images[g]) != self.algebra.gen(g) or self(
@@ -624,10 +646,10 @@ class SkewDerivation:
         )
 
     def __call__(self, p: NCPoly) -> NCPoly:
-        out = self.algebra.zero()
+        out: dict = {}
         for e, c in p.terms.items():
-            out = out + self._apply_monomial(e).scale(c)
-        return out
+            _acc_into(out, self._apply_monomial(e).terms, c)
+        return NCPoly(self.algebra, out)
 
     def check_leibniz(self) -> None:
         for (b, a), rhs in self.algebra.rules.items():
@@ -737,66 +759,6 @@ def check_regular(f: NCPoly, max_degree: int | None = None) -> bool:
         if linalg.rank(linalg.coefficient_matrix(columns)) < len(basis):
             return False
     return True
-
-
-class AlgebraMorphism:
-    """Graded homomorphism between presentations, given by generator images."""
-
-    __slots__ = ("source", "target", "images", "_mono_cache")
-
-    def __init__(
-        self,
-        source: GradedAlgebra,
-        target: GradedAlgebra,
-        images: list[NCPoly],
-        check: bool = True,
-    ) -> None:
-        if len(images) != source.ngens:
-            raise ValueError("one image per generator required")
-        for g, img in enumerate(images):
-            if img.algebra != target:
-                raise AlgebraMismatch("image lives over the wrong algebra")
-            if not img.is_zero() and img.degree() != source.degrees[g]:
-                raise IllDefined(f"image of {source.names[g]} has the wrong degree")
-        self.source = source
-        self.target = target
-        self.images = tuple(images)
-        self._mono_cache: dict = {}
-        if check:
-            self.check_well_defined()
-
-    def check_well_defined(self) -> None:
-        for (b, a), rhs in self.source.rules.items():
-            lhs = self.images[b] * self.images[a]
-            for coeff, exps in rhs:
-                lhs = lhs - self._apply_monomial(exps).scale(coeff)
-            if not lhs.is_zero():
-                raise IllDefined(
-                    f"rule ({self.source.names[b]}, {self.source.names[a]}) "
-                    "does not map to zero"
-                )
-
-    def _apply_monomial(self, exps: Exps) -> NCPoly:
-        hit = self._mono_cache.get(exps)
-        if hit is not None:
-            return hit
-        if not any(exps):
-            result = self.target.one()
-        else:
-            last = max(g for g in range(self.source.ngens) if exps[g])
-            head = list(exps)
-            head[last] -= 1
-            result = self._apply_monomial(tuple(head)) * self.images[last]
-        self._mono_cache[exps] = result
-        return result
-
-    def __call__(self, p: NCPoly) -> NCPoly:
-        if p.algebra != self.source:
-            raise AlgebraMismatch("element lives over a different algebra")
-        out = self.target.zero()
-        for e, c in p.terms.items():
-            out = out + self._apply_monomial(e).scale(c)
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,14 @@ def twist_tmf(t: TMF, auto: GradedAutomorphism, shift: int) -> TMF:
     )
 
 
+def map_tmf(t: TMF, fn, ctx: NormalContext) -> TMF:
+    """Apply fn (an algebra map into ctx.algebra) entrywise to phi and psi,
+    keeping the shift vectors."""
+    return TMF(
+        ctx, t.phi.map_entries(fn, ctx.algebra), t.psi.map_entries(fn, ctx.algebra)
+    )
+
+
 def shift_tmf(t: TMF, n: int) -> TMF:
     return TMF(t.context, gm.shift_matrix(t.phi, n), gm.shift_matrix(t.psi, n))
 

@@ -215,3 +215,25 @@ def test_report_json_roundtrip():
     )
     again = Report.from_json(json.loads(json.dumps(report.to_json())))
     assert again.to_json() == report.to_json()
+
+
+def test_functor_res_off_a_cover_exits_1(tmp_path, capsys):
+    # the (h) file does not live over a cover, so truncating its context
+    # breaks sigma: a verification failure, not a traceback
+    main(["catalog", "export", "h", "--out", str(tmp_path)])
+    path = capsys.readouterr().out.strip().splitlines()[-1]
+    out = str(tmp_path / "res.json")
+    assert main(["functor", "Res", "--input", path, "--output", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure:")
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+def test_exhausted_rewrite_budget_exits_2(tmp_path, capsys, monkeypatch):
+    main(["catalog", "export", "c", "--out", str(tmp_path)])
+    path = capsys.readouterr().out.strip().splitlines()[-1]
+    monkeypatch.setattr("tmfkit.ncalgebra.REWRITE_FUEL", 3)
+    assert main(["verify", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "budget" in err

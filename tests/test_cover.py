@@ -308,8 +308,8 @@ def test_zeta_conjugates_C_output():
     c = functor_C(cover, t)
     zeta_c = tm.TMF(
         cover.context,
-        c.phi.map_entries(cover.zeta),
-        c.psi.map_entries(cover.zeta),
+        c.phi.map_entries(cover.zeta, cover.algebra),
+        c.psi.map_entries(cover.zeta, cover.algebra),
     )
     assert verify(zeta_c).ok
     r = t.rank
@@ -352,3 +352,18 @@ def test_cover_hilbert_series():
     for e in range(ell, 9):
         expect[e] += cover_hs[e - ell]
     assert cover_hs == expect
+
+
+def test_map_tmf_of_rank_zero_lands_over_the_target():
+    # a rank-0 factorization has no entries, so the target algebra comes
+    # from the context alone
+    ctx = case_c_context()
+    cover = make_cover(ctx)
+    t = irrelevant(cover.context)
+    down = tm.map_tmf(t, lambda e: e.restrict(ctx.algebra), ctx)
+    assert down.context == ctx
+    for mat in (down.phi, down.psi):
+        assert mat.source.algebra == ctx.algebra
+        assert mat.target.algebra == ctx.algebra
+        assert mat.source.rank == 0 and mat.target.rank == 0
+    assert verify(down).ok

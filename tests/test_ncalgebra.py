@@ -4,6 +4,7 @@ import pytest
 
 from tmfkit import ncalgebra as nca
 from tmfkit.ncalgebra import (
+    AlgebraMorphism,
     ConfluenceFailure,
     GradedAlgebra,
     GradedAutomorphism,
@@ -199,6 +200,57 @@ def test_automorphism_identity_and_illdefined():
         )  # breaks the a2a1 rule
 
 
+def case_h_tau(A):
+    return GradedAutomorphism(
+        A,
+        [
+            parse_poly("a1", A),
+            parse_poly("a1 + a2", A),
+            parse_poly("2*a1 + 2*a2 + a3", A),
+        ],
+    )
+
+
+def random_element(A, rng, max_degree=3):
+    p = A.zero()
+    for _ in range(rng.randint(1, 6)):
+        exps = rng.choice(A.monomials_of_degree(rng.randint(0, max_degree)))
+        c = Scalar.from_int(rng.randint(-5, 5)) * Scalar.t_power(rng.randint(-2, 2))
+        p = p + A.monomial(exps, c)
+    return p
+
+
+def test_automorphism_is_the_endomorphism_case_of_algebra_morphism():
+    A = case_h_algebra()
+    tau = case_h_tau(A)
+    assert isinstance(tau, AlgebraMorphism)
+    assert tau.source is A and tau.target is A and tau.algebra is A
+
+
+def test_automorphism_agrees_with_algebra_morphism_on_random_elements():
+    A = case_h_algebra()
+    tau = case_h_tau(A)
+    mor = AlgebraMorphism(A, A, list(tau.images))
+    rng = random.Random(5)
+    for _ in range(20):
+        p = random_element(A, rng)
+        assert tau(p) == mor(p)
+        assert tau.inverse()(tau(p)) == p
+
+
+def test_algebra_morphism_between_presentations():
+    A = case_h_algebra()
+    B = commutative([("x", 1), ("y", 1)])
+    x, y = B.gen("x"), B.gen("y")
+    # a2*a1 -> a1*a2 + 2*a1^2 becomes 0 = 2*x^2 under a1, a2 -> x
+    with pytest.raises(IllDefined):
+        AlgebraMorphism(A, B, [x, x, y])
+    # a1, a2 -> 0 sends every rule to zero
+    mor = AlgebraMorphism(A, B, [B.zero(), B.zero(), y])
+    image = mor(parse_poly("a3^2 + a1*a3 - 3*a2", A))
+    assert image == y * y and image.algebra is B
+
+
 def test_normalizing_automorphism_case_h():
     A = case_h_algebra()
     f = parse_poly("a2^2 - a1*a2 - a1*a3", A)
@@ -297,6 +349,19 @@ def test_ore_extension_case_g_cover_rule():
     sigma_e = normalizing_automorphism(fz)
     assert sigma_e(E.gen("z")) == E.gen("z")
     assert sigma_e(E.gen("a1")) == E.gen("a1").scale(q ** (-n * n))
+
+
+def test_skew_derivation_is_additive():
+    A = commutative([("a1", 3), ("a2", 4)])
+    tau = GradedAutomorphism(A, [A.gen("a1").scale(MINUS_ONE), A.gen("a2")])
+    delta = SkewDerivation(
+        A, tau, [A.monomial((0, 2), Scalar.from_int(4)), A.zero()], shift=5
+    )
+    m1, m2, m3 = A.monomial((3, 0)), A.monomial((1, 1)), A.monomial((5, 1))
+    c = Scalar.t_power(3) * Scalar.from_int(-2)
+    total = m1 + m2.scale(c) + m3
+    assert delta(total) == delta(m1) + delta(m2).scale(c) + delta(m3)
+    assert not delta(total).is_zero()
 
 
 def test_skew_derivation_leibniz_violation():
