@@ -387,6 +387,9 @@ class SecondCover:
     )
 
     def __init__(self, base: NormalContext) -> None:
+        for name in ("u", "v"):
+            if name in base.algebra.names:
+                raise HypothesisViolation(f"generator name {name!r} already used")
         self.base = base
         self.first = make_cover(base, "z")
         self.second = make_cover(self.first.context, "w")

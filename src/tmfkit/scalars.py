@@ -1,10 +1,18 @@
 """Exact arithmetic in the coefficient field k = Q(i)(t).
 
-A Scalar is a reduced fraction of polynomials in one variable t whose
-coefficients are Gaussian rationals.  Canonical form: gcd(num, den) = 1,
-den monic, zero polynomial is the empty coefficient tuple.  Equality of
-canonical forms is structural equality, so Scalars are hashable and can
-be used as dict keys by the polynomial layer above.
+A Scalar is t^v * N/D: v is an integer, and N and D are sparse polynomials
+in t, tuples of (exponent, coefficient) pairs in ascending exponent order
+with nonzero Gaussian rational coefficients.  Canonical form: N(0) != 0 and
+D(0) != 0, so the whole t-content sits in v; D is monic and gcd(N, D) = 1;
+zero is the empty N with v = 0 and D = 1.  The catalog's parameters are
+Laurent monomials c*t^k, whose products and sums never need a polynomial
+gcd: one runs only when a denominator D != 1 takes part.
+
+A GaussRational is (a + b*i)/d over the integers with d > 0 and
+gcd(a, b, d) = 1, so each operation costs at most one integer gcd.
+
+Equality of canonical forms is structural equality, so Scalars are hashable
+and can be used as dict keys by the polynomial layer above.
 """
 
 from __future__ import annotations
@@ -30,56 +38,80 @@ class ScalarParseError(ValueError):
 
 
 class GaussRational:
-    """Element of Q(i): re + im*i with exact rational parts."""
+    """Element of Q(i): (a + b*i)/d with integers a, b, d, d > 0 and
+    gcd(a, b, d) = 1; built from exact rational parts re + im*i."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re: Fraction | int = 0, im: Fraction | int = 0) -> None:
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        re, im = Fraction(re), Fraction(im)
+        d = math.lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __add__(self, other: GaussRational) -> GaussRational:
-        return GaussRational(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        return _gauss(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     def __sub__(self, other: GaussRational) -> GaussRational:
-        return GaussRational(self.re - other.re, self.im - other.im)
+        d, e = self.d, other.d
+        return _gauss(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __neg__(self) -> GaussRational:
-        return GaussRational(-self.re, -self.im)
+        return _gauss(-self.a, -self.b, self.d)
 
     def __mul__(self, other: GaussRational) -> GaussRational:
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _gauss(a * c - b * e, a * e + b * c, self.d * other.d)
 
     def inverse(self) -> GaussRational:
-        n = self.re * self.re + self.im * self.im
+        n = self.a * self.a + self.b * self.b
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(i)")
-        return GaussRational(self.re / n, -self.im / n)
+        return _gauss(self.a * self.d, -self.b * self.d, n)
 
     def __truediv__(self, other: GaussRational) -> GaussRational:
         return self * other.inverse()
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self.a == 0 and self.b == 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GaussRational):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __repr__(self) -> str:
         return f"GaussRational({self.re!r}, {self.im!r})"
 
 
+def _gauss(a: int, b: int, d: int) -> GaussRational:
+    """(a + b*i)/d in lowest terms, for d > 0."""
+    if d != 1:
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    c = object.__new__(GaussRational)
+    c.a, c.b, c.d = a, b, d
+    return c
+
+
 GR_ZERO = GaussRational(0)
 GR_ONE = GaussRational(1)
 GR_I = GaussRational(0, 1)
+GR_HALF = GaussRational(Fraction(1, 2))
 
 
 def _frac_sqrt(x: Fraction) -> Fraction | None:
@@ -118,82 +150,109 @@ def _gauss_sqrt(c: GaussRational) -> GaussRational | None:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over Q(i), ascending coefficients, no trailing zeros
+# sparse polynomials over Q(i): ascending (exponent, coefficient) pairs with
+# nonzero coefficients; the empty tuple is zero
 # ---------------------------------------------------------------------------
+
+Terms = tuple  # tuple[tuple[int, GaussRational], ...]
+
+D_ONE: Terms = ((0, GR_ONE),)  # the one denominator of every D = 1 Scalar
+
+
+def _shift(p: Terms, k: int) -> Terms:
+    """t^k * p."""
+    return tuple((e + k, c) for e, c in p) if k else p
+
+
+def _sadd(p: Terms, q: Terms) -> Terms:
+    acc = dict(p)
+    for e, c in q:
+        acc[e] = acc[e] + c if e in acc else c
+    return tuple((e, c) for e, c in sorted(acc.items()) if not c.is_zero())
+
+
+def _smul(p: Terms, q: Terms) -> Terms:
+    if q is D_ONE:
+        return p
+    if p is D_ONE:
+        return q
+    if len(p) > len(q):
+        p, q = q, p
+    if len(p) == 1:
+        ((e, c),) = p
+        return tuple((e + f, c * x) for f, x in q)
+    acc: dict = {}
+    for e, c in p:
+        for f, x in q:
+            k = e + f
+            acc[k] = acc[k] + c * x if k in acc else c * x
+    return tuple((k, c) for k, c in sorted(acc.items()) if not c.is_zero())
+
+
+def _sdivmod(p: Terms, q: Terms) -> tuple[Terms, Terms]:
+    """Quotient and remainder of a nonzero p by a nonzero q."""
+    top, lead = q[-1]
+    lead_inv = lead.inverse()
+    rem = dict(p)
+    quot = []
+    for k in range(p[-1][0] - top, -1, -1):
+        c = rem.pop(k + top, None)
+        if c is None:
+            continue
+        c = c * lead_inv
+        quot.append((k, c))
+        for e, x in q[:-1]:
+            y = rem.pop(k + e, GR_ZERO) - c * x
+            if not y.is_zero():
+                rem[k + e] = y
+    return tuple(reversed(quot)), tuple(sorted(rem.items()))
+
+
+def _sgcd(p: Terms, q: Terms) -> Terms:
+    """A gcd of p and q, up to a unit."""
+    while q:
+        p, q = q, _sdivmod(p, q)[1]
+    return p
+
+
+def _ssqrt(p: Terms) -> Terms | None:
+    """Exact square root of a nonzero polynomial over Q(i), or None."""
+    deg, lc = p[-1]
+    lead = _gauss_sqrt(lc)
+    if deg % 2 or lead is None:
+        return None
+    monic = dict(_smul(p, ((0, lc.inverse()),)))
+    k = deg // 2
+    root = [GR_ZERO] * k + [GR_ONE]
+    # determine coefficients from the top down; each is linear in the unknown
+    for i in range(k - 1, -1, -1):
+        known = GR_ZERO
+        for s in range(i + 1, k):
+            known = known + root[s] * root[k + i - s]
+        root[i] = (monic.get(k + i, GR_ZERO) - known) * GR_HALF
+    candidate = tuple((e, c * lead) for e, c in enumerate(root) if not c.is_zero())
+    return candidate if _smul(candidate, candidate) == p else None
+
+
+# dense views: ascending coefficient tuples without trailing zeros
 
 Poly = tuple  # tuple[GaussRational, ...]
 
-P_ZERO: Poly = ()
 P_ONE: Poly = (GR_ONE,)
 
 
-def _pstrip(cs: list) -> Poly:
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return tuple(cs)
+def _dense(p: Terms, shift: int) -> Poly:
+    """The coefficients of t^shift * p."""
+    if not p:
+        return ()
+    out = [GR_ZERO] * (p[-1][0] + shift + 1)
+    for e, c in p:
+        out[e + shift] = c
+    return tuple(out)
 
 
-def _padd(a: Poly, b: Poly) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for k, c in enumerate(b):
-        out[k] = out[k] + c
-    return _pstrip(out)
-
-
-def _pneg(a: Poly) -> Poly:
-    return tuple(-c for c in a)
-
-def _pmul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return P_ZERO
-    out = [GR_ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca.is_zero():
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
-    return _pstrip(out)
-
-
-def _pscale(a: Poly, c: GaussRational) -> Poly:
-    if c.is_zero():
-        return P_ZERO
-    return _pstrip([x * c for x in a])
-
-
-def _pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(a) < len(b):
-        return P_ZERO, a
-    rem = list(a)
-    lead_inv = b[-1].inverse()
-    q = [GR_ZERO] * (len(a) - len(b) + 1)
-    for k in range(len(a) - len(b), -1, -1):
-        c = rem[k + len(b) - 1] * lead_inv
-        if c.is_zero():
-            continue
-        q[k] = c
-        for j, cb in enumerate(b):
-            rem[k + j] = rem[k + j] - c * cb
-    return _pstrip(q), _pstrip(rem)
-
-
-def _pmonic(a: Poly) -> Poly:
-    if not a:
-        return a
-    lc = a[-1]
-    if lc == GR_ONE:
-        return a
-    return _pscale(a, lc.inverse())
-
-
-def _pgcd(a: Poly, b: Poly) -> Poly:
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    return _pmonic(a)
+def _sparse(coeffs: Poly) -> Terms:
+    return tuple((e, c) for e, c in enumerate(coeffs) if not c.is_zero())
 
 
 def _peval(a: Poly, t0: GaussRational) -> GaussRational:
@@ -203,78 +262,39 @@ def _peval(a: Poly, t0: GaussRational) -> GaussRational:
     return acc
 
 
-def _psqrt(a: Poly) -> Poly | None:
-    """Exact square root of a polynomial over Q(i), or None."""
-    if not a:
-        return P_ZERO
-    deg = len(a) - 1
-    if deg % 2 != 0:
-        return None
-    lead = _gauss_sqrt(a[-1])
-    if lead is None:
-        return None
-    monic = _pmonic(a)
-    k = deg // 2
-    half = Fraction(1, 2)
-    root = [GR_ZERO] * (k + 1)
-    root[k] = GR_ONE
-    # determine coefficients from the top down; each is linear in the unknown
-    for i in range(k - 1, -1, -1):
-        known = GR_ZERO
-        for s in range(i + 1, k):
-            u = k + i - s
-            if i < u <= k:
-                known = known + root[s] * root[u]
-        target = monic[k + i] if k + i < len(monic) else GR_ZERO
-        root[i] = (target - known) * GaussRational(half)
-    candidate = _pstrip([c * lead for c in root])
-    return candidate if _pmul(candidate, candidate) == a else None
-
-
 # ---------------------------------------------------------------------------
 # the field Q(i)(t)
 # ---------------------------------------------------------------------------
 
 
 class Scalar:
-    """Canonical fraction of t-polynomials with Gaussian rational coefficients."""
+    """Canonical t^v * N/D with sparse N, D over the Gaussian rationals."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("v", "n", "d")
 
-    def __init__(self, num: Poly, den: Poly = P_ONE, _canonical: bool = False) -> None:
-        if _canonical:
-            self.num = num
-            self.den = den
-            return
-        # the polynomial helpers return stripped tuples; callers' tuples may not be
-        if den and den[-1].is_zero():
-            den = _pstrip(list(den))
-        if not den:
+    def __init__(self, num: Poly, den: Poly = P_ONE) -> None:
+        """The reduced fraction num/den of dense ascending coefficient tuples."""
+        n, d = _sparse(num), _sparse(den)
+        if not d:
             raise ZeroDivisionError("zero denominator in Q(i)(t)")
-        if num and num[-1].is_zero():
-            num = _pstrip(list(num))
-        if not num:
-            self.num, self.den = P_ZERO, P_ONE
-            return
-        g = _pgcd(num, den)
-        if len(g) > 1 or g[0] != GR_ONE:
-            num = _pdivmod(num, g)[0]
-            den = _pdivmod(den, g)[0]
-        lc = den[-1]
-        if lc != GR_ONE:
-            inv = lc.inverse()
-            num = _pscale(num, inv)
-            den = _pscale(den, inv)
-        self.num = num
-        self.den = den
+        s = _reduce(0, n, d) if n else ZERO
+        self.v, self.n, self.d = s.v, s.n, s.d
+
+    @property
+    def num(self) -> Poly:
+        """Dense canonical numerator: t^max(v, 0) * N."""
+        return _dense(self.n, max(self.v, 0))
+
+    @property
+    def den(self) -> Poly:
+        """Dense canonical (monic) denominator: t^max(-v, 0) * D."""
+        return _dense(self.d, max(-self.v, 0))
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def from_int(n: int) -> Scalar:
-        if n == 0:
-            return ZERO
-        return Scalar((GaussRational(n),), P_ONE, _canonical=True)
+        return Scalar.from_gauss(_gauss(n, 0, 1))
 
     @staticmethod
     def rational(p: int, q: int = 1) -> Scalar:
@@ -284,41 +304,38 @@ class Scalar:
     def from_gauss(c: GaussRational) -> Scalar:
         if c.is_zero():
             return ZERO
-        return Scalar((c,), P_ONE, _canonical=True)
+        return _make(0, ((0, c),), D_ONE)
 
     @staticmethod
     def t_power(k: int) -> Scalar:
-        """t^k for any integer k; negative powers go to the denominator."""
-        if k >= 0:
-            return Scalar((GR_ZERO,) * k + (GR_ONE,), P_ONE, _canonical=True)
-        return Scalar(P_ONE, (GR_ZERO,) * (-k) + (GR_ONE,), _canonical=True)
+        """t^k for any integer k."""
+        return _make(k, D_ONE, D_ONE)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: Scalar) -> Scalar:
-        return Scalar(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
-        )
+        return _add(self, other)
 
     def __sub__(self, other: Scalar) -> Scalar:
-        return Scalar(
-            _padd(_pmul(self.num, other.den), _pneg(_pmul(other.num, self.den))),
-            _pmul(self.den, other.den),
-        )
+        return _add(self, -other)
 
     def __neg__(self) -> Scalar:
-        return Scalar(_pneg(self.num), self.den, _canonical=True)
+        return _make(self.v, tuple((e, -c) for e, c in self.n), self.d)
 
     def __mul__(self, other: Scalar) -> Scalar:
-        if not self.num or not other.num:
+        if not self.n or not other.n:
             return ZERO
-        return Scalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        if self.d is D_ONE and other.d is D_ONE:
+            # N1*N2 keeps a nonzero constant term, so the form stays canonical
+            return _make(self.v + other.v, _smul(self.n, other.n), D_ONE)
+        return _reduce(self.v + other.v, _smul(self.n, other.n), _smul(self.d, other.d))
 
     def __truediv__(self, other: Scalar) -> Scalar:
-        if not other.num:
+        if not other.n:
             raise ZeroDivisionError("division by zero in Q(i)(t)")
-        return Scalar(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        if not self.n:
+            return ZERO
+        return _reduce(self.v - other.v, _smul(self.n, other.d), _smul(self.d, other.n))
 
     def inverse(self) -> Scalar:
         return ONE / self
@@ -335,15 +352,15 @@ class Scalar:
         return acc
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.n
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.v == other.v and self.n == other.n and self.d == other.d
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash((self.v, self.n, self.d))
 
     def __repr__(self) -> str:
         return f"Scalar({format_scalar(self)!r})"
@@ -352,10 +369,50 @@ class Scalar:
         return format_scalar(self)
 
 
-ZERO = Scalar(P_ZERO, P_ONE, _canonical=True)
-ONE = Scalar(P_ONE, P_ONE, _canonical=True)
-MINUS_ONE = Scalar((-GR_ONE,), P_ONE, _canonical=True)
-I = Scalar((GR_I,), P_ONE, _canonical=True)
+def _make(v: int, n: Terms, d: Terms) -> Scalar:
+    """A Scalar from parts already in canonical form."""
+    s = object.__new__(Scalar)
+    s.v, s.n, s.d = v, n, D_ONE if len(d) == 1 else d
+    return s
+
+
+def _reduce(v: int, n: Terms, d: Terms) -> Scalar:
+    """The canonical form of t^v * n/d for nonzero n and d.
+
+    Moves the t-content of n and d into v, cancels gcd(n, d) (only when d
+    is not a constant) and makes d monic."""
+    if n[0][0]:
+        v += n[0][0]
+        n = _shift(n, -n[0][0])
+    if d[0][0]:
+        v -= d[0][0]
+        d = _shift(d, -d[0][0])
+    if len(d) > 1:
+        g = _sgcd(n, d)
+        if len(g) > 1:
+            n, d = _sdivmod(n, g)[0], _sdivmod(d, g)[0]
+    if d is not D_ONE and d[-1][1] != GR_ONE:
+        unit = ((0, d[-1][1].inverse()),)
+        n, d = _smul(n, unit), _smul(d, unit)
+    return _make(v, n, d)
+
+
+def _add(a: Scalar, b: Scalar) -> Scalar:
+    if not a.n:
+        return b
+    if not b.n:
+        return a
+    v = min(a.v, b.v)
+    n = _sadd(_smul(_shift(a.n, a.v - v), b.d), _smul(_shift(b.n, b.v - v), a.d))
+    if not n:
+        return ZERO
+    return _reduce(v, n, _smul(a.d, b.d))
+
+
+ZERO = _make(0, (), D_ONE)
+ONE = _make(0, D_ONE, D_ONE)
+MINUS_ONE = Scalar.from_int(-1)
+I = Scalar.from_gauss(GR_I)
 T = Scalar.t_power(1)
 HALF = Scalar.rational(1, 2)
 
@@ -363,15 +420,15 @@ HALF = Scalar.rational(1, 2)
 def try_sqrt(a: Scalar) -> Scalar:
     """Return s with s*s == a, raising NoSquareRoot when s is not in Q(i)(t).
 
-    Uses sqrt(num/den) = sqrt(num*den)/den so only one polynomial square root
-    is needed.
+    Uses sqrt(t^v * N/D) = t^(v/2) * sqrt(N*D)/D so only one polynomial
+    square root is needed.
     """
     if a.is_zero():
         return ZERO
-    root = _psqrt(_pmul(a.num, a.den))
+    root = None if a.v % 2 else _ssqrt(_smul(a.n, a.d))
     if root is None:
         raise NoSquareRoot(f"no square root in Q(i)(t): {format_scalar(a)}")
-    return Scalar(root, a.den)
+    return _reduce(a.v // 2, root, a.d)
 
 
 def evaluate(a: Scalar, t0: GaussRational | Fraction | int) -> GaussRational:
@@ -580,14 +637,13 @@ def _format_gauss(c: GaussRational, need_atom: bool) -> str:
     return f"({re_s}{op}{im_s})"
 
 
-def _format_poly(p: Poly) -> str:
+def _format_poly(p: Terms, shift: int) -> str:
+    """Render t^shift * p, highest exponent first."""
     if not p:
         return "0"
     parts: list[str] = []
-    for e in range(len(p) - 1, -1, -1):
-        c = p[e]
-        if c.is_zero():
-            continue
+    for e, c in reversed(p):
+        e += shift
         if e == 0:
             mono = None
         elif e == 1:
@@ -612,6 +668,7 @@ def _format_poly(p: Poly) -> str:
 
 
 def format_scalar(a: Scalar) -> str:
-    if a.den == P_ONE:
-        return _format_poly(a.num)
-    return f"({_format_poly(a.num)})/({_format_poly(a.den)})"
+    num = _format_poly(a.n, max(a.v, 0))
+    if a.d is D_ONE and a.v >= 0:
+        return num
+    return f"({num})/({_format_poly(a.d, max(-a.v, 0))})"

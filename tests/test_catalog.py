@@ -143,6 +143,29 @@ def test_run_suite_records_a_coker_oracle_failure(monkeypatch):
     assert all(c.detail == "cokernel series disagree: [1] vs [2]" for c in failed)
 
 
+def test_run_suite_records_reduce_and_endomorphism_failures(monkeypatch):
+    names = [c.name for c in run_suite(build("c"), seed=2, trials=8).checks]
+
+    def broken_reduce(t):
+        raise tm.OracleMismatch("reduce: a clearing matrix is not invertible")
+
+    def broken_dimension(t):
+        raise tm.MultiEigenvalue("scalar part has several eigenvalues")
+
+    monkeypatch.setattr(tm, "reduce", broken_reduce)
+    monkeypatch.setattr(tm, "endomorphism_dimension", broken_dimension)
+    report = run_suite(build("c"), seed=2, trials=8)
+    assert [c.name for c in report.checks] == names
+    assert report.ok is False
+    expected = {
+        "reduced": "reduce: a clearing matrix is not invertible",
+        "endo-dim-1": "scalar part has several eigenvalues",
+    }
+    failed = [c for c in report.checks if not c.ok]
+    assert {c.name.split(":")[0] for c in failed} == set(expected)
+    assert all(c.detail == expected[c.name.split(":")[0]] for c in failed)
+
+
 def test_g_f_alias_is_unit_multiple():
     entry = build("g", 3)
     q = Scalar.t_power(2)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 from tmfkit.cli import Report, main
 
@@ -237,3 +239,35 @@ def test_exhausted_rewrite_budget_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["verify", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "budget" in err
+
+
+def test_functor_h_of_an_h_output_exits_1(tmp_path, capsys):
+    # the output of H lives over k[...][u][v], so a second H would reuse the
+    # names u and v: a verification failure, not a traceback
+    main(["catalog", "export", "h", "--out", str(tmp_path)])
+    path = capsys.readouterr().out.strip().splitlines()[-1]
+    once = str(tmp_path / "h1.json")
+    twice = str(tmp_path / "h2.json")
+    assert main(["functor", "H", "--input", path, "--output", once]) == 0
+    capsys.readouterr()
+    assert main(["functor", "H", "--input", once, "--output", twice]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure:") and "'u' already used" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(twice)
+
+
+def test_deep_verify_passes_under_python_O():
+    # every library check raises a typed error, so none vanishes under -O
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "tmfkit.cli", "catalog", "verify", "c",
+         "--deep", "--format", "json"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    checks = json.loads(proc.stdout)["checks"]
+    assert checks and all(c["ok"] for c in checks)

@@ -1,7 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
+import sympy as sp
 
 from tmfkit import scalars as sc
 from tmfkit.scalars import (
@@ -156,3 +160,101 @@ def test_constructor_strips_trailing_zero_coefficients():
     assert Scalar((GR_ONE,), (GR_ONE, GR_ZERO)) == sc.ONE
     with pytest.raises(ZeroDivisionError):
         Scalar(P_ONE, (GR_ZERO,))
+
+
+def test_gauss_rational_canonical_form():
+    half = GaussRational(Fraction(2, 4))
+    assert half == GaussRational(Fraction(1, 2))
+    assert hash(half) == hash(GaussRational(Fraction(1, 2)))
+    c = GaussRational(Fraction(-3, 6), Fraction(4, 3))
+    assert isinstance(c.re, Fraction) and isinstance(c.im, Fraction)
+    assert (c.re, c.im) == (Fraction(-1, 2), Fraction(4, 3))
+    assert c * c.inverse() == GR_ONE
+    with pytest.raises(ZeroDivisionError):
+        GR_ZERO.inverse()
+
+
+def test_large_t_exponents_cost_nothing():
+    start = time.perf_counter()
+    big = parse_scalar("t^1000000")
+    assert big == Scalar.t_power(1000000)
+    assert S("t^20000*t^-19999") == sc.T
+    assert format_scalar(Scalar.t_power(-1000000)) == "(1)/(t^1000000)"
+    assert format_scalar(big * S("2*i")) == "(2*i)*t^1000000"
+    assert time.perf_counter() - start < 0.5
+
+
+# -- sympy as an independent oracle over Q(i)(t) ------------------------------
+
+t_sym = sp.Symbol("t")
+ORACLE = hypothesis.settings(max_examples=40, derandomize=True, deadline=None)
+
+gauss = st.builds(
+    lambda a, b, d: GaussRational(Fraction(a, d), Fraction(b, d)),
+    st.integers(-3, 3),
+    st.integers(-2, 2),
+    st.integers(1, 3),
+)
+sparse_poly = st.dictionaries(st.integers(0, 4), gauss, min_size=1, max_size=3)
+
+
+def dense(terms):
+    out = [GR_ZERO] * (max(terms) + 1)
+    for e, c in terms.items():
+        out[e] = c
+    return tuple(out)
+
+
+@st.composite
+def scalars(draw):
+    """t^v * N/D with small Gaussian coefficients and a general D."""
+    num = dense(draw(sparse_poly))
+    den = dense(draw(sparse_poly)) if draw(st.booleans()) else P_ONE
+    hypothesis.assume(any(not c.is_zero() for c in den))
+    return Scalar(num, den) * Scalar.t_power(draw(st.integers(-4, 4)))
+
+
+def sympy_poly(coeffs):
+    return sum(
+        (sp.Rational(c.re.numerator, c.re.denominator)
+         + sp.I * sp.Rational(c.im.numerator, c.im.denominator)) * t_sym**e
+        for e, c in enumerate(coeffs)
+    )
+
+
+def to_sympy(a):
+    return sympy_poly(a.num) / sympy_poly(a.den)
+
+
+def assert_canonical(a):
+    num, den = a.num, a.den
+    assert den and den[-1] == GR_ONE
+    assert not num or not num[-1].is_zero()
+    if num:
+        gcd = sp.gcd(sp.Poly(sympy_poly(num), t_sym, domain="QQ_I"),
+                     sp.Poly(sympy_poly(den), t_sym, domain="QQ_I"))
+        assert gcd.degree() == 0
+    assert Scalar(num, den) == a
+
+
+@ORACLE
+@hypothesis.given(scalars(), scalars())
+def test_field_operations_agree_with_sympy(a, b):
+    assert_canonical(a)
+    x, y = to_sympy(a), to_sympy(b)
+    for got, want in [(a + b, x + y), (a - b, x - y), (a * b, x * y)]:
+        assert_canonical(got)
+        assert sp.cancel(to_sympy(got) - want) == 0
+    if not b.is_zero():
+        assert_canonical(a / b)
+        assert sp.cancel(to_sympy(a / b) - x / y) == 0
+        assert (a * b) / b == a
+
+
+@ORACLE
+@hypothesis.given(scalars())
+def test_sqrt_and_printing_round_trip(a):
+    square = a * a
+    root = try_sqrt(square)
+    assert root * root == square
+    assert parse_scalar(format_scalar(a)) == a
