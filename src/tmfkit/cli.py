@@ -1,8 +1,9 @@
 """Command line interface: verify, catalog, functor, iso.
 
-Exit codes: 0 pass, 1 verification failure, 2 input error (an exhausted
-rewrite budget included), 3 probabilistic negative.  All randomized
-procedures take an explicit seed (flag --seed, falling back to the
+Exit codes: 0 pass, 1 verification failure, 2 input error (a malformed
+option, an unwritable output and an exhausted rewrite budget included), 3
+probabilistic negative; ``main`` alone maps typed errors to 1 and 2.  All
+randomized procedures take an explicit seed (flag --seed, falling back to the
 TMFKIT_SEED environment variable, then 0), so reports are reproducible.
 """
 
@@ -20,7 +21,6 @@ from . import cover as cov
 from . import tmf as tm
 from .gradedmod import FreeModule
 from .ncalgebra import (
-    GradedAutomorphism,
     PolyParseError,
     RewriteLimitExceeded,
     algebra_from_json,
@@ -38,7 +38,11 @@ CONVENTION = (
 
 
 class InputError(ValueError):
-    """Unreadable or malformed input file (exit code 2)."""
+    """Unreadable or malformed input file, or an unwritable output (exit code 2)."""
+
+
+class InputFailsVerification(ValueError):
+    """A functor's input factorization does not verify (exit code 1)."""
 
 
 @dataclass
@@ -88,11 +92,21 @@ class Report:
         return "\n".join(lines)
 
 
+def _print(text: str) -> None:
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so the flush at
+        # exit stays quiet, and let the exit code carry the verdict
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def emit(report: Report, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report.to_json(), indent=2))
+        _print(json.dumps(report.to_json(), indent=2))
     else:
-        print(report.render_text())
+        _print(report.render_text())
 
 
 # ---------------------------------------------------------------------------
@@ -143,35 +157,31 @@ def load_tmf(path: str) -> tuple[TMF, dict]:
     return TMF(ctx, phi, psi, strict=False), obj
 
 
-def dump_tmf(
-    t: TMF,
-    path: str,
-    sigma: GradedAutomorphism,
-    tau: GradedAutomorphism | None,
-) -> None:
-    autos = {"sigma": sigma}
-    if tau is not None:
-        autos["tau"] = tau
-    obj = tm.tmf_to_json(
-        t,
-        algebra_to_json(t.context.algebra, autos),
-        "sigma",
-        "tau" if tau is not None else None,
-    )
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+def _write_json(obj: dict, path: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(obj, handle, indent=1, sort_keys=True)
+            handle.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def module_to_json(m: cov.EquivariantModule, ctx: NormalContext) -> dict:
-    autos = {"sigma": ctx.sigma, "tau": ctx.tau}
+def _algebra_json(ctx: NormalContext) -> dict:
+    """The algebra of a context, with its sigma and tau (when there is one)."""
+    autos = {"sigma": ctx.sigma}
+    if ctx.tau is not None:
+        autos["tau"] = ctx.tau
+    return algebra_to_json(ctx.algebra, autos)
+
+
+def dump_tmf(t: TMF, path: str) -> None:
+    _write_json(tm.tmf_to_json(t, _algebra_json(t.context)), path)
+
+
+def module_to_json(m: cov.EquivariantModule) -> dict:
+    ctx = m.cover.base
     return {
-        "context": {
-            "algebra": algebra_to_json(ctx.algebra, autos),
-            "f": format_poly(ctx.f),
-            "sigma": "sigma",
-            "tau": "tau",
-        },
+        "context": tm.context_to_json(ctx, _algebra_json(ctx)),
         "module": {
             "shifts": list(m.module.shifts),
             "theta": list(m.theta),
@@ -180,7 +190,7 @@ def module_to_json(m: cov.EquivariantModule, ctx: NormalContext) -> dict:
     }
 
 
-def load_module(path: str) -> tuple[cov.EquivariantModule, cov.CoverContext]:
+def load_module(path: str) -> cov.EquivariantModule:
     obj = _load_json(path)
     try:
         ctx, _ = _context_from_json(obj["context"], os.path.dirname(path))
@@ -188,12 +198,11 @@ def load_module(path: str) -> tuple[cov.EquivariantModule, cov.CoverContext]:
         data = obj["module"]
         module = FreeModule(ctx.algebra, tuple(int(x) for x in data["shifts"]))
         z_action = matrix_from_json(data["z_action"], ctx.algebra)
-        m = cov.EquivariantModule(
+        return cov.EquivariantModule(
             cover, module, z_action, tuple(int(x) for x in data["theta"])
         )
     except (KeyError, ValueError, ZeroDivisionError, TypeError) as exc:
         raise InputError(f"bad module file {path}: {exc}") from exc
-    return m, cover
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +227,7 @@ def _residual_artifacts(report: tm.VerifyReport) -> dict:
 
 def cmd_verify(args) -> int:
     start = time.perf_counter()
-    try:
-        t, _ = load_tmf(args.path)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+    t, _ = load_tmf(args.path)
     report = verify(t)
     out = Report(
         command=f"verify {args.path}",
@@ -239,20 +244,11 @@ def cmd_verify(args) -> int:
 def cmd_catalog(args) -> int:
     start = time.perf_counter()
     if args.action == "list":
-        for case, desc in cat.parameter_ranges().items():
-            print(f"{case:16s} {desc}")
+        _print("\n".join(f"{case:16s} {desc}" for case, desc in cat.parameter_ranges().items()))
         return 0
     if args.case is None:
-        print("input error: catalog verify/export needs a case", file=sys.stderr)
-        return 2
-    try:
-        entry = cat.build(args.case, args.n)
-    except cat.BadParams as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except cat.VerificationFailure as exc:
-        print(f"verification failure while building: {exc}", file=sys.stderr)
-        return 1
+        raise InputError("catalog verify/export needs a case")
+    entry = cat.build(args.case, args.n)
     if args.action == "verify":
         suite = cat.run_suite(
             entry,
@@ -275,181 +271,109 @@ def cmd_catalog(args) -> int:
         )
         emit(out, args.format)
         return 0 if suite.ok else 1
-    if args.action == "export":
-        labels = entry.labels()
-        if args.j is not None:
-            labels = [f"j={args.j}"]
-        if args.label is not None:
-            labels = [args.label]
+    labels = entry.labels()
+    if args.j is not None:
+        labels = [f"j={args.j}"]
+    if args.label is not None:
+        labels = [args.label]
+    try:
         os.makedirs(args.out, exist_ok=True)
-        written = []
-        for label in labels:
-            if label not in entry.families:
-                print(f"input error: no family {label!r}", file=sys.stderr)
-                return 2
-            stem = f"{args.case}" + (f"-n{args.n}" if args.n else "")
-            safe = label.replace("=", "")
-            path = os.path.join(args.out, f"{stem}-{safe}.json")
-            dump_tmf(
-                entry.factorization(label), path, entry.context.sigma, entry.context.tau
-            )
-            written.append(path)
-        for path in written:
-            print(path)
-        return 0
-    print(f"input error: unknown catalog action {args.action}", file=sys.stderr)
-    return 2
+    except OSError as exc:
+        raise InputError(f"cannot create {args.out}: {exc}") from exc
+    written = []
+    for label in labels:
+        if label not in entry.families:
+            raise InputError(f"no family {label!r}")
+        stem = f"{args.case}" + (f"-n{args.n}" if args.n else "")
+        path = os.path.join(args.out, f"{stem}-{label.replace('=', '')}.json")
+        dump_tmf(entry.factorization(label), path)
+        written.append(path)
+    _print("\n".join(written))
+    return 0
 
 
-FUNCTORS = ("C", "Res", "H", "T", "tw", "B", "A", "delta-sigma", "reduce", "split")
+def _verified_tmf(path: str) -> TMF:
+    t, _ = load_tmf(path)
+    if not verify(t).ok:
+        raise InputFailsVerification("input factorization does not verify")
+    return t
+
+
+def _tmf_output(functor):
+    """Step for a functor whose output is a factorization: functor(input)
+    gives (output, artifacts); the step dumps, verifies and reports it."""
+
+    def step(x, path: str) -> tuple[bool, list[dict], dict]:
+        out_t, artifacts = functor(x)
+        dump_tmf(out_t, path)
+        report = verify(out_t)
+        checks = _verify_report_checks(report)
+        return report.ok, checks, artifacts | _residual_artifacts(report)
+
+    return step
+
+
+def _reduce(t: TMF) -> tuple[TMF, dict]:
+    result = tm.reduce(t)
+    summands = f"unit-first={result.unit_first}, f-first={result.f_first}"
+    return result.reduced, {"trivial_summands": summands}
+
+
+def _functor_B(t: TMF, path: str) -> tuple[bool, list[dict], dict]:
+    _write_json(module_to_json(cov.functor_B(cov.make_cover(t.context), t)), path)
+    return True, [{"name": "z-squared-is-minus-f", "ok": True, "detail": ""}], {}
+
+
+def _functor_split(t: TMF, path: str) -> tuple[bool, list[dict], dict]:
+    t1, t2 = cov.symmetric_split(cov.make_cover(t.context), t)
+    algebra = _algebra_json(t1.context)
+    pair = {"first": tm.tmf_to_json(t1, algebra), "second": tm.tmf_to_json(t2, algebra)}
+    _write_json(pair, path)
+    ok = verify(t1).ok and verify(t2).ok
+    return ok, [{"name": "summands-verify", "ok": ok, "detail": ""}], {}
+
+
+# name -> (reader of --input, step that writes --output and returns the
+# verdict, the checks and the artifacts of the report)
+FUNCTORS = {
+    "C": (_verified_tmf, _tmf_output(
+        lambda t: (cov.functor_C(cov.make_cover(t.context), t), {}))),
+    "Res": (_verified_tmf, _tmf_output(
+        lambda t: (cov.restrict_tmf(t, cov.truncate_context(t.context)), {}))),
+    "H": (_verified_tmf, _tmf_output(
+        lambda t: (cov.functor_H(cov.second_cover(t.context), t), {}))),
+    "T": (_verified_tmf, _tmf_output(lambda t: (tm.T_functor(t), {}))),
+    "tw": (_verified_tmf, _tmf_output(lambda t: (tm.tw_functor(t), {}))),
+    "B": (_verified_tmf, _functor_B),
+    "A": (load_module, _tmf_output(lambda m: (cov.functor_A(m.cover, m), {}))),
+    "delta-sigma": (load_module, _tmf_output(lambda m: (cov.delta_sigma(m.cover, m), {}))),
+    "reduce": (_verified_tmf, _tmf_output(_reduce)),
+    "split": (_verified_tmf, _functor_split),
+}
 
 
 def cmd_functor(args) -> int:
     start = time.perf_counter()
-    name = args.name
-    try:
-        if name in ("A", "delta-sigma"):
-            m, cover = load_module(args.input)
-            if name == "A":
-                out_t = cov.functor_A(cover, m)
-                out_ctx = cover.base
-            else:
-                out_t = cov.delta_sigma(cover, m)
-                out_ctx = cover.context
-            dump_tmf(out_t, args.output, out_ctx.sigma, out_ctx.tau)
-            report = verify(out_t)
-            status = "pass" if report.ok else "fail"
-            emit(
-                Report(
-                    command=f"functor {name}",
-                    status=status,
-                    seed=args.seed,
-                    elapsed=time.perf_counter() - start,
-                    checks=_verify_report_checks(report),
-                ),
-                args.format,
-            )
-            return 0 if report.ok else 1
-        t, _ = load_tmf(args.input)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (cov.HypothesisViolation, cov.InvariantViolation, tm.NotSymmetricForm) as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
-
-    in_report = verify(t)
-    if not in_report.ok:
-        print("verification failure: input factorization does not verify", file=sys.stderr)
-        return 1
-    try:
-        checks: list[dict] = []
-        artifacts: dict = {}
-        if name == "C":
-            cover = cov.make_cover(t.context)
-            out_t = cov.functor_C(cover, t)
-            dump_tmf(out_t, args.output, cover.sigma, cover.tau)
-        elif name == "Res":
-            base = cov.truncate_context(t.context)
-            out_t = cov.restrict_tmf(t, base)
-            dump_tmf(out_t, args.output, base.sigma, base.tau)
-        elif name == "H":
-            sc = cov.second_cover(t.context)
-            out_t = cov.functor_H(sc, t)
-            dump_tmf(out_t, args.output, sc.sigma_uv, sc.tau_uv)
-        elif name == "T":
-            out_t = tm.T_functor(t)
-            dump_tmf(out_t, args.output, t.context.sigma, t.context.tau)
-        elif name == "tw":
-            out_t = tm.tw_functor(t)
-            dump_tmf(out_t, args.output, t.context.sigma, t.context.tau)
-        elif name == "B":
-            cover = cov.make_cover(t.context)
-            m = cov.functor_B(cover, t)
-            with open(args.output, "w", encoding="utf-8") as handle:
-                json.dump(module_to_json(m, t.context), handle, indent=1, sort_keys=True)
-                handle.write("\n")
-            emit(
-                Report(
-                    command="functor B",
-                    status="pass",
-                    seed=args.seed,
-                    elapsed=time.perf_counter() - start,
-                    checks=[{"name": "z-squared-is-minus-f", "ok": True, "detail": ""}],
-                ),
-                args.format,
-            )
-            return 0
-        elif name == "reduce":
-            result = tm.reduce(t)
-            out_t = result.reduced
-            dump_tmf(out_t, args.output, t.context.sigma, t.context.tau)
-            artifacts["trivial_summands"] = (
-                f"unit-first={result.unit_first}, f-first={result.f_first}"
-            )
-        elif name == "split":
-            cover = cov.make_cover(t.context)
-            t1, t2 = cov.symmetric_split(cover, t)
-            obj = {
-                "first": tm.tmf_to_json(
-                    t1,
-                    algebra_to_json(
-                        cover.algebra, {"sigma": cover.sigma, "tau": cover.tau}
-                    ),
-                ),
-                "second": tm.tmf_to_json(
-                    t2,
-                    algebra_to_json(
-                        cover.algebra, {"sigma": cover.sigma, "tau": cover.tau}
-                    ),
-                ),
-            }
-            with open(args.output, "w", encoding="utf-8") as handle:
-                json.dump(obj, handle, indent=1, sort_keys=True)
-                handle.write("\n")
-            ok = verify(t1).ok and verify(t2).ok
-            emit(
-                Report(
-                    command="functor split",
-                    status="pass" if ok else "fail",
-                    seed=args.seed,
-                    elapsed=time.perf_counter() - start,
-                    checks=[{"name": "summands-verify", "ok": ok, "detail": ""}],
-                ),
-                args.format,
-            )
-            return 0 if ok else 1
-        else:
-            print(f"input error: unknown functor {name!r}", file=sys.stderr)
-            return 2
-    except (cov.HypothesisViolation, cov.InvariantViolation, tm.NotSymmetricForm,
-            tm.NoSquareRootContext) as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
-    report = verify(out_t)
+    read, step = FUNCTORS[args.name]
+    ok, checks, artifacts = step(read(args.input), args.output)
     out = Report(
-        command=f"functor {name}",
-        status="pass" if report.ok else "fail",
+        command=f"functor {args.name}",
+        status="pass" if ok else "fail",
         seed=args.seed,
         elapsed=time.perf_counter() - start,
-        checks=_verify_report_checks(report),
-        artifacts=artifacts | _residual_artifacts(report),
+        checks=checks,
+        artifacts=artifacts,
     )
     emit(out, args.format)
-    return 0 if report.ok else 1
+    return 0 if ok else 1
 
 
 def cmd_iso(args) -> int:
     start = time.perf_counter()
-    try:
-        t1, _ = load_tmf(args.path1)
-        t2, _ = load_tmf(args.path2)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+    t1, _ = load_tmf(args.path1)
+    t2, _ = load_tmf(args.path2)
     if t1.context.algebra != t2.context.algebra or t1.context.f != t2.context.f:
-        print("input error: factorizations live in different contexts", file=sys.stderr)
-        return 2
+        raise InputError("factorizations live in different contexts")
     verdict = tm.probably_isomorphic_tmf(t1, t2, trials=args.trials, seed=args.seed)
     artifacts = {}
     if verdict.isomorphic:
@@ -484,6 +408,19 @@ def default_seed() -> int:
         return 0
 
 
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_global_options(parser: argparse.ArgumentParser, top: bool) -> None:
     # options are accepted both before and after the subcommand; the
     # subparser copies use SUPPRESS so they never clobber earlier values
@@ -491,9 +428,9 @@ def _add_global_options(parser: argparse.ArgumentParser, top: bool) -> None:
     parser.add_argument(
         "--seed", type=int, default=default_seed() if top else suppress
     )
-    parser.add_argument("--trials", type=int, default=32 if top else suppress)
+    parser.add_argument("--trials", type=_at_least(1), default=32 if top else suppress)
     parser.add_argument(
-        "--max-degree", type=int, default=None if top else suppress
+        "--max-degree", type=_at_least(0), default=None if top else suppress
     )
     parser.add_argument(
         "--format",
@@ -538,6 +475,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# typed error -> (exit code, stderr prefix)
+EXITS = (
+    ((InputError, cat.BadParams, RewriteLimitExceeded), 2, "input error"),
+    ((cat.VerificationFailure,), 1, "verification failure while building"),
+    ((InputFailsVerification, cov.HypothesisViolation, cov.InvariantViolation,
+      tm.NotSymmetricForm, tm.NoSquareRootContext), 1, "verification failure"),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     commands = {
@@ -548,9 +494,10 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return commands[args.command](args)
-    except RewriteLimitExceeded as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+    except tuple(t for types, _, _ in EXITS for t in types) as exc:
+        code, prefix = next((c, p) for types, c, p in EXITS if isinstance(exc, types))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

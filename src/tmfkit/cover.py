@@ -103,6 +103,17 @@ def make_cover(base: NormalContext, name: str = "z") -> CoverContext:
     return CoverContext(base, name)
 
 
+def _checked(out: TMF, what: str) -> TMF:
+    """Return a functor's output if it verifies; InvariantViolation naming
+    the failed checks otherwise."""
+    report = verify(out)
+    if not report.ok:
+        raise InvariantViolation(
+            f"{what} failed verification: " + ", ".join(report.failed())
+        )
+    return out
+
+
 def lift_matrix(mat: GradedMatrix, extended: GradedAlgebra) -> GradedMatrix:
     return mat.map_entries(lambda e: e.lift(extended), extended)
 
@@ -168,13 +179,7 @@ def functor_C(cover: CoverContext, t: TMF) -> TMF:
             [-lam_g2, gm.twist_matrix(psi, cover.tau, ell)],
         ],
     )
-    out = TMF(cover.context, phi_c, psi_c)
-    report = verify(out)
-    if not report.ok:
-        raise InvariantViolation(
-            "functor C output failed verification: " + ", ".join(report.failed())
-        )
-    return out
+    return _checked(TMF(cover.context, phi_c, psi_c), "functor C output")
 
 
 def restrict_tmf(t: TMF, base: NormalContext) -> TMF:
@@ -218,13 +223,7 @@ def truncate_context(ctx: NormalContext, count: int = 1) -> NormalContext:
 def functor_Res(cover: CoverContext, t: TMF) -> TMF:
     if t.context != cover.context:
         raise HypothesisViolation("factorization does not live over the cover")
-    out = restrict_tmf(t, cover.base)
-    report = verify(out)
-    if not report.ok:
-        raise InvariantViolation(
-            "restriction failed verification: " + ", ".join(report.failed())
-        )
-    return out
+    return _checked(restrict_tmf(t, cover.base), "restriction")
 
 
 def check_lemma_5_5(cover: CoverContext, t: TMF) -> bool:
@@ -323,13 +322,7 @@ def functor_A(cover: CoverContext, m: EquivariantModule) -> TMF:
     # z_pm rows carry the +ell twist of the plus part; undo it
     phi = gm.twist_matrix(z_pm, ctx.tau.inverse(), -ell)
     psi = -z_mp
-    out = TMF(ctx, phi, psi)
-    report = verify(out)
-    if not report.ok:
-        raise InvariantViolation(
-            "functor A output failed verification: " + ", ".join(report.failed())
-        )
-    return out
+    return _checked(TMF(ctx, phi, psi), "functor A output")
 
 
 def delta_sigma(cover: CoverContext, m: EquivariantModule) -> TMF:
@@ -346,13 +339,7 @@ def delta_sigma(cover: CoverContext, m: EquivariantModule) -> TMF:
     delta = lam1 - z_lifted
     lam2 = gm.left_multiplication(FreeModule(E, F.twisted(ell).shifts), z, ell)
     sigma_mat = lam2 + gm.twist_matrix(z_lifted, cover.tau, ell)
-    out = TMF(cover.context, delta, sigma_mat)
-    report = verify(out)
-    if not report.ok:
-        raise InvariantViolation(
-            "delta/sigma output failed verification: " + ", ".join(report.failed())
-        )
-    return out
+    return _checked(TMF(cover.context, delta, sigma_mat), "delta/sigma output")
 
 
 def module_hilbert(m: EquivariantModule, max_degree: int) -> list[int]:
@@ -454,18 +441,8 @@ def functor_H(sc: SecondCover, t: TMF) -> TMF:
 
     src = FM(tuple(s + d for s in f_sh) + tuple(s + 3 * ell for s in g_sh))
     tgt = FM(tuple(s + d for s in g_sh) + tuple(s + ell for s in f_sh))
-    lam_v1 = GradedMatrix(
-        FM(tuple(s + d for s in f_sh)),
-        FM(tuple(s + ell for s in f_sh)),
-        gm.left_multiplication(FM(tuple(s + ell for s in f_sh)), v, ell).entries,
-        check=False,
-    )
-    lam_u1 = GradedMatrix(
-        FM(tuple(s + 3 * ell for s in g_sh)),
-        FM(tuple(s + d for s in g_sh)),
-        gm.left_multiplication(FM(tuple(s + d for s in g_sh)), u, ell).entries,
-        check=False,
-    )
+    lam_v1 = gm.left_multiplication(FM(tuple(s + ell for s in f_sh)), v, ell)
+    lam_u1 = gm.left_multiplication(FM(tuple(s + d for s in g_sh)), u, ell)
     phi_h = assemble_blocks(
         src,
         tgt,
@@ -475,18 +452,8 @@ def functor_H(sc: SecondCover, t: TMF) -> TMF:
         ],
     )
     src2 = FM(tuple(s + 2 * d for s in g_sh) + tuple(s + 3 * ell for s in f_sh))
-    lam_v2 = GradedMatrix(
-        FM(tuple(s + 2 * d for s in g_sh)),
-        FM(tuple(s + 3 * ell for s in g_sh)),
-        gm.left_multiplication(FM(tuple(s + 3 * ell for s in g_sh)), v, ell).entries,
-        check=False,
-    )
-    lam_u2 = GradedMatrix(
-        FM(tuple(s + 3 * ell for s in f_sh)),
-        FM(tuple(s + d for s in f_sh)),
-        gm.left_multiplication(FM(tuple(s + d for s in f_sh)), u, ell).entries,
-        check=False,
-    )
+    lam_v2 = gm.left_multiplication(FM(tuple(s + 3 * ell for s in g_sh)), v, ell)
+    lam_u2 = gm.left_multiplication(FM(tuple(s + d for s in f_sh)), u, ell)
     psi_h = assemble_blocks(
         src2,
         src,
@@ -495,13 +462,7 @@ def functor_H(sc: SecondCover, t: TMF) -> TMF:
             [-lam_u2, gm.twist_matrix(phi, tau.power(3), 3 * ell)],
         ],
     )
-    out = TMF(sc.context_uv, phi_h, psi_h)
-    report = verify(out)
-    if not report.ok:
-        raise InvariantViolation(
-            "functor H output failed verification: " + ", ".join(report.failed())
-        )
-    return out
+    return _checked(TMF(sc.context_uv, phi_h, psi_h), "functor H output")
 
 
 def _block_scalar_matrix(
@@ -645,12 +606,7 @@ def symmetric_split(cover: CoverContext, t: TMF) -> tuple[TMF, TMF]:
         gm.submatrix(conj.psi, bottom, bottom),
     )
     for part in (t1, t2):
-        report = verify(part)
-        if not report.ok:
-            raise InvariantViolation(
-                "symmetric split summand failed verification: "
-                + ", ".join(report.failed())
-            )
+        _checked(part, "symmetric split summand")
     if direct_sum_tmf(t1, t2) != conj:
         raise InvariantViolation("summands do not reassemble the conjugate")
     return t1, t2

@@ -190,17 +190,9 @@ class GradedAlgebra:
             head = list(exps)
             head[last] -= 1
             head_t = tuple(head)
-            acc: dict = {}
+            result = {}
             for coeff, target in self.rules[(last, g)]:
-                for e2, c2 in self._mono_times_mono(head_t, target, fuel).items():
-                    prod = coeff * c2
-                    prev = acc.get(e2)
-                    new = prod if prev is None else prev + prod
-                    if new.is_zero():
-                        acc.pop(e2, None)
-                    else:
-                        acc[e2] = new
-            result = acc
+                _acc_into(result, self._mono_times_mono(head_t, target, fuel), coeff)
         self._gen_mul_cache[key] = result
         return result
 
@@ -213,14 +205,7 @@ class GradedAlgebra:
         for g in self._exps_word(e2):
             nxt: dict = {}
             for e, c in current.items():
-                for e_out, c_out in self._mono_times_gen(e, g, fuel).items():
-                    prod = c * c_out
-                    prev = nxt.get(e_out)
-                    new = prod if prev is None else prev + prod
-                    if new.is_zero():
-                        nxt.pop(e_out, None)
-                    else:
-                        nxt[e_out] = new
+                _acc_into(nxt, self._mono_times_gen(e, g, fuel), c)
             current = nxt
         self._mono_mul_cache[key] = current
         return current
@@ -234,14 +219,7 @@ class GradedAlgebra:
                 raise ValueError(f"bad generator index {g}")
             nxt: dict = {}
             for e, c in current.items():
-                for e_out, c_out in self._mono_times_gen(e, g, fuel).items():
-                    prod = c * c_out
-                    prev = nxt.get(e_out)
-                    new = prod if prev is None else prev + prod
-                    if new.is_zero():
-                        nxt.pop(e_out, None)
-                    else:
-                        nxt[e_out] = new
+                _acc_into(nxt, self._mono_times_gen(e, g, fuel), c)
             current = nxt
         return NCPoly(self, current)
 

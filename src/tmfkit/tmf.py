@@ -661,21 +661,18 @@ def matrix_from_json(obj: dict, algebra: GradedAlgebra) -> GradedMatrix:
     return GradedMatrix(source, target, entries, check=False)
 
 
-def tmf_to_json(
-    t: TMF,
-    algebra_json: dict | str,
-    sigma_name: str = "sigma",
-    tau_name: str | None = "tau",
-) -> dict:
-    ctx_obj = {
-        "algebra": algebra_json,
-        "f": format_poly(t.context.f),
-        "sigma": sigma_name,
-    }
-    if t.context.tau is not None and tau_name is not None:
-        ctx_obj["tau"] = tau_name
+def context_to_json(ctx: NormalContext, algebra_json: dict | str) -> dict:
+    """Context block naming the automorphisms "sigma" and "tau" (when there
+    is a tau) of the algebra block."""
+    obj = {"algebra": algebra_json, "f": format_poly(ctx.f), "sigma": "sigma"}
+    if ctx.tau is not None:
+        obj["tau"] = "tau"
+    return obj
+
+
+def tmf_to_json(t: TMF, algebra_json: dict | str) -> dict:
     return {
-        "context": ctx_obj,
+        "context": context_to_json(t.context, algebra_json),
         "phi": matrix_to_json(t.phi),
         "psi": matrix_to_json(t.psi),
     }

@@ -166,6 +166,25 @@ def test_run_suite_records_reduce_and_endomorphism_failures(monkeypatch):
     assert all(c.detail == expected[c.name.split(":")[0]] for c in failed)
 
 
+def test_run_suite_records_failed_functor_outputs(monkeypatch):
+    from tmfkit import catalog, cover
+
+    names = [c.name for c in run_suite(build("c"), seed=2, trials=8, deep=True).checks]
+
+    def broken(*args):
+        raise cover.InvariantViolation("functor output failed verification: identity-1")
+
+    for module in (catalog, cover):
+        monkeypatch.setattr(module, "functor_C", broken)
+        monkeypatch.setattr(module, "functor_H", broken)
+    report = run_suite(build("c"), seed=2, trials=8, deep=True)
+    assert [c.name for c in report.checks] == names
+    failed = [c for c in report.checks if not c.ok]
+    families = ("functor-C-verifies", "lemma-5-5", "functor-H-verifies", "lemma-5-13")
+    assert {c.name.split(":")[0] for c in failed} == set(families)
+    assert all(c.detail.endswith("identity-1") for c in failed)
+
+
 def test_g_f_alias_is_unit_multiple():
     entry = build("g", 3)
     q = Scalar.t_power(2)

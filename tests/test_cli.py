@@ -3,7 +3,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from tmfkit.cli import Report, main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(argv, capsys=None):
@@ -101,7 +105,7 @@ def test_functor_T_twice_is_identity_bytewise(tmp_path, capsys):
     from tmfkit.cli import dump_tmf, load_tmf
 
     t, _ = load_tmf(path)
-    dump_tmf(t, rewritten, t.context.sigma, t.context.tau)
+    dump_tmf(t, rewritten)
     assert open(twice).read() == open(rewritten).read()
 
 
@@ -184,7 +188,7 @@ def test_iso_against_shift_is_probably_not(tmp_path, capsys):
 
     t, _ = load_tmf(path)
     shifted = str(tmp_path / "shifted.json")
-    dump_tmf(shift_tmf(t, 1), shifted, t.context.sigma, t.context.tau)
+    dump_tmf(shift_tmf(t, 1), shifted)
     assert main(["--trials", "4", "iso", path, shifted]) == 3
 
 
@@ -259,15 +263,92 @@ def test_functor_h_of_an_h_output_exits_1(tmp_path, capsys):
 
 def test_deep_verify_passes_under_python_O():
     # every library check raises a typed error, so none vanishes under -O
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "tmfkit.cli", "catalog", "verify", "c",
          "--deep", "--format", "json"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": SRC},
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     checks = json.loads(proc.stdout)["checks"]
     assert checks and all(c["ok"] for c in checks)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_stdout_keeps_the_verdict_quietly(fmt):
+    # stdout is a pipe whose reader is gone before the report is printed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tmfkit.cli", "catalog", "verify", "c", "--format", fmt],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--max-degree", "-1"], "--max-degree: must be at least 0"),
+        (["--trials", "-3"], "--trials: must be at least 1"),
+    ],
+)
+def test_malformed_option_exits_2(option, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "verify", "c", *option])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    main(["catalog", "export", "c", "--out", str(tmp_path)])
+    path = capsys.readouterr().out.strip().splitlines()[-1]
+    out = str(tmp_path / "missing-dir" / "x.json")
+    assert main(["functor", "T", "--input", path, "--output", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write {out}:")
+
+
+def test_export_into_a_file_exits_2(tmp_path, capsys):
+    existing = tmp_path / "taken"
+    existing.write_text("")
+    assert main(["catalog", "export", "c", "--out", str(existing)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: cannot create {existing}:")
+
+
+def test_functor_tw_matches_the_library(tmp_path, capsys):
+    from tmfkit import tmf as tm
+    from tmfkit.cli import load_tmf
+
+    main(["catalog", "export", "h", "--out", str(tmp_path)])
+    path = capsys.readouterr().out.strip().splitlines()[-1]
+    out = str(tmp_path / "tw.json")
+    assert main(["functor", "tw", "--input", path, "--output", out]) == 0
+    capsys.readouterr()
+    assert main(["verify", out]) == 0
+    t, _ = load_tmf(path)
+    twisted, _ = load_tmf(out)
+    assert twisted == tm.tw_functor(t)
+
+
+def test_functor_split_of_a_root_form_file(tmp_path, capsys):
+    main(["catalog", "export", "d-odd", "--n", "3", "--j", "1", "--out", str(tmp_path)])
+    path = capsys.readouterr().out.strip().splitlines()[-1]
+    out = tmp_path / "split.json"
+    assert main(["functor", "split", "--input", path, "--output", str(out)]) == 0
+    capsys.readouterr()
+    pair = json.loads(out.read_text())
+    for key in ("first", "second"):
+        summand = tmp_path / f"{key}.json"
+        summand.write_text(json.dumps(pair[key]))
+        assert main(["verify", str(summand)]) == 0
