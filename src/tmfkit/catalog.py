@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from . import gradedmod as gm
 from . import tmf as tm
 from .cover import (
+    _block_scalar_matrix,
     check_lemma_5_13,
     check_lemma_5_5,
     functor_C,
@@ -36,7 +37,7 @@ from .ncalgebra import (
     normalizing_automorphism,
 )
 from .linalg import coefficient_matrix, rank as k_rank
-from .scalars import MINUS_ONE, ONE, Scalar, try_sqrt
+from .scalars import MINUS_ONE, ONE, ZERO, Scalar, try_sqrt
 from .tmf import NormalContext, TMF, verify
 
 
@@ -381,39 +382,29 @@ def _build_a1() -> CatalogEntry:
     return entry
 
 
+# builders of the cases with a parameter n, and of the cases without one
+_BUILDERS_N = {
+    "b": lambda n: _build_gb("b", n),
+    "g": lambda n: _build_gb("g", n),
+    "d": lambda n: _build_d_odd(n) if n % 2 == 1 else _build_d_even(n),
+    "d-odd": _build_d_odd,
+    "d-even": _build_d_even,
+    "e": _build_e,
+}
+_BUILDERS = {"c": _build_c, "h": _build_h, "commutative-A1": _build_a1}
+
+
 def build(case: str, n: int | None = None) -> CatalogEntry:
     """Construct a catalog entry with all invariants machine-verified."""
-    if case == "d":
-        if n is None:
-            raise BadParams("case (d) needs n")
-        case = "d-odd" if n % 2 == 1 else "d-even"
-    if case == "g":
-        if n is None:
-            raise BadParams("case (g) needs n")
-        return _build_gb("g", n)
-    if case == "b":
-        if n is None:
-            raise BadParams("case (b) needs n")
-        return _build_gb("b", n)
-    if case == "c":
-        return _build_c()
-    if case == "d-odd":
-        if n is None:
-            raise BadParams("case (d-odd) needs n")
-        return _build_d_odd(n)
-    if case == "d-even":
-        if n is None:
-            raise BadParams("case (d-even) needs n")
-        return _build_d_even(n)
-    if case == "e":
-        if n is None:
-            raise BadParams("case (e) needs n")
-        return _build_e(n)
-    if case == "h":
-        return _build_h()
-    if case == "commutative-A1":
-        return _build_a1()
-    raise BadParams(f"unknown case {case!r}; valid: {', '.join(CASES)}")
+    if case in _BUILDERS:
+        if n is not None:
+            raise BadParams(f"case ({case}) takes no n")
+        return _BUILDERS[case]()
+    if case not in _BUILDERS_N:
+        raise BadParams(f"unknown case {case!r}; valid: {', '.join(CASES)}")
+    if n is None:
+        raise BadParams(f"case ({case}) needs n")
+    return _BUILDERS_N[case](n)
 
 
 def parameter_ranges() -> dict[str, str]:
@@ -447,15 +438,15 @@ class SignFinding:
         return (not self.printed_ok) and self.flipped_ok
 
 
-def case_d_sign_check(n: int, j: int = 1) -> SignFinding:
-    """Verify both sign conventions of the (d) rank-4 family.
+def case_d_sign_check(entry: CatalogEntry, j: int = 1) -> SignFinding:
+    """Verify both sign conventions of the rank-4 family j of a (d-odd) entry.
 
     The printed coefficient (-1)^s, s = (n+1)/2, must fail with residual
     8*(-1)^s*a2^{(n+3)/2} at entry (1,3) and the opposite sign must pass.
     """
-    entry = build("d-odd", n)
-    A = entry.algebra
-    ctx = entry.context
+    if entry.case != "d-odd":
+        raise BadParams("the sign check applies to case (d-odd)")
+    n, A, ctx = entry.n, entry.algebra, entry.context
     results = {}
     residual_13 = ""
     for printed in (True, False):
@@ -474,22 +465,20 @@ def case_d_sign_check(n: int, j: int = 1) -> SignFinding:
 # ---------------------------------------------------------------------------
 
 
-def _gamma_pair(n: int, j: int, q: Scalar) -> TMF:
-    """Classical rank-1 factorization of -q^{-delta} y^n over k[y]."""
+def _gamma_pairs(n: int, q: Scalar) -> list[TMF]:
+    """The classical rank-1 factorizations (c*y^j, y^(n-j)) of c*y^n over
+    k[y], c = -q^{-delta}, for j = 1..n-1, all over one context."""
     A = GradedAlgebra([("y", 2)], {})
-    delta = -(n * (n - 1) // 2)
-    t_el = A.monomial((n,), -(q ** (-delta)))
+    c = -(q ** (n * (n - 1) // 2))
     ident = GradedAutomorphism.identity(A)
-    ctx = NormalContext(A, t_el, ident, ident)
-    phi = GradedMatrix(
-        FreeModule(A, (j - n,)),
-        FreeModule(A, (-n - j,)),
-        [[A.monomial((j,), -(q ** (-delta)))]],
-    )
-    psi = GradedMatrix(
-        FreeModule(A, (n - j,)), FreeModule(A, (j - n,)), [[A.monomial((n - j,))]]
-    )
-    return TMF(ctx, phi, psi)
+    ctx = NormalContext(A, A.monomial((n,), c), ident, ident)
+    pairs = []
+    for j in range(1, n):
+        F = FreeModule(A, (j - n,))
+        phi = GradedMatrix(F, FreeModule(A, (-n - j,)), [[A.monomial((j,), c)]])
+        psi = GradedMatrix(FreeModule(A, (n - j,)), F, [[A.monomial((n - j,))]])
+        pairs.append(TMF(ctx, phi, psi))
+    return pairs
 
 
 def zhang_untransport_tmf(
@@ -565,15 +554,17 @@ def zhang_crosscheck(entry: CatalogEntry, trials: int = 32, seed: int = 0) -> li
     f_xi = twisted.monomial((1, 0, 1)) - twisted.monomial((0, n, 0), q ** (-delta))
     ident = GradedAutomorphism.identity(twisted)
     ctx_xi = NormalContext(twisted, f_xi, ident, ident)
+    gammas = _gamma_pairs(n, q)
+    sc = second_cover(gammas[0].context)
+    # conjugate by diag(1,-1) blockwise to reach the printed form
+    pattern = [[ONE, ZERO], [ZERO, MINUS_ONE]]
+    # rename k[y][u][v] -> twist of C: y -> a2, u -> a3 (z), v -> a1 (x)
+    mor = AlgebraMorphism(
+        sc.uv_algebra, twisted, [twisted.gen(1), twisted.gen(2), twisted.gen(0)]
+    )
     results = []
-    for j in range(1, n):
-        gamma = _gamma_pair(n, j, q)
-        sc = second_cover(gamma.context)
+    for j, gamma in enumerate(gammas, start=1):
         h = functor_H(sc, gamma)
-        # conjugate by diag(1,-1) blockwise to reach the printed form
-        pattern = [[ONE, Scalar.from_int(0)], [Scalar.from_int(0), MINUS_ONE]]
-        from .cover import _block_scalar_matrix
-
         d_src = _block_scalar_matrix(
             sc.uv_algebra, [1, 1], h.phi.source.shifts, pattern
         )
@@ -581,12 +572,6 @@ def zhang_crosscheck(entry: CatalogEntry, trials: int = 32, seed: int = 0) -> li
             sc.uv_algebra, [1, 1], h.phi.target.shifts, pattern
         )
         printed_form = tm.conjugate(h, d_src, d_tgt)
-        # rename k[y][u][v] -> twist of C: y -> a2, u -> a3 (z), v -> a1 (x)
-        mor = AlgebraMorphism(
-            sc.uv_algebra,
-            twisted,
-            [twisted.gen(1), twisted.gen(2), twisted.gen(0)],
-        )
         over_xi = tm.map_tmf(printed_form, mor, ctx_xi)
         transported = zhang_untransport_tmf(tw, over_xi, entry.context)
         report = verify(transported)
@@ -746,26 +731,39 @@ def run_suite(
         cover = make_cover(ctx)
     record("cover-normality", True, "f + z^2 normal (validated at construction)")
     # a functor verifies its own output and raises InvariantViolation when
-    # that fails, so running it is the check
-    for label in labels:
-        t = entry.factorization(label)
-        record_or_fail(
-            f"functor-C-verifies:{label}", lambda: (functor_C(cover, t) is not None, "")
-        )
-        record_or_fail(f"lemma-5-5:{label}", lambda: (check_lemma_5_5(cover, t), ""))
+    # that fails, so building it is the check; a lemma check compares the
+    # outputs built here and fails with the error text of one that failed
+    # (the text, not the error: its traceback would hold this frame)
+    def output(functor, over, t):
+        try:
+            return functor(over, t)
+        except _CHECK_ERRORS as exc:
+            return str(exc)
+
+    def built(out):
+        if isinstance(out, str):
+            raise ValueError(out)
+        return out
+
+    families = [entry.factorization(label) for label in labels]
+    c_outputs = [output(functor_C, cover, t) for t in families]
+    for label, t, c in zip(labels, families, c_outputs):
+        record_or_fail(f"functor-C-verifies:{label}", lambda: (built(c) is not None, ""))
+        record_or_fail(f"lemma-5-5:{label}", lambda: (check_lemma_5_5(cover, t, built(c)), ""))
     if deep:
-        for label in labels:
-            t = entry.factorization(label)
-            record_or_fail(
-                f"functor-H-verifies:{label}", lambda: (functor_H(sc, t) is not None, "")
-            )
+        for label, t, c in zip(labels, families, c_outputs):
+            h = output(functor_H, sc, t)
+            record_or_fail(f"functor-H-verifies:{label}", lambda: (built(h) is not None, ""))
             if t.rank <= 2:
-                record_or_fail(f"lemma-5-13:{label}", lambda: (check_lemma_5_13(sc, t).ok, ""))
+                record_or_fail(
+                    f"lemma-5-13:{label}",
+                    lambda: (check_lemma_5_13(sc, t, built(c), built(h)).ok, ""),
+                )
 
     # case-specific findings
     if entry.case == "d-odd":
         for j in range(1, (entry.n + 1) // 2):
-            finding = case_d_sign_check(entry.n, j)
+            finding = case_d_sign_check(entry, j)
             record(
                 f"erratum-d-sign:j={j}",
                 finding.dichotomy,

@@ -21,14 +21,12 @@ from . import cover as cov
 from . import tmf as tm
 from .gradedmod import FreeModule
 from .ncalgebra import (
-    PolyParseError,
     RewriteLimitExceeded,
     algebra_from_json,
     algebra_to_json,
     format_poly,
     parse_poly,
 )
-from .scalars import ScalarParseError
 from .tmf import NormalContext, TMF, matrix_from_json, matrix_to_json, verify
 
 CONVENTION = (
@@ -68,18 +66,6 @@ class Report:
             "artifacts": self.artifacts,
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "Report":
-        return Report(
-            command=obj["command"],
-            status=obj["status"],
-            seed=obj["seed"],
-            elapsed=obj["elapsed"],
-            checks=obj["checks"],
-            artifacts=obj["artifacts"],
-            convention=obj["convention"],
-        )
-
     def render_text(self) -> str:
         lines = [f"[{self.status}] {self.command} (seed={self.seed})"]
         for check in self.checks:
@@ -114,6 +100,10 @@ def emit(report: Report, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+# what reading a malformed file into values raises (parse errors are ValueErrors)
+_MALFORMED = (KeyError, ValueError, ZeroDivisionError, TypeError)
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -122,7 +112,7 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _context_from_json(obj: dict, base_dir: str) -> tuple[NormalContext, dict]:
+def _context_from_json(obj: dict, base_dir: str) -> NormalContext:
     algebra_ref = obj["algebra"]
     if isinstance(algebra_ref, str):
         algebra_obj = _load_json(os.path.join(base_dir, algebra_ref))
@@ -133,28 +123,20 @@ def _context_from_json(obj: dict, base_dir: str) -> tuple[NormalContext, dict]:
         f = parse_poly(obj["f"], algebra)
         sigma = autos[obj.get("sigma", "sigma")]
         tau = autos.get(obj.get("tau")) if obj.get("tau") else None
-        ctx = NormalContext(algebra, f, sigma, tau)
-    except (KeyError, ValueError, ZeroDivisionError, TypeError) as exc:
+        return NormalContext(algebra, f, sigma, tau)
+    except _MALFORMED as exc:
         raise InputError(f"bad context: {exc}") from exc
-    return ctx, algebra_obj
 
 
-def load_tmf(path: str) -> tuple[TMF, dict]:
+def load_tmf(path: str) -> TMF:
     obj = _load_json(path)
     try:
-        ctx, algebra_obj = _context_from_json(obj["context"], os.path.dirname(path))
+        ctx = _context_from_json(obj["context"], os.path.dirname(path))
         phi = matrix_from_json(obj["phi"], ctx.algebra)
         psi = matrix_from_json(obj["psi"], ctx.algebra)
-    except (
-        KeyError,
-        ScalarParseError,
-        PolyParseError,
-        ValueError,
-        ZeroDivisionError,
-        TypeError,
-    ) as exc:
+    except _MALFORMED as exc:
         raise InputError(f"bad factorization file {path}: {exc}") from exc
-    return TMF(ctx, phi, psi, strict=False), obj
+    return TMF(ctx, phi, psi, strict=False)
 
 
 def _write_json(obj: dict, path: str) -> None:
@@ -193,7 +175,7 @@ def module_to_json(m: cov.EquivariantModule) -> dict:
 def load_module(path: str) -> cov.EquivariantModule:
     obj = _load_json(path)
     try:
-        ctx, _ = _context_from_json(obj["context"], os.path.dirname(path))
+        ctx = _context_from_json(obj["context"], os.path.dirname(path))
         cover = cov.make_cover(ctx)
         data = obj["module"]
         module = FreeModule(ctx.algebra, tuple(int(x) for x in data["shifts"]))
@@ -201,7 +183,7 @@ def load_module(path: str) -> cov.EquivariantModule:
         return cov.EquivariantModule(
             cover, module, z_action, tuple(int(x) for x in data["theta"])
         )
-    except (KeyError, ValueError, ZeroDivisionError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise InputError(f"bad module file {path}: {exc}") from exc
 
 
@@ -227,7 +209,7 @@ def _residual_artifacts(report: tm.VerifyReport) -> dict:
 
 def cmd_verify(args) -> int:
     start = time.perf_counter()
-    t, _ = load_tmf(args.path)
+    t = load_tmf(args.path)
     report = verify(t)
     out = Report(
         command=f"verify {args.path}",
@@ -293,7 +275,7 @@ def cmd_catalog(args) -> int:
 
 
 def _verified_tmf(path: str) -> TMF:
-    t, _ = load_tmf(path)
+    t = load_tmf(path)
     if not verify(t).ok:
         raise InputFailsVerification("input factorization does not verify")
     return t
@@ -370,8 +352,8 @@ def cmd_functor(args) -> int:
 
 def cmd_iso(args) -> int:
     start = time.perf_counter()
-    t1, _ = load_tmf(args.path1)
-    t2, _ = load_tmf(args.path2)
+    t1 = load_tmf(args.path1)
+    t2 = load_tmf(args.path2)
     if t1.context.algebra != t2.context.algebra or t1.context.f != t2.context.f:
         raise InputError("factorizations live in different contexts")
     verdict = tm.probably_isomorphic_tmf(t1, t2, trials=args.trials, seed=args.seed)

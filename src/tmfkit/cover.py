@@ -24,7 +24,7 @@ from .ncalgebra import (
     normalizing_automorphism,
     ore_extension,
 )
-from .scalars import HALF, I as IMAG, MINUS_ONE, ONE, Scalar
+from .scalars import HALF, I as IMAG, MINUS_ONE, ONE, Scalar, parse_scalar
 from .tmf import NormalContext, TMF, T_functor, direct_sum_tmf, twist_tmf, verify
 
 
@@ -226,9 +226,9 @@ def functor_Res(cover: CoverContext, t: TMF) -> TMF:
     return _checked(restrict_tmf(t, cover.base), "restriction")
 
 
-def check_lemma_5_5(cover: CoverContext, t: TMF) -> bool:
-    """Res(C(t)) equals tau-twist(T(t)) + tau-twist(t), entrywise."""
-    lhs = functor_Res(cover, functor_C(cover, t))
+def check_lemma_5_5(cover: CoverContext, t: TMF, c: TMF) -> bool:
+    """Res(c) equals tau-twist(T(t)) + tau-twist(t), entrywise, for c = C(t)."""
+    lhs = functor_Res(cover, c)
     tau, ell = cover.base.tau, cover.ell
     rhs = direct_sum_tmf(
         twist_tmf(T_functor(t), tau, ell), twist_tmf(t, tau, ell)
@@ -506,13 +506,11 @@ class Lemma513Report:
         return self.conjugation_exact and self.restriction_exact
 
 
-def check_lemma_5_13(sc: SecondCover, t: TMF) -> Lemma513Report:
-    """Conjugate C2 C1(t) by the printed 4x4 matrix after the u, v change of
-    variables and compare with H(t) + T H(t) exactly; also check that
-    killing u and v from H(t) gives tw(t) + tw(T t) blockwise."""
-    from .scalars import parse_scalar
-
-    c1 = functor_C(sc.first, t)
+def check_lemma_5_13(sc: SecondCover, t: TMF, c1: TMF, h: TMF) -> Lemma513Report:
+    """Conjugate C2(c1) by the printed 4x4 matrix after the u, v change of
+    variables and compare with h + T h exactly; also check that killing u
+    and v from h gives tw(t) + tw(T t) blockwise.  c1 = C1(t) over the first
+    cover of sc and h = H(t)."""
     c2 = functor_C(sc.second, c1)
     mapped = tm.map_tmf(c2, sc.to_uv, sc.context_uv)
     rF, rG = t.phi.source.rank, t.phi.target.rank
@@ -524,7 +522,6 @@ def check_lemma_5_13(sc: SecondCover, t: TMF) -> Lemma513Report:
         sc.uv_algebra, [rG, rF, rF, rG], mapped.phi.target.shifts, pattern
     )
     conj = tm.conjugate(mapped, p_src, p_tgt)
-    h = functor_H(sc, t)
     rhs = direct_sum_tmf(h, T_functor(h))
     conjugation_exact = conj == rhs
 

@@ -261,19 +261,16 @@ class GradedAlgebra:
         hit = self._basis_cache.get(degree)
         if hit is not None:
             return hit
-        out: list[Exps] = []
-
-        def rec(idx: int, remaining: int, prefix: list[int]) -> None:
-            if idx == self.ngens:
-                if remaining == 0:
-                    out.append(tuple(prefix))
-                return
-            d = self.degrees[idx]
-            for e in range(remaining // d + 1):
-                rec(idx + 1, remaining - e * d, prefix + [e])
-
-        rec(0, degree, [])
-        result = tuple(out)
+        # extend every prefix by each exponent of the next generator in
+        # ascending order, which keeps the prefixes in lexicographic order
+        partial: list[tuple[Exps, int]] = [((), degree)]
+        for d in self.degrees:
+            partial = [
+                (prefix + (e,), remaining - e * d)
+                for prefix, remaining in partial
+                for e in range(remaining // d + 1)
+            ]
+        result = tuple(prefix for prefix, remaining in partial if remaining == 0)
         self._basis_cache[degree] = result
         return result
 
@@ -547,7 +544,6 @@ class GradedAutomorphism(AlgebraMorphism):
                 result.images[g]
             ) != self.algebra.gen(g):
                 raise Singular("inverse verification failed")
-        result._inverse = self
         self._inverse = result
         return result
 

@@ -234,31 +234,22 @@ def _ssqrt(p: Terms) -> Terms | None:
     return candidate if _smul(candidate, candidate) == p else None
 
 
-# dense views: ascending coefficient tuples without trailing zeros
-
-Poly = tuple  # tuple[GaussRational, ...]
-
-P_ONE: Poly = (GR_ONE,)
-
-
-def _dense(p: Terms, shift: int) -> Poly:
-    """The coefficients of t^shift * p."""
-    if not p:
-        return ()
-    out = [GR_ZERO] * (p[-1][0] + shift + 1)
-    for e, c in p:
-        out[e + shift] = c
-    return tuple(out)
+def _gpow(c: GaussRational, k: int) -> GaussRational:
+    """c^k for k >= 0 (0^0 = 1), by repeated squaring."""
+    acc = GR_ONE
+    while k:
+        if k & 1:
+            acc = acc * c
+        c = c * c
+        k >>= 1
+    return acc
 
 
-def _sparse(coeffs: Poly) -> Terms:
-    return tuple((e, c) for e, c in enumerate(coeffs) if not c.is_zero())
-
-
-def _peval(a: Poly, t0: GaussRational) -> GaussRational:
+def _seval(p: Terms, shift: int, t0: GaussRational) -> GaussRational:
+    """(t^shift * p)(t0) for shift >= 0."""
     acc = GR_ZERO
-    for c in reversed(a):
-        acc = acc * t0 + c
+    for e, c in p:
+        acc = acc + c * _gpow(t0, e + shift)
     return acc
 
 
@@ -272,23 +263,8 @@ class Scalar:
 
     __slots__ = ("v", "n", "d")
 
-    def __init__(self, num: Poly, den: Poly = P_ONE) -> None:
-        """The reduced fraction num/den of dense ascending coefficient tuples."""
-        n, d = _sparse(num), _sparse(den)
-        if not d:
-            raise ZeroDivisionError("zero denominator in Q(i)(t)")
-        s = _reduce(0, n, d) if n else ZERO
-        self.v, self.n, self.d = s.v, s.n, s.d
-
-    @property
-    def num(self) -> Poly:
-        """Dense canonical numerator: t^max(v, 0) * N."""
-        return _dense(self.n, max(self.v, 0))
-
-    @property
-    def den(self) -> Poly:
-        """Dense canonical (monic) denominator: t^max(-v, 0) * D."""
-        return _dense(self.d, max(-self.v, 0))
+    def __init__(self) -> None:
+        raise TypeError("build a Scalar with from_int, rational, from_gauss or t_power")
 
     # -- constructors -------------------------------------------------------
 
@@ -432,13 +408,16 @@ def try_sqrt(a: Scalar) -> Scalar:
 
 
 def evaluate(a: Scalar, t0: GaussRational | Fraction | int) -> GaussRational:
-    """Substitution homomorphism t -> t0; raises PoleAtPoint on a pole."""
+    """Substitution homomorphism t -> t0; raises PoleAtPoint on a pole.
+
+    t^v * N/D is the reduced fraction t^max(v, 0) * N over t^max(-v, 0) * D,
+    so t0 is a pole exactly when that denominator vanishes there."""
     if not isinstance(t0, GaussRational):
         t0 = GaussRational(Fraction(t0))
-    d = _peval(a.den, t0)
+    d = _seval(a.d, max(-a.v, 0), t0)
     if d.is_zero():
         raise PoleAtPoint(f"pole at t = {t0.re}+{t0.im}i")
-    return _peval(a.num, t0) * d.inverse()
+    return _seval(a.n, max(a.v, 0), t0) * d.inverse()
 
 
 # ---------------------------------------------------------------------------

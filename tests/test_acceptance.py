@@ -17,6 +17,7 @@ from tmfkit.cover import (
     functor_B,
     functor_A,
     functor_C,
+    functor_H,
     make_cover,
     second_cover,
 )
@@ -145,13 +146,13 @@ def test_criterion_02_theorem_6_1_mechanized():
 
 def test_criterion_03_case_d_sign_erratum():
     """Printed sign fails (residual 8 a2^3 at (1,3) for n=3); flipped passes."""
-    finding3 = case_d_sign_check(3, 1)
+    finding3 = case_d_sign_check(entry_for("d-odd", 3), 1)
     assert not finding3.printed_ok
     assert finding3.flipped_ok
     assert finding3.printed_residual_13 == "8*a2^3"
     for n in (5, 7):
         for j in range(1, (n + 1) // 2):
-            finding = case_d_sign_check(n, j)
+            finding = case_d_sign_check(entry_for("d-odd", n), j)
             assert finding.dichotomy, (n, j)
     # the suite records the finding as an erratum note
     report = run_suite(entry_for("d-odd", 3), seed=SEED, trials=8)
@@ -183,7 +184,8 @@ def test_criterion_05_lemma_5_5_exact():
     """Res(C(t)) equals blockdiag(tau-twist T(t), tau-twist t) entrywise."""
     count = 0
     for case, n, label, t in all_catalog_tmfs():
-        assert check_lemma_5_5(cover_for(case, n), t), (case, n, label)
+        cover = cover_for(case, n)
+        assert check_lemma_5_5(cover, t, functor_C(cover, t)), (case, n, label)
         count += 1
     note(
         f"ACCEPTANCE 05 PASS: Lemma 5.5(1) holds entrywise (documented "
@@ -200,7 +202,7 @@ def test_criterion_06_lemma_5_13():
     ]
     for t in targets:
         sc = second_cover(t.context)
-        report = check_lemma_5_13(sc, t)
+        report = check_lemma_5_13(sc, t, functor_C(sc.first, t), functor_H(sc, t))
         assert report.conjugation_exact
         assert report.restriction_exact
     note(

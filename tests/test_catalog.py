@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from tmfkit import tmf as tm
@@ -45,6 +47,10 @@ def test_build_bad_params():
         build("nope")
     with pytest.raises(BadParams):
         build("g")
+    for case in ("c", "h", "commutative-A1"):
+        with pytest.raises(BadParams, match=rf"case \({case}\) takes no n"):
+            build(case, 4)
+    assert build("d", 3).case == "d-odd" and build("d", 4).case == "d-even"
 
 
 def test_all_cases_theorem_6_1():
@@ -89,18 +95,19 @@ def test_case_g_normality_identities_verbatim():
 
 
 def test_d_sign_erratum_n3():
-    finding = case_d_sign_check(3, 1)
+    finding = case_d_sign_check(build("d-odd", 3), 1)
     assert finding.dichotomy
     assert finding.printed_residual_13 == "8*a2^3"
 
 
 def test_d_sign_erratum_n5_n7():
     for n in (5, 7):
-        finding = case_d_sign_check(n, 1)
+        entry = build("d-odd", n)
+        finding = case_d_sign_check(entry, 1)
         assert finding.dichotomy
         # residual is 8*(-1)^s a2^{(n+3)/2}
         s = (n + 1) // 2
-        A = build("d-odd", n).algebra
+        A = entry.algebra
         expected = A.monomial((0, (n + 3) // 2, 0), Scalar.from_int(8 * (-1) ** s))
         assert parse_poly(finding.printed_residual_13, A) == expected
 
@@ -183,6 +190,69 @@ def test_run_suite_records_failed_functor_outputs(monkeypatch):
     families = ("functor-C-verifies", "lemma-5-5", "functor-H-verifies", "lemma-5-13")
     assert {c.name.split(":")[0] for c in failed} == set(families)
     assert all(c.detail.endswith("identity-1") for c in failed)
+
+
+def counting(monkeypatch, name, modules):
+    """Replace every binding of the function name in modules by a wrapper
+    that records the arguments of each call; returns the list of calls."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_run_suite_builds_each_functor_output_once(monkeypatch):
+    from tmfkit import catalog, cover
+
+    entry = build("g", 3)
+    families = [entry.factorization(label) for label in entry.labels()]
+    c_calls = counting(monkeypatch, "functor_C", [cover, catalog])
+    h_calls = counting(monkeypatch, "functor_H", [cover, catalog])
+    builds = counting(monkeypatch, "build", [catalog])
+    assert run_suite(entry, seed=0, trials=8, deep=True).ok
+    for t in families:
+        assert sum(args[1] is t for args in c_calls) == 1
+        assert sum(args[1] is t for args in h_calls) == 1
+    # the rest: C2 once per family (Lemma 5.13) and H once per Zhang family
+    assert len(c_calls) == 2 * len(families)
+    assert len(h_calls) == 2 * len(families)
+    assert builds == []
+
+
+def test_zhang_crosscheck_builds_one_second_cover(monkeypatch):
+    from tmfkit import catalog, cover
+
+    calls = counting(monkeypatch, "second_cover", [cover, catalog])
+    results = zhang_crosscheck(build("g", 3), trials=8, seed=0)
+    assert len(results) == 2 and all(r.ok for r in results)
+    assert len(calls) == 1
+
+
+def test_deep_suite_leaves_no_cyclic_garbage(monkeypatch):
+    from tmfkit import catalog, cover
+
+    def broken(*args):
+        raise cover.InvariantViolation("functor output failed verification")
+
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_suite(build("c"), seed=0, trials=8, deep=True).ok
+        assert gc.collect() == 0
+        # also when functor outputs fail and their lemma checks record it
+        for module in (catalog, cover):
+            monkeypatch.setattr(module, "functor_C", broken)
+            monkeypatch.setattr(module, "functor_H", broken)
+        assert not run_suite(build("c"), seed=0, trials=8, deep=True).ok
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_g_f_alias_is_unit_multiple():

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from tmfkit.cli import Report, main
+from tmfkit.cli import main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -33,7 +33,7 @@ def test_export_verify_roundtrip(tmp_path, capsys):
     from tmfkit.cli import load_tmf
     from tmfkit.catalog import build
 
-    t, _ = load_tmf(path)
+    t = load_tmf(path)
     entry = build("c")
     printed = entry.factorization("rank2")
     assert t.phi.entries == printed.phi.entries
@@ -88,6 +88,9 @@ def test_catalog_verify_d3_reports_erratum(capsys):
 def test_catalog_bad_params_exit_2(capsys):
     assert main(["catalog", "verify", "g"]) == 2
     assert main(["catalog", "verify", "d-odd", "--n", "4"]) == 2
+    capsys.readouterr()
+    assert main(["catalog", "verify", "c", "--n", "4"]) == 2
+    assert capsys.readouterr().err == "input error: case (c) takes no n\n"
 
 
 def test_functor_T_twice_is_identity_bytewise(tmp_path, capsys):
@@ -104,7 +107,7 @@ def test_functor_T_twice_is_identity_bytewise(tmp_path, capsys):
     rewritten = str(tmp_path / "rewritten.json")
     from tmfkit.cli import dump_tmf, load_tmf
 
-    t, _ = load_tmf(path)
+    t = load_tmf(path)
     dump_tmf(t, rewritten)
     assert open(twice).read() == open(rewritten).read()
 
@@ -141,8 +144,8 @@ def test_functor_B_then_A_roundtrip(tmp_path, capsys):
     capsys.readouterr()
     from tmfkit.cli import load_tmf
 
-    t0, _ = load_tmf(path)
-    t1, _ = load_tmf(back_path)
+    t0 = load_tmf(path)
+    t1 = load_tmf(back_path)
     assert t0.phi.entries == t1.phi.entries
     assert t0.psi.entries == t1.psi.entries
 
@@ -186,7 +189,7 @@ def test_iso_against_shift_is_probably_not(tmp_path, capsys):
     from tmfkit.cli import dump_tmf, load_tmf
     from tmfkit.tmf import shift_tmf
 
-    t, _ = load_tmf(path)
+    t = load_tmf(path)
     shifted = str(tmp_path / "shifted.json")
     dump_tmf(shift_tmf(t, 1), shifted)
     assert main(["--trials", "4", "iso", path, shifted]) == 3
@@ -211,16 +214,6 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
 
     args = build_parser().parse_args(["catalog", "list"])
     assert args.seed == 99
-
-
-def test_report_json_roundtrip():
-    report = Report(
-        command="verify x", status="pass", seed=3, elapsed=0.5,
-        checks=[{"name": "identity-1", "ok": True, "detail": ""}],
-        artifacts={"note": "hi"},
-    )
-    again = Report.from_json(json.loads(json.dumps(report.to_json())))
-    assert again.to_json() == report.to_json()
 
 
 def test_functor_res_off_a_cover_exits_1(tmp_path, capsys):
@@ -336,8 +329,8 @@ def test_functor_tw_matches_the_library(tmp_path, capsys):
     assert main(["functor", "tw", "--input", path, "--output", out]) == 0
     capsys.readouterr()
     assert main(["verify", out]) == 0
-    t, _ = load_tmf(path)
-    twisted, _ = load_tmf(out)
+    t = load_tmf(path)
+    twisted = load_tmf(out)
     assert twisted == tm.tw_functor(t)
 
 

@@ -95,7 +95,7 @@ def test_functor_C_irrelevant():
 def test_res_after_C_is_lemma_5_5():
     for t in [case_c_tmf(), case_h_tmf(), case_g_tmf(2, 1), case_d_rank2(3)]:
         cover = make_cover(t.context)
-        assert check_lemma_5_5(cover, t)
+        assert check_lemma_5_5(cover, t, functor_C(cover, t))
 
 
 def test_res_of_trivial():
@@ -230,7 +230,7 @@ def test_functor_H_verifies():
 def test_lemma_5_13_case_c():
     t = case_c_tmf()
     sc = second_cover(t.context)
-    report = check_lemma_5_13(sc, t)
+    report = check_lemma_5_13(sc, t, functor_C(sc.first, t), functor_H(sc, t))
     assert report.conjugation_exact
     assert report.restriction_exact
 
@@ -238,14 +238,15 @@ def test_lemma_5_13_case_c():
 def test_lemma_5_13_case_g():
     t = case_g_tmf(2, 1)
     sc = second_cover(t.context)
-    report = check_lemma_5_13(sc, t)
+    report = check_lemma_5_13(sc, t, functor_C(sc.first, t), functor_H(sc, t))
     assert report.ok
 
 
 def test_lemma_5_13_irrelevant():
     ctx = case_c_context()
     sc = second_cover(ctx)
-    report = check_lemma_5_13(sc, irrelevant(ctx))
+    t = irrelevant(ctx)
+    report = check_lemma_5_13(sc, t, functor_C(sc.first, t), functor_H(sc, t))
     assert report.ok
 
 

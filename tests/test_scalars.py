@@ -9,9 +9,9 @@ import sympy as sp
 
 from tmfkit import scalars as sc
 from tmfkit.scalars import (
+    GR_I,
     GR_ONE,
     GR_ZERO,
-    P_ONE,
     GaussRational,
     NoSquareRoot,
     PoleAtPoint,
@@ -26,6 +26,16 @@ from tmfkit.scalars import (
 
 def S(text):
     return parse_scalar(text)
+
+
+def poly(terms):
+    """sum c*t^e over (e, c) pairs, through the public constructors."""
+    return sum((Scalar.from_gauss(c) * Scalar.t_power(e) for e, c in terms), sc.ZERO)
+
+
+def from_parts(v, n, d):
+    """t^v * N/D rebuilt from sparse parts by field operations."""
+    return Scalar.t_power(v) * poly(n) / poly(d)
 
 
 def test_gaussian_norm():
@@ -91,7 +101,7 @@ def test_field_axioms_randomized():
         num = [GaussRational(rng.randint(-4, 4), rng.randint(-2, 2)) for _ in range(rng.randint(1, 3))]
         den = [GaussRational(rng.randint(-4, 4), rng.randint(-2, 2)) for _ in range(rng.randint(1, 2))]
         try:
-            return Scalar(tuple(num), tuple(den))
+            return poly(enumerate(num)) / poly(enumerate(den))
         except ZeroDivisionError:
             return sc.ONE
 
@@ -107,10 +117,13 @@ def test_field_axioms_randomized():
 
 def test_canonicalization_idempotent():
     a = S("(2*t^2-2)/(4*t-4)")
-    again = Scalar(a.num, a.den)
+    again = from_parts(a.v, a.n, a.d)
     assert again == a
     # denominator is monic, fraction reduced
     assert a == S("(t+1)/2")
+    # values come only from the canonical constructors and operations
+    with pytest.raises(TypeError):
+        Scalar()
 
 
 def test_parse_print_roundtrip():
@@ -152,16 +165,6 @@ def test_negative_t_power_literal():
     assert S("t^-2") * S("t^2") == sc.ONE
 
 
-def test_constructor_strips_trailing_zero_coefficients():
-    # caller-built tuples with trailing zeros still give canonical values
-    assert Scalar((GR_ONE, GR_ZERO), P_ONE) == sc.ONE
-    zero = Scalar((GR_ZERO,), P_ONE)
-    assert zero.is_zero() and zero == sc.ZERO
-    assert Scalar((GR_ONE,), (GR_ONE, GR_ZERO)) == sc.ONE
-    with pytest.raises(ZeroDivisionError):
-        Scalar(P_ONE, (GR_ZERO,))
-
-
 def test_gauss_rational_canonical_form():
     half = GaussRational(Fraction(2, 4))
     assert half == GaussRational(Fraction(1, 2))
@@ -198,43 +201,44 @@ gauss = st.builds(
 sparse_poly = st.dictionaries(st.integers(0, 4), gauss, min_size=1, max_size=3)
 
 
-def dense(terms):
-    out = [GR_ZERO] * (max(terms) + 1)
-    for e, c in terms.items():
-        out[e] = c
-    return tuple(out)
-
-
 @st.composite
 def scalars(draw):
     """t^v * N/D with small Gaussian coefficients and a general D."""
-    num = dense(draw(sparse_poly))
-    den = dense(draw(sparse_poly)) if draw(st.booleans()) else P_ONE
-    hypothesis.assume(any(not c.is_zero() for c in den))
-    return Scalar(num, den) * Scalar.t_power(draw(st.integers(-4, 4)))
+    num = poly(draw(sparse_poly).items())
+    den = poly(draw(sparse_poly).items()) if draw(st.booleans()) else sc.ONE
+    hypothesis.assume(not den.is_zero())
+    return num / den * Scalar.t_power(draw(st.integers(-4, 4)))
 
 
-def sympy_poly(coeffs):
-    return sum(
-        (sp.Rational(c.re.numerator, c.re.denominator)
-         + sp.I * sp.Rational(c.im.numerator, c.im.denominator)) * t_sym**e
-        for e, c in enumerate(coeffs)
+def sympy_gauss(c):
+    return sp.Rational(c.re.numerator, c.re.denominator) + sp.I * sp.Rational(
+        c.im.numerator, c.im.denominator
     )
 
 
+def sympy_poly(terms):
+    return sum(sympy_gauss(c) * t_sym**e for e, c in terms)
+
+
 def to_sympy(a):
-    return sympy_poly(a.num) / sympy_poly(a.den)
+    return t_sym**a.v * sympy_poly(a.n) / sympy_poly(a.d)
 
 
 def assert_canonical(a):
-    num, den = a.num, a.den
-    assert den and den[-1] == GR_ONE
-    assert not num or not num[-1].is_zero()
-    if num:
-        gcd = sp.gcd(sp.Poly(sympy_poly(num), t_sym, domain="QQ_I"),
-                     sp.Poly(sympy_poly(den), t_sym, domain="QQ_I"))
+    v, n, d = a.v, a.n, a.d
+    for terms in (n, d):
+        assert all(not c.is_zero() for _, c in terms)
+        assert [e for e, _ in terms] == sorted({e for e, _ in terms})
+    assert d and d[-1][1] == GR_ONE  # D monic
+    assert d[0][0] == 0  # D(0) != 0
+    if not n:
+        assert v == 0 and d == ((0, GR_ONE),)
+    else:
+        assert n[0][0] == 0  # N(0) != 0
+        gcd = sp.gcd(sp.Poly(sympy_poly(n), t_sym, domain="QQ_I"),
+                     sp.Poly(sympy_poly(d), t_sym, domain="QQ_I"))
         assert gcd.degree() == 0
-    assert Scalar(num, den) == a
+    assert from_parts(v, n, d) == a
 
 
 @ORACLE
@@ -258,3 +262,38 @@ def test_sqrt_and_printing_round_trip(a):
     root = try_sqrt(square)
     assert root * root == square
     assert parse_scalar(format_scalar(a)) == a
+
+
+POINTS = (GaussRational(0), GaussRational(1), GaussRational(2), GR_I)
+
+
+def assert_evaluate_matches_subs(a):
+    """evaluate(a, t0) against sympy's reduced fraction at each point;
+    returns the (sign of v, pole or value) kinds it met."""
+    num, den = sp.fraction(sp.cancel(to_sympy(a)))
+    kinds = set()
+    for t0 in POINTS:
+        at = {t_sym: sympy_gauss(t0)}
+        sign = (a.v > 0) - (a.v < 0)
+        if sp.expand(den.subs(at)) == 0:
+            with pytest.raises(PoleAtPoint):
+                evaluate(a, t0)
+            kinds.add((sign, "pole"))
+        else:
+            assert sp.simplify(sympy_gauss(evaluate(a, t0)) - num.subs(at) / den.subs(at)) == 0
+            kinds.add((sign, "value"))
+    return kinds
+
+
+def test_evaluate_agrees_with_sympy_subs():
+    kinds = set()
+    for text in ["1/t", "(t+2)/(t^3 - t^2)", "t^-2*(t^2+1)", "(t^2-4)/(t-1)", "i/(t^2+1)",
+                 "3/5", "t^3", "t^2/(t-2)", "t*(t+i)/(t^2+1)"]:
+        kinds |= assert_evaluate_matches_subs(S(text))
+    assert kinds == {(s, k) for s in (-1, 0, 1) for k in ("pole", "value")}
+
+
+@ORACLE
+@hypothesis.given(scalars())
+def test_evaluate_agrees_with_sympy_subs_random(a):
+    assert_evaluate_matches_subs(a)
