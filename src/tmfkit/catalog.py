@@ -560,16 +560,16 @@ def zhang_crosscheck(entry: CatalogEntry, trials: int = 32, seed: int = 0) -> li
     pattern = [[ONE, ZERO], [ZERO, MINUS_ONE]]
     # rename k[y][u][v] -> twist of C: y -> a2, u -> a3 (z), v -> a1 (x)
     mor = AlgebraMorphism(
-        sc.uv_algebra, twisted, [twisted.gen(1), twisted.gen(2), twisted.gen(0)]
+        sc.uv.algebra, twisted, [twisted.gen(1), twisted.gen(2), twisted.gen(0)]
     )
     results = []
     for j, gamma in enumerate(gammas, start=1):
         h = functor_H(sc, gamma)
         d_src = _block_scalar_matrix(
-            sc.uv_algebra, [1, 1], h.phi.source.shifts, pattern
+            sc.uv.algebra, [1, 1], h.phi.source.shifts, pattern
         )
         d_tgt = _block_scalar_matrix(
-            sc.uv_algebra, [1, 1], h.phi.target.shifts, pattern
+            sc.uv.algebra, [1, 1], h.phi.target.shifts, pattern
         )
         printed_form = tm.conjugate(h, d_src, d_tgt)
         over_xi = tm.map_tmf(printed_form, mor, ctx_xi)

@@ -122,7 +122,7 @@ def _context_from_json(obj: dict, base_dir: str) -> NormalContext:
         algebra, autos = algebra_from_json(algebra_obj)
         f = parse_poly(obj["f"], algebra)
         sigma = autos[obj.get("sigma", "sigma")]
-        tau = autos.get(obj.get("tau")) if obj.get("tau") else None
+        tau = autos[obj["tau"]] if "tau" in obj else None
         return NormalContext(algebra, f, sigma, tau)
     except _MALFORMED as exc:
         raise InputError(f"bad context: {exc}") from exc
@@ -354,7 +354,7 @@ def cmd_iso(args) -> int:
     start = time.perf_counter()
     t1 = load_tmf(args.path1)
     t2 = load_tmf(args.path2)
-    if t1.context.algebra != t2.context.algebra or t1.context.f != t2.context.f:
+    if t1.context != t2.context:
         raise InputError("factorizations live in different contexts")
     verdict = tm.probably_isomorphic_tmf(t1, t2, trials=args.trials, seed=args.seed)
     artifacts = {}

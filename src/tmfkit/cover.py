@@ -1,9 +1,12 @@
 """Double branched covers and the functors between factorization levels.
 
-The cover of a context (A, f, sigma, tau) is the Ore extension E = A[z]
-with a*z = z*tau(a) (rewrite rule z*a -> tau^{-1}(a)*z), carrying the
-element f + z^2 whose normalizing automorphism is sigma extended by
-fixing z.  All block constructions below were fixed by requiring the two
+One cover construction serves f + z^2 and f + uv.  The cover of a context
+(A, f, sigma, tau) by new variables x, ..., y is the iterated Ore extension
+E = A[x]...[y] with a*x = x*tau(a) (rewrite rule x*a -> tau^{-1}(a)*x),
+carrying the element f + x*y whose normalizing automorphism is sigma
+extended by fixing the new variables.  The functor C is one block
+construction over the z cover; H is the same construction over the u, v
+cover, applied to tw(t).  The blocks were fixed by requiring the two
 factorization identities to hold exactly on the rank-one trivial input and
 are verified mechanically on every call.
 """
@@ -41,12 +44,16 @@ class InvariantViolation(ValueError):
 
 
 class CoverContext:
-    """Extension algebra, cover element f + z^2, and its twist data."""
+    """Extension algebra, cover element f + x*y, and its twist data.
+
+    names lists the new variables: ("z",) gives f + z^2, ("u", "v") gives
+    f + uv.  Each is Ore-adjoined in turn with tau^{-1}, and sigma, tau
+    and zeta (which negates every new variable) are extended to fix it."""
 
     __slots__ = (
         "base",
         "algebra",
-        "z_index",
+        "names",
         "f_cover",
         "sigma",
         "tau",
@@ -54,7 +61,7 @@ class CoverContext:
         "context",
     )
 
-    def __init__(self, base: NormalContext, name: str = "z") -> None:
+    def __init__(self, base: NormalContext, names: tuple[str, ...] = ("z",)) -> None:
         if base.tau is None:
             raise HypothesisViolation("no square root of sigma in the base context")
         if base.d % 2 != 0:
@@ -63,28 +70,32 @@ class CoverContext:
             raise HypothesisViolation("tau^2 != sigma")
         if base.tau(base.f) != base.f:
             raise HypothesisViolation("tau does not fix f")
-        if name in base.algebra.names:
-            raise HypothesisViolation(f"generator name {name!r} already used")
+        for name in names:
+            if name in base.algebra.names:
+                raise HypothesisViolation(f"generator name {name!r} already used")
         ell = base.d // 2
-        extended = ore_extension(base.algebra, name, ell, base.tau.inverse())
-        z_index = extended.ngens - 1
-        z = extended.gen(z_index)
-        f_cover = base.f.lift(extended) + z * z
-        sigma = extend_automorphism(base.sigma, extended, [z])
-        tau = extend_automorphism(base.tau, extended, [z])
+        extended, sigma, tau = base.algebra, base.sigma, base.tau
+        for name in names:
+            extended = ore_extension(extended, name, ell, tau.inverse())
+            new = extended.gen(name)
+            sigma = extend_automorphism(sigma, extended, [new])
+            tau = extend_automorphism(tau, extended, [new])
+        x, y = extended.gen(names[0]), extended.gen(names[-1])
+        f_cover = base.f.lift(extended) + x * y
         zeta = extend_automorphism(
-            GradedAutomorphism.identity(base.algebra), extended, [-z]
+            GradedAutomorphism.identity(base.algebra),
+            extended,
+            [-extended.gen(name) for name in names],
         )
-        actual = normalizing_automorphism(f_cover)
-        if actual != sigma:
+        if normalizing_automorphism(f_cover) != sigma:
             raise HypothesisViolation(
-                "f + z^2 is not normal with the extended sigma"
+                f"f + {names[0]}*{names[-1]} is not normal with the extended sigma"
             )
         if zeta.compose(zeta) != GradedAutomorphism.identity(extended):
             raise HypothesisViolation("zeta is not an involution")
         self.base = base
         self.algebra = extended
-        self.z_index = z_index
+        self.names = tuple(names)
         self.f_cover = f_cover
         self.sigma = sigma
         self.tau = tau
@@ -95,12 +106,17 @@ class CoverContext:
     def ell(self) -> int:
         return self.base.d // 2
 
-    def z(self) -> NCPoly:
-        return self.algebra.gen(self.z_index)
+    def x(self) -> NCPoly:
+        """The first new variable (z, or u)."""
+        return self.algebra.gen(self.names[0])
+
+    def y(self) -> NCPoly:
+        """The last new variable (z, or v)."""
+        return self.algebra.gen(self.names[-1])
 
 
-def make_cover(base: NormalContext, name: str = "z") -> CoverContext:
-    return CoverContext(base, name)
+def make_cover(base: NormalContext, names: tuple[str, ...] = ("z",)) -> CoverContext:
+    return CoverContext(base, names)
 
 
 def _checked(out: TMF, what: str) -> TMF:
@@ -133,23 +149,22 @@ def assemble_blocks(
 
 
 # ---------------------------------------------------------------------------
-# the functor C: TMF(f) -> TMF(f + z^2)
+# the functor C: TMF(f) -> TMF(f + xy)
 # ---------------------------------------------------------------------------
 
 
-def functor_C(cover: CoverContext, t: TMF) -> TMF:
-    """Block construction sending (phi, psi) to a factorization of f + z^2.
+def _cover_blocks(cover: CoverContext, t: TMF) -> TMF:
+    """The block construction (phi, psi) -> ([[psi, -y], [x, tau-tw phi]],
+    [[sigma-tw phi, y], [-x, tau-tw psi]]) over the cover, unchecked.
 
-    Source tw(G) + tau(F), target F + tau(G); the z-blocks are z times an
-    identity with the twist bookkeeping resolved so that both identities
-    hold exactly (checked).
-    """
+    Source tw(G) + tau(F), target F + tau(G); x and y stand for left
+    multiplication by the cover variables, with the twist bookkeeping
+    resolved so that both identities hold exactly for f + xy."""
     if t.context != cover.base:
         raise HypothesisViolation("factorization does not live over the base")
     E = cover.algebra
-    ctx = cover.base
-    d, ell = ctx.d, cover.ell
-    z = cover.z()
+    d, ell = cover.base.d, cover.ell
+    x, y = cover.x(), cover.y()
     phi = lift_matrix(t.phi, E)
     psi = lift_matrix(t.psi, E)
     f_sh = t.phi.source.shifts
@@ -158,28 +173,33 @@ def functor_C(cover: CoverContext, t: TMF) -> TMF:
 
     src = FM(tuple(s + d for s in g_sh) + tuple(s + ell for s in f_sh))
     tgt = FM(tuple(f_sh) + tuple(s + ell for s in g_sh))
-    lam_g = gm.left_multiplication(FM(tuple(s + ell for s in g_sh)), z, ell)
-    lam_f = gm.left_multiplication(FM(tuple(f_sh)), z, ell)
+    lam_y = gm.left_multiplication(FM(tuple(s + ell for s in g_sh)), y, ell)
+    lam_x = gm.left_multiplication(FM(tuple(f_sh)), x, ell)
     phi_c = assemble_blocks(
         src,
         tgt,
         [
-            [psi, -lam_g],
-            [lam_f, gm.twist_matrix(phi, cover.tau, ell)],
+            [psi, -lam_y],
+            [lam_x, gm.twist_matrix(phi, cover.tau, ell)],
         ],
     )
     src2 = FM(tuple(s + d for s in f_sh) + tuple(s + 3 * ell for s in g_sh))
-    lam_f2 = gm.left_multiplication(FM(tuple(s + ell for s in f_sh)), z, ell)
-    lam_g2 = gm.left_multiplication(FM(tuple(s + d for s in g_sh)), z, ell)
+    lam_y2 = gm.left_multiplication(FM(tuple(s + ell for s in f_sh)), y, ell)
+    lam_x2 = gm.left_multiplication(FM(tuple(s + d for s in g_sh)), x, ell)
     psi_c = assemble_blocks(
         src2,
         src,
         [
-            [gm.twist_matrix(phi, cover.sigma, d), lam_f2],
-            [-lam_g2, gm.twist_matrix(psi, cover.tau, ell)],
+            [gm.twist_matrix(phi, cover.sigma, d), lam_y2],
+            [-lam_x2, gm.twist_matrix(psi, cover.tau, ell)],
         ],
     )
-    return _checked(TMF(cover.context, phi_c, psi_c), "functor C output")
+    return TMF(cover.context, phi_c, psi_c)
+
+
+def functor_C(cover: CoverContext, t: TMF) -> TMF:
+    """The block construction of f + z^2 (checked)."""
+    return _checked(_cover_blocks(cover, t), "functor C output")
 
 
 def restrict_tmf(t: TMF, base: NormalContext) -> TMF:
@@ -332,7 +352,7 @@ def delta_sigma(cover: CoverContext, m: EquivariantModule) -> TMF:
     E = cover.algebra
     ctx = cover.base
     ell, d = cover.ell, ctx.d
-    z = cover.z()
+    z = cover.x()
     F = FreeModule(E, m.module.shifts)
     z_lifted = lift_matrix(m.z_action, E)
     lam1 = gm.left_multiplication(F, z, ell)
@@ -340,10 +360,6 @@ def delta_sigma(cover: CoverContext, m: EquivariantModule) -> TMF:
     lam2 = gm.left_multiplication(FreeModule(E, F.twisted(ell).shifts), z, ell)
     sigma_mat = lam2 + gm.twist_matrix(z_lifted, cover.tau, ell)
     return _checked(TMF(cover.context, delta, sigma_mat), "delta/sigma output")
-
-
-def module_hilbert(m: EquivariantModule, max_degree: int) -> list[int]:
-    return m.module.hilbert(max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -354,49 +370,19 @@ def module_hilbert(m: EquivariantModule, max_degree: int) -> list[int]:
 class SecondCover:
     """Iterated cover A[z][w] together with its u, v presentation.
 
-    u = z + i*w and v = z - i*w give A[u][v] with the element f + u*v; the
+    u = z + i*w and v = z - i*w give the cover uv of A by f + u*v; the
     generator-level isomorphisms both ways are validated at construction.
     """
 
-    __slots__ = (
-        "base",
-        "first",
-        "second",
-        "uv_algebra",
-        "u_index",
-        "v_index",
-        "f_uv",
-        "sigma_uv",
-        "tau_uv",
-        "context_uv",
-        "to_uv",
-        "from_uv",
-    )
+    __slots__ = ("base", "uv", "first", "second", "to_uv", "from_uv")
 
     def __init__(self, base: NormalContext) -> None:
-        for name in ("u", "v"):
-            if name in base.algebra.names:
-                raise HypothesisViolation(f"generator name {name!r} already used")
         self.base = base
-        self.first = make_cover(base, "z")
-        self.second = make_cover(self.first.context, "w")
-        ell = base.d // 2
-        tau = base.tau
-        eu = ore_extension(base.algebra, "u", ell, tau.inverse())
-        tau_u = extend_automorphism(tau, eu, [eu.gen("u")])
-        ev = ore_extension(eu, "v", ell, tau_u.inverse())
-        self.uv_algebra = ev
-        self.u_index = ev.gen_index("u")
-        self.v_index = ev.gen_index("v")
+        self.uv = CoverContext(base, ("u", "v"))
+        self.first = make_cover(base, ("z",))
+        self.second = make_cover(self.first.context, ("w",))
+        ev = self.uv.algebra
         u, v = ev.gen("u"), ev.gen("v")
-        self.f_uv = base.f.lift(ev) + u * v
-        self.sigma_uv = extend_automorphism(
-            extend_automorphism(base.sigma, eu, [eu.gen("u")]), ev, [v]
-        )
-        self.tau_uv = extend_automorphism(tau_u, ev, [v])
-        if normalizing_automorphism(self.f_uv) != self.sigma_uv:
-            raise HypothesisViolation("f + uv is not normal with the extended sigma")
-        self.context_uv = NormalContext(ev, self.f_uv, self.sigma_uv, self.tau_uv, check=False)
         zw = self.second.algebra
         z, w = zw.gen("z"), zw.gen("w")
         # u = z + i w, v = z - i w
@@ -416,7 +402,7 @@ class SecondCover:
         for g in range(ev.ngens):
             if self.to_uv(self.from_uv(ev.gen(g))) != ev.gen(g):
                 raise HypothesisViolation("u,v change of variables is not invertible")
-        if self.from_uv(self.f_uv) != self.second.f_cover:
+        if self.from_uv(self.uv.f_cover) != self.second.f_cover:
             raise HypothesisViolation("change of variables does not match f + z^2 + w^2")
 
 
@@ -425,44 +411,8 @@ def second_cover(base: NormalContext) -> SecondCover:
 
 
 def functor_H(sc: SecondCover, t: TMF) -> TMF:
-    """Direct construction of a factorization of f + uv from one of f."""
-    if t.context != sc.base:
-        raise HypothesisViolation("factorization does not live over the base")
-    E = sc.uv_algebra
-    ctx = sc.base
-    d, ell = ctx.d, ctx.d // 2
-    u, v = E.gen("u"), E.gen("v")
-    phi = lift_matrix(t.phi, E)
-    psi = lift_matrix(t.psi, E)
-    f_sh = t.phi.source.shifts
-    g_sh = t.phi.target.shifts
-    FM = lambda shifts: FreeModule(E, shifts)
-    tau, sigma = sc.tau_uv, sc.sigma_uv
-
-    src = FM(tuple(s + d for s in f_sh) + tuple(s + 3 * ell for s in g_sh))
-    tgt = FM(tuple(s + d for s in g_sh) + tuple(s + ell for s in f_sh))
-    lam_v1 = gm.left_multiplication(FM(tuple(s + ell for s in f_sh)), v, ell)
-    lam_u1 = gm.left_multiplication(FM(tuple(s + d for s in g_sh)), u, ell)
-    phi_h = assemble_blocks(
-        src,
-        tgt,
-        [
-            [gm.twist_matrix(phi, sigma, d), -lam_v1],
-            [lam_u1, gm.twist_matrix(psi, tau, ell)],
-        ],
-    )
-    src2 = FM(tuple(s + 2 * d for s in g_sh) + tuple(s + 3 * ell for s in f_sh))
-    lam_v2 = gm.left_multiplication(FM(tuple(s + 3 * ell for s in g_sh)), v, ell)
-    lam_u2 = gm.left_multiplication(FM(tuple(s + d for s in f_sh)), u, ell)
-    psi_h = assemble_blocks(
-        src2,
-        src,
-        [
-            [gm.twist_matrix(psi, sigma, d), lam_v2],
-            [-lam_u2, gm.twist_matrix(phi, tau.power(3), 3 * ell)],
-        ],
-    )
-    return _checked(TMF(sc.context_uv, phi_h, psi_h), "functor H output")
+    """H(t) is the block construction of f + uv applied to tw(t) (checked)."""
+    return _checked(_cover_blocks(sc.uv, tm.tw_functor(t)), "functor H output")
 
 
 def _block_scalar_matrix(
@@ -512,14 +462,14 @@ def check_lemma_5_13(sc: SecondCover, t: TMF, c1: TMF, h: TMF) -> Lemma513Report
     and v from h gives tw(t) + tw(T t) blockwise.  c1 = C1(t) over the first
     cover of sc and h = H(t)."""
     c2 = functor_C(sc.second, c1)
-    mapped = tm.map_tmf(c2, sc.to_uv, sc.context_uv)
+    mapped = tm.map_tmf(c2, sc.to_uv, sc.uv.context)
     rF, rG = t.phi.source.rank, t.phi.target.rank
     pattern = [[parse_scalar(x) for x in row] for row in LEMMA_5_13_MATRIX]
     p_src = _block_scalar_matrix(
-        sc.uv_algebra, [rF, rG, rG, rF], mapped.phi.source.shifts, pattern
+        sc.uv.algebra, [rF, rG, rG, rF], mapped.phi.source.shifts, pattern
     )
     p_tgt = _block_scalar_matrix(
-        sc.uv_algebra, [rG, rF, rF, rG], mapped.phi.target.shifts, pattern
+        sc.uv.algebra, [rG, rF, rF, rG], mapped.phi.target.shifts, pattern
     )
     conj = tm.conjugate(mapped, p_src, p_tgt)
     rhs = direct_sum_tmf(h, T_functor(h))

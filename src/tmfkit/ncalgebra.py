@@ -555,13 +555,6 @@ class GradedAutomorphism(AlgebraMorphism):
             self.algebra, [self(img) for img in other.images], check=False
         )
 
-    def power(self, k: int) -> GradedAutomorphism:
-        base = self if k >= 0 else self.inverse()
-        acc = GradedAutomorphism.identity(self.algebra)
-        for _ in range(abs(k)):
-            acc = base.compose(acc)
-        return acc
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedAutomorphism):
             return NotImplemented
@@ -820,14 +813,6 @@ class ZhangTwist:
         if candidate is None or candidate.is_zero():
             raise ValueError("f is zero or not a phi-eigenvector")
         return candidate.inverse()
-
-
-def zhang_transport(
-    base: GradedAlgebra, phi: GradedAutomorphism
-) -> tuple[GradedAlgebra, ZhangTwist]:
-    """Twisted presentation A^xi plus the transport data (spec surface)."""
-    tw = ZhangTwist(base, phi)
-    return tw.twisted, tw
 
 
 # ---------------------------------------------------------------------------

@@ -297,7 +297,7 @@ def test_criterion_10_rewriting_soundness():
         sc = second_cover(ctx)
         algebras.append(sc.first.algebra)
         algebras.append(sc.second.algebra)
-        algebras.append(sc.uv_algebra)
+        algebras.append(sc.uv.algebra)
     for A in algebras:
         A.check_diamond()
     for A in algebras:

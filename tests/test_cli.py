@@ -70,6 +70,38 @@ def test_verify_malformed_scalar_exits_2(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "missing.json")]) == 2
 
 
+def exported_c_with_context(tmp_path, capsys, edit):
+    """Export case (c) and write a copy whose context went through edit."""
+    main(["catalog", "export", "c", "--out", str(tmp_path)])
+    path = capsys.readouterr().out.strip().splitlines()[-1]
+    with open(path) as handle:
+        obj = json.load(handle)
+    edit(obj["context"])
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(obj))
+    return path, str(edited)
+
+
+@pytest.mark.parametrize("name", ["nope", ""])
+def test_context_naming_a_missing_tau_exits_2(tmp_path, capsys, name):
+    _, bad = exported_c_with_context(
+        tmp_path, capsys, lambda ctx: ctx.update(tau=name)
+    )
+    assert main(["verify", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.endswith(f"bad context: {name!r}\n")
+
+
+def test_iso_of_files_differing_in_tau_exits_2(tmp_path, capsys):
+    path, no_tau = exported_c_with_context(
+        tmp_path, capsys, lambda ctx: ctx.pop("tau")
+    )
+    assert main(["iso", path, no_tau]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: factorizations live in different contexts\n"
+
+
 def test_catalog_verify_g3(capsys):
     code = main(["--trials", "8", "--seed", "7", "catalog", "verify", "g", "--n", "3"])
     assert code == 0

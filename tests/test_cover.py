@@ -3,6 +3,8 @@ import pytest
 from tmfkit import gradedmod as gm
 from tmfkit import tmf as tm
 from tmfkit.cover import (
+    assemble_blocks,
+    lift_matrix,
     EquivariantModule,
     HypothesisViolation,
     InvariantViolation,
@@ -16,7 +18,6 @@ from tmfkit.cover import (
     functor_H,
     functor_Res,
     make_cover,
-    module_hilbert,
     second_cover,
     symmetric_split,
 )
@@ -24,6 +25,7 @@ from tmfkit.gradedmod import FreeModule, GradedMatrix
 from tmfkit.ncalgebra import GradedAutomorphism, hilbert_series
 from tmfkit.scalars import Scalar
 from tmfkit.tmf import (
+    TMF,
     NormalContext,
     T_functor,
     coker_hilbert,
@@ -53,7 +55,7 @@ def test_make_cover_case_c():
     assert cover.ell == 3
     # f + z^2 is central here (sigma extended is the identity)
     assert cover.sigma.is_identity()
-    assert cover.zeta(cover.z()) == -cover.z()
+    assert cover.zeta(cover.x()) == -cover.x()
 
 
 def test_make_cover_case_g_normality():
@@ -162,8 +164,8 @@ def test_delta_sigma_of_B_module():
     assert verify(ds).ok
     # Prop: coker of C(t) has the Hilbert series of the underlying module
     D = 2 * t.context.d
-    assert coker_hilbert(ds, D) == module_hilbert(m, D)
-    assert coker_hilbert(functor_C(cover, t), D) == module_hilbert(m, D)
+    assert coker_hilbert(ds, D) == m.module.hilbert(D)
+    assert coker_hilbert(functor_C(cover, t), D) == m.module.hilbert(D)
 
 
 def test_delta_sigma_zero_module():
@@ -204,7 +206,7 @@ def test_second_cover_change_of_variables():
     ctx = case_c_context()
     sc = second_cover(ctx)
     zw = sc.second.algebra
-    ev = sc.uv_algebra
+    ev = sc.uv.algebra
     z, w = zw.gen("z"), zw.gen("w")
     u, v = ev.gen("u"), ev.gen("v")
     # (z+iw)(z-iw) + (z-iw)(z+iw) = 2(z^2+w^2) since z, w commute here
@@ -213,7 +215,7 @@ def test_second_cover_change_of_variables():
     # round trips on generators
     for g in range(zw.ngens):
         assert sc.from_uv(sc.to_uv(zw.gen(g))) == zw.gen(g)
-    assert sc.from_uv(sc.f_uv) == sc.second.f_cover
+    assert sc.from_uv(sc.uv.f_cover) == sc.second.f_cover
 
 
 def test_functor_H_verifies():
@@ -225,6 +227,59 @@ def test_functor_H_verifies():
     ctx = case_c_context()
     sc = second_cover(ctx)
     assert functor_H(sc, irrelevant(ctx)).rank == 0
+
+
+def explicit_H(sc, t):
+    """H(t) written out over k[...][u][v]:
+    phi_h = [[sigma-tw phi, -v], [u, tau-tw psi]] and
+    psi_h = [[sigma-tw psi, v], [-u, tau^3-tw phi]]."""
+    E = sc.uv.algebra
+    d = t.context.d
+    ell = d // 2
+    u, v = E.gen("u"), E.gen("v")
+    sigma, tau = sc.uv.sigma, sc.uv.tau
+    tau3 = tau.compose(tau).compose(tau)
+    phi, psi = lift_matrix(t.phi, E), lift_matrix(t.psi, E)
+    f_sh, g_sh = t.phi.source.shifts, t.phi.target.shifts
+    FM = lambda *parts: FreeModule(E, tuple(s + k for sh, k in parts for s in sh))
+    lam = lambda x, shifts, k: gm.left_multiplication(FM((shifts, k)), x, ell)
+
+    src = FM((f_sh, d), (g_sh, 3 * ell))
+    tgt = FM((g_sh, d), (f_sh, ell))
+    phi_h = assemble_blocks(
+        src,
+        tgt,
+        [
+            [gm.twist_matrix(phi, sigma, d), -lam(v, f_sh, ell)],
+            [lam(u, g_sh, d), gm.twist_matrix(psi, tau, ell)],
+        ],
+    )
+    src2 = FM((g_sh, 2 * d), (f_sh, 3 * ell))
+    psi_h = assemble_blocks(
+        src2,
+        src,
+        [
+            [gm.twist_matrix(psi, sigma, d), lam(v, g_sh, 3 * ell)],
+            [-lam(u, f_sh, d), gm.twist_matrix(phi, tau3, 3 * ell)],
+        ],
+    )
+    return TMF(sc.uv.context, phi_h, psi_h)
+
+
+@pytest.mark.parametrize(
+    "case, n",
+    [("c", None), ("h", None), ("d-odd", 5), ("g", 3), ("b", 3), ("commutative-A1", None)],
+)
+def test_functor_H_matches_explicit_formula(case, n):
+    # H is C's block construction over the u, v cover applied to tw(t);
+    # pin its exact entries against the formula written out by hand
+    from tmfkit.catalog import build
+
+    entry = build(case, n)
+    sc = second_cover(entry.context)
+    for label in entry.labels():
+        t = entry.factorization(label)
+        assert functor_H(sc, t) == explicit_H(sc, t), label
 
 
 def test_lemma_5_13_case_c():

@@ -380,7 +380,8 @@ def test_zhang_twist_case_g():
         A,
         [A.gen("a1"), A.gen("a2").scale(q ** -1), A.gen("a3").scale(q ** -n)],
     )
-    twisted, tw = nca.zhang_transport(A, phi)
+    tw = nca.ZhangTwist(A, phi)
+    twisted = tw.twisted
     # the twist is the commutative polynomial ring
     for (b, a), rhs in twisted.rules.items():
         assert len(rhs) == 1
@@ -400,7 +401,8 @@ def test_zhang_twist_case_g():
 
 def test_zhang_identity_twist():
     A = case_g_algebra(2)
-    twisted, tw = nca.zhang_transport(A, GradedAutomorphism.identity(A))
+    tw = nca.ZhangTwist(A, GradedAutomorphism.identity(A))
+    twisted = tw.twisted
     assert twisted == A
     p = parse_poly("a1*a3 - 2*a2^2", A)
     assert tw.to_base(nca.NCPoly(twisted, p.terms)) == p
