@@ -354,8 +354,6 @@ def cmd_iso(args) -> int:
     start = time.perf_counter()
     t1 = load_tmf(args.path1)
     t2 = load_tmf(args.path2)
-    if t1.context != t2.context:
-        raise InputError("factorizations live in different contexts")
     verdict = tm.probably_isomorphic_tmf(t1, t2, trials=args.trials, seed=args.seed)
     artifacts = {}
     if verdict.isomorphic:
@@ -459,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # typed error -> (exit code, stderr prefix)
 EXITS = (
-    ((InputError, cat.BadParams, RewriteLimitExceeded), 2, "input error"),
+    ((InputError, cat.BadParams, RewriteLimitExceeded, tm.ContextMismatch), 2, "input error"),
     ((cat.VerificationFailure,), 1, "verification failure while building"),
     ((InputFailsVerification, cov.HypothesisViolation, cov.InvariantViolation,
       tm.NotSymmetricForm, tm.NoSquareRootContext), 1, "verification failure"),

@@ -14,10 +14,12 @@ the categorical [n] and lowers generator degrees by n.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 
 from . import linalg
+from . import ncalgebra as nca
 from .ncalgebra import (
     AlgebraMismatch,
     GradedAlgebra,
@@ -110,12 +112,11 @@ class GradedMatrix:
             self.check_homogeneous()
 
     def check_homogeneous(self) -> None:
+        degree = self.algebra.exps_degree
         for i, row in enumerate(self.entries):
             for j, entry in enumerate(row):
-                if entry.is_zero():
-                    continue
                 want = self.source.shifts[i] - self.target.shifts[j]
-                if not entry.is_homogeneous() or entry.degree() != want:
+                if any(degree(e) != want for e in entry.terms):
                     raise DegreeMismatch(
                         f"entry ({i},{j}) must be homogeneous of degree {want}"
                     )
@@ -145,21 +146,24 @@ class GradedMatrix:
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
 
-    def __add__(self, other: GradedMatrix) -> GradedMatrix:
+    def _entrywise(self, other: GradedMatrix, op) -> GradedMatrix:
         if self.source != other.source or self.target != other.target:
             raise ShapeMismatch("sum of matrices with different shapes")
         return GradedMatrix(
             self.source,
             self.target,
             [
-                [a + b for a, b in zip(r1, r2)]
+                [op(a, b) for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.entries, other.entries)
             ],
             check=False,
         )
 
+    def __add__(self, other: GradedMatrix) -> GradedMatrix:
+        return self._entrywise(other, operator.add)
+
     def __sub__(self, other: GradedMatrix) -> GradedMatrix:
-        return self + (-other)
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self) -> GradedMatrix:
         return GradedMatrix(
@@ -231,18 +235,17 @@ def compose(first: GradedMatrix, second: GradedMatrix) -> GradedMatrix:
             f"composition mismatch: {first.target.shifts} vs {second.source.shifts}"
         )
     algebra = first.algebra
+    columns = [[row[k] for row in second.entries] for k in range(second.target.rank)]
     rows = []
-    for i in range(first.source.rank):
+    for first_row in first.entries:
         row = []
-        for k in range(second.target.rank):
-            acc = algebra.zero()
-            for j in range(first.target.rank):
-                a = first.entries[i][j]
-                b = second.entries[j][k]
-                if a.is_zero() or b.is_zero():
-                    continue
-                acc = acc + a * b
-            row.append(acc)
+        for column in columns:
+            # each entry product keeps its own rewrite budget, as a * b does
+            acc: dict = {}
+            for a, b in zip(first_row, column):
+                if a.terms and b.terms:
+                    algebra._mul_into(acc, a.terms, b.terms, [nca.REWRITE_FUEL])
+            row.append(nca._wrap(algebra, acc))
         rows.append(row)
     return GradedMatrix(first.source, second.target, rows, check=False)
 

@@ -1,7 +1,10 @@
-"""Dense exact linear algebra over the scalar field Q(i)(t).
+"""Sparse exact Gauss-Jordan elimination over the scalar field Q(i)(t).
 
-Matrices are lists of row lists of Scalar.  Everything is plain Gaussian
-elimination; sizes stay small (desk scale), exactness is what matters.
+Matrices come in as lists of row lists of Scalar.  One private elimination
+works on sparse rows, ``{column: nonzero Scalar}`` dicts, and visits only the
+nonzeros of each pivot row: forward-only for ``rank``, Gauss-Jordan for
+``rref``, ``nullspace``, ``solve`` and ``invert``.  The reduced row echelon
+form is unique, so the results do not depend on the pivot order.
 """
 
 from __future__ import annotations
@@ -26,51 +29,81 @@ def coefficient_matrix(columns: list[dict]) -> list[list[Scalar]]:
     return rows
 
 
+def _eliminate(rows: list[list[Scalar]], jordan: bool) -> list[tuple[int, dict]]:
+    """Pivot rows of the matrix, as (pivot column, rest of the row) pairs in
+    ascending pivot order.  Each pivot entry is one and is left out of the
+    rest, a ``{column: nonzero Scalar}`` dict.
+
+    Column by column, the first pending row with a nonzero in the column
+    becomes the pivot row and the column is cleared from the pending rows
+    below it; with ``jordan`` it is cleared from the earlier pivot rows too,
+    which gives the reduced row echelon form."""
+    pending = []
+    for r in rows:
+        row = {j: x for j, x in enumerate(r) if not x.is_zero()}
+        if row:
+            pending.append(row)
+    done: list[tuple[int, dict]] = []
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        k = next((k for k, row in enumerate(pending) if c in row), None)
+        if k is None:
+            continue
+        rest = pending.pop(k)
+        inv = rest.pop(c).inverse()
+        if inv != ONE:
+            rest = {j: x * inv for j, x in rest.items()}
+        for other in (pending + [r for _, r in done]) if jordan else pending:
+            factor = other.pop(c, None)
+            if factor is None:
+                continue
+            factor = -factor
+            for j, x in rest.items():
+                y = other.get(j)
+                if y is None:
+                    other[j] = factor * x
+                else:
+                    y = y + factor * x
+                    if y.is_zero():
+                        del other[j]
+                    else:
+                        other[j] = y
+        done.append((c, rest))
+        pending = [row for row in pending if row]
+        if not pending:
+            break
+    return done
+
+
 def rref(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
     """Reduced row echelon form (copy) and pivot column indices."""
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not m[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and not m[i][c].is_zero():
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    ncols = len(rows[0]) if rows else 0
+    done = _eliminate(rows, jordan=True)
+    m = [[ZERO] * ncols for _ in rows]
+    for row, (c, rest) in zip(m, done):
+        row[c] = ONE
+        for j, x in rest.items():
+            row[j] = x
+    return m, [c for c, _ in done]
 
 
 def rank(rows: list[list[Scalar]]) -> int:
-    return len(rref(rows)[1])
+    return len(_eliminate(rows, jordan=False))
 
 
 def nullspace(rows: list[list[Scalar]], ncols: int) -> list[list[Scalar]]:
     """Basis of the right nullspace of the matrix (rows of length ncols)."""
-    if not rows:
-        return [[ONE if j == k else ZERO for j in range(ncols)] for k in range(ncols)]
-    m, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    done = _eliminate(rows, jordan=True)
+    pivots = {c for c, _ in done}
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [ZERO] * ncols
         vec[fc] = ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -m[r][fc]
+        for pc, rest in done:
+            if fc in rest:
+                vec[pc] = -rest[fc]
         basis.append(vec)
     return basis
 
@@ -78,13 +111,12 @@ def nullspace(rows: list[list[Scalar]], ncols: int) -> list[list[Scalar]]:
 def solve(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar] | None:
     """One solution of A x = rhs, or None when inconsistent."""
     ncols = len(rows[0]) if rows else 0
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
-    if ncols in pivots:
+    done = _eliminate([row + [b] for row, b in zip(rows, rhs)], jordan=True)
+    if done and done[-1][0] == ncols:
         return None
     x = [ZERO] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][ncols]
+    for pc, rest in done:
+        x[pc] = rest.get(ncols, ZERO)
     return x
 
 
@@ -92,7 +124,7 @@ def invert(rows: list[list[Scalar]]) -> list[list[Scalar]] | None:
     """Inverse of a square matrix over the field, or None when singular."""
     n = len(rows)
     aug = [rows[i][:] + [ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-    m, pivots = rref(aug)
-    if pivots != list(range(n)):
+    done = _eliminate(aug, jordan=True)
+    if [c for c, _ in done] != list(range(n)):
         return None
-    return [m[i][n:] for i in range(n)]
+    return [[rest.get(n + j, ZERO) for j in range(n)] for _, rest in done]

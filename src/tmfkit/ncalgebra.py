@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from . import linalg
 from .scalars import (
+    MINUS_ONE,
     ONE,
     ZERO,
     Scalar,
@@ -210,6 +211,13 @@ class GradedAlgebra:
         self._mono_mul_cache[key] = current
         return current
 
+    def _mul_into(self, out: dict, terms_a: dict, terms_b: dict, fuel: list[int]) -> None:
+        """Accumulate the product of two term dicts into out, which never
+        holds a zero coefficient; rewriting draws on fuel."""
+        for e1, c1 in terms_a.items():
+            for e2, c2 in terms_b.items():
+                _acc_into(out, self._mono_times_mono(e1, e2, fuel), c1 * c2)
+
     def normal_form(self, word: list[int] | tuple[int, ...]) -> NCPoly:
         """Normal form of a word of generator indices as an element."""
         fuel = [REWRITE_FUEL]
@@ -221,7 +229,7 @@ class GradedAlgebra:
             for e, c in current.items():
                 _acc_into(nxt, self._mono_times_gen(e, g, fuel), c)
             current = nxt
-        return NCPoly(self, current)
+        return _wrap(self, current)
 
     def check_diamond(self) -> None:
         """Local confluence: both first steps on x_c x_b x_a agree."""
@@ -276,8 +284,9 @@ class GradedAlgebra:
 
 
 def _acc_into(acc: dict, part: dict, coeff: Scalar) -> None:
+    """acc += coeff * part; a coefficient that cancels is removed."""
     for e, c in part.items():
-        prod = coeff * c
+        prod = c if coeff is ONE else coeff * c
         prev = acc.get(e)
         new = prod if prev is None else prev + prod
         if new.is_zero():
@@ -317,9 +326,6 @@ class NCPoly:
             raise ValueError("element is not homogeneous")
         return degs.pop()
 
-    def is_homogeneous(self) -> bool:
-        return len({self.algebra.exps_degree(e) for e in self.terms}) <= 1
-
     def coefficient(self, exps: Exps) -> Scalar:
         return self.terms.get(tuple(exps), ZERO)
 
@@ -334,33 +340,29 @@ class NCPoly:
         self._check_same(other)
         out = dict(self.terms)
         _acc_into(out, other.terms, ONE)
-        return NCPoly(self.algebra, out)
+        return _wrap(self.algebra, out)
 
     def __sub__(self, other: NCPoly) -> NCPoly:
         self._check_same(other)
         out = dict(self.terms)
-        _acc_into(out, other.terms, -ONE)
-        return NCPoly(self.algebra, out)
+        _acc_into(out, other.terms, MINUS_ONE)
+        return _wrap(self.algebra, out)
 
     def __neg__(self) -> NCPoly:
-        return NCPoly(self.algebra, {e: -c for e, c in self.terms.items()})
+        return _wrap(self.algebra, {e: -c for e, c in self.terms.items()})
 
     def scale(self, c: Scalar) -> NCPoly:
         if c.is_zero():
             return self.algebra.zero()
-        return NCPoly(self.algebra, {e: c * x for e, x in self.terms.items()})
+        return _wrap(self.algebra, {e: c * x for e, x in self.terms.items()})
 
     def __mul__(self, other: NCPoly | Scalar) -> NCPoly:
         if isinstance(other, Scalar):
             return self.scale(other)
         self._check_same(other)
-        fuel = [REWRITE_FUEL]
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                part = self.algebra._mono_times_mono(e1, e2, fuel)
-                _acc_into(out, part, c1 * c2)
-        return NCPoly(self.algebra, out)
+        self.algebra._mul_into(out, self.terms, other.terms, [REWRITE_FUEL])
+        return _wrap(self.algebra, out)
 
     def __rmul__(self, other: Scalar) -> NCPoly:
         if isinstance(other, Scalar):
@@ -368,11 +370,19 @@ class NCPoly:
         return NotImplemented
 
     def __pow__(self, k: int) -> NCPoly:
+        """self^k for k >= 0 (0^0 = 1): a scalar power in the scalar field,
+        any other by repeated squaring."""
         if k < 0:
             raise ValueError("negative powers are not defined in the algebra")
-        acc = self.algebra.one()
-        for _ in range(k):
-            acc = acc * self
+        if not any(any(e) for e in self.terms):
+            return self.algebra.scalar(self.constant_term() ** k)
+        acc, base = self.algebra.one(), self
+        while k:
+            if k & 1:
+                acc = acc * base
+            k >>= 1
+            if k:
+                base = base * base
         return acc
 
     def __eq__(self, other: object) -> bool:
@@ -409,6 +419,14 @@ class NCPoly:
                 continue
             _acc_into(out, {e[:cut]: ONE}, c)
         return NCPoly(sub_algebra, out)
+
+
+def _wrap(algebra: GradedAlgebra, terms: dict) -> NCPoly:
+    """An NCPoly over terms that hold no zero coefficient, taken as they are."""
+    p = object.__new__(NCPoly)
+    p.algebra = algebra
+    p.terms = terms
+    return p
 
 
 class AlgebraMorphism:
@@ -474,7 +492,7 @@ class AlgebraMorphism:
         out: dict = {}
         for e, c in p.terms.items():
             _acc_into(out, self._apply_monomial(e).terms, c)
-        return NCPoly(self.target, out)
+        return _wrap(self.target, out)
 
 
 class GradedAutomorphism(AlgebraMorphism):

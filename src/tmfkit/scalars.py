@@ -180,6 +180,9 @@ def _smul(p: Terms, q: Terms) -> Terms:
         p, q = q, p
     if len(p) == 1:
         ((e, c),) = p
+        if len(q) == 1:
+            ((f, x),) = q
+            return ((e + f, c * x),)
         return tuple((e + f, c * x) for f, x in q)
     acc: dict = {}
     for e, c in p:
@@ -293,6 +296,8 @@ class Scalar:
         return _add(self, other)
 
     def __sub__(self, other: Scalar) -> Scalar:
+        if not other.n:
+            return self
         return _add(self, -other)
 
     def __neg__(self) -> Scalar:
@@ -435,6 +440,11 @@ def evaluate(a: Scalar, t0: GaussRational | Fraction | int) -> GaussRational:
 # printer stays inside the spec grammar so round trips are stable.
 # ---------------------------------------------------------------------------
 
+# Largest |exponent| a literal may put on a scalar with more than one term in
+# N or D: such a power is dense, and its size and cost grow with the exponent.
+# A single-term base, such as t^1000000, is exempt.
+MAX_DENSE_POWER = 256
+
 
 class _Tok:
     __slots__ = ("kind", "value", "pos")
@@ -557,6 +567,12 @@ class _LiteralParser:
             if tok.kind != "int":
                 raise ScalarParseError("exponent must be an integer", tok.pos)
             e = sign * tok.value
+            base = self.as_scalar(val)
+            dense = base is not None and (len(base.n) > 1 or len(base.d) > 1)
+            if dense and abs(e) > MAX_DENSE_POWER:
+                raise ScalarParseError(
+                    f"power {e} of a multi-term scalar exceeds {MAX_DENSE_POWER}", caret.pos
+                )
             if e < 0:
                 val = self.unit * self.scalar(val, "negative power of", caret.pos) ** e
             else:

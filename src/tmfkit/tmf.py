@@ -336,7 +336,7 @@ def probably_isomorphic_tmf(
     t: TMF, t2: TMF, trials: int = 32, seed: int = 0
 ) -> gm.IsoVerdict:
     if t.context != t2.context:
-        return gm.IsoVerdict(False, failures=0)
+        raise ContextMismatch("factorizations live in different contexts")
     verdict = gm.probably_isomorphic(t.phi, t2.phi, trials=trials, seed=seed)
     if verdict.isomorphic:
         # witness sanity: the psi-side identity must follow exactly

@@ -1,0 +1,36 @@
+"""The benchmark's param-sweep ops must reproduce perfbench/golden.json.
+
+The benchmark checks every op's outcome (check names, verdicts and
+coker-oracle series) against the golden file; running one pass here makes a
+drift fail the test suite too, not only a benchmark run.  The pass runs in a
+fresh interpreter, as the benchmark runs it, and writes nothing under
+perfbench/.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+
+
+def test_param_sweep_outcomes_match_golden():
+    with open(os.path.join(PERFBENCH, "golden.json"), encoding="utf-8") as handle:
+        golden = json.load(handle)["param-sweep"]
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "worker.py"), "param-sweep", "0"],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    ops = [json.loads(line) for line in proc.stdout.splitlines()]
+    got = {op["op"]: op["outcome"] for op in ops}
+    assert list(got) == list(golden)
+    for name, outcome in golden.items():
+        assert got[name] == outcome, name

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tmfkit import linalg
@@ -17,7 +19,7 @@ from tmfkit.gradedmod import (
     twist_matrix,
     zero_matrix,
 )
-from tmfkit.ncalgebra import GradedAutomorphism, parse_poly
+from tmfkit.ncalgebra import GradedAutomorphism, RewriteLimitExceeded, parse_poly
 from tmfkit.scalars import ONE, ZERO, Scalar, parse_scalar
 
 from test_ncalgebra import case_g_algebra, case_h_algebra
@@ -76,6 +78,103 @@ def test_compose_identity_and_zero():
     assert compose(phi, identity_matrix(phi.target)) == phi
     z = zero_matrix(phi.target, phi.target)
     assert compose(phi, z).is_zero()
+
+
+def naive_compose(first, second):
+    """Entry (i, k) of FIRST * SECOND as the sum of NCPoly products a * b."""
+    zero = first.algebra.zero()
+    return tuple(
+        tuple(
+            sum((row[j] * second.entries[j][k] for j in range(len(row))), zero)
+            for k in range(second.target.rank)
+        )
+        for row in first.entries
+    )
+
+
+def random_entry(rng, algebra, degree):
+    """A random homogeneous element: Laurent-monomial coefficients on some
+    of the PBW monomials of the degree (zero when none is picked)."""
+    out = algebra.zero()
+    for mono in algebra.monomials_of_degree(degree):
+        if rng.random() < 0.5:
+            c = Scalar.from_int(rng.choice([-2, -1, 1, 3])) * Scalar.t_power(rng.randint(-2, 2))
+            out = out + algebra.monomial(mono, c)
+    return out
+
+
+def random_graded_matrix(rng, source, target):
+    return GradedMatrix(
+        source,
+        target,
+        [
+            [random_entry(rng, source.algebra, d - e) for e in target.shifts]
+            for d in source.shifts
+        ],
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_compose_matches_naive_entry_sums(seed):
+    rng = random.Random(seed)
+    A = case_g_algebra(3) if seed % 2 else case_h_algebra()
+    # generator degrees descend from source to middle to target, so that
+    # entry degrees run from 0 to 2 * top
+    top = max(A.degrees) + 2
+    source, middle, target = (
+        FreeModule(A, tuple(base + rng.randint(0, top) for _ in range(rng.randint(1, 3))))
+        for base in (2 * top, top, 0)
+    )
+    first = random_graded_matrix(rng, source, middle)
+    second = random_graded_matrix(rng, middle, target)
+    # a duplicated middle generator whose two products cancel exactly
+    middle2 = FreeModule(A, middle.shifts + middle.shifts[:1])
+    first2 = GradedMatrix(source, middle2, [row + row[:1] for row in first.entries])
+    second2 = GradedMatrix(
+        middle2, target, [*second.entries, [-e for e in second.entries[0]]]
+    )
+    for a, b in ((first, second), (first2, second2)):
+        product = compose(a, b)
+        assert product.entries == naive_compose(a, b)
+        for row in product.entries:
+            for entry in row:
+                assert not any(c.is_zero() for c in entry.terms.values())
+
+
+def test_compose_cancels_to_zero_terms():
+    A = case_h_algebra()
+    a1, a2 = A.gen("a1"), A.gen("a2")
+    F, M, G = FreeModule(A, (2,)), FreeModule(A, (1, 1)), FreeModule(A, (0,))
+    first = GradedMatrix(F, M, [[a2, a1 + a2]])
+    # a2*a1 - (a1 + a2)*a1 = -a1^2: the rewritten a2*a1 terms cancel
+    second = GradedMatrix(M, G, [[a1], [-a1]])
+    product = compose(first, second)
+    assert product.entries[0][0].terms == {(2, 0, 0): Scalar.from_int(-1)}
+    second = GradedMatrix(M, G, [[a1 + a2], [-(a1 + a2)]])
+    assert compose(GradedMatrix(F, M, [[a2, a2]]), second).entries[0][0].terms == {}
+
+
+def test_compose_keeps_the_rewrite_budget_per_entry_product(monkeypatch):
+    # on a fresh algebra a3^3 * a1^2 takes 43 rewrite steps and then
+    # a3^2*a2 * a2*a1 takes 8: a budget of 44 covers each, not their sum
+    def run(budget):
+        A = case_h_algebra()
+
+        def P(text):
+            return parse_poly(text, A)
+
+        first = GradedMatrix(
+            FreeModule(A, (5,)), FreeModule(A, (2, 2)), [[P("a3^3"), P("a3^2*a2")]]
+        )
+        second = GradedMatrix(
+            FreeModule(A, (2, 2)), FreeModule(A, (0,)), [[P("a1^2")], [P("a2*a1")]]
+        )
+        monkeypatch.setattr("tmfkit.ncalgebra.REWRITE_FUEL", budget)
+        return compose(first, second)
+
+    assert not run(44).is_zero()
+    with pytest.raises(RewriteLimitExceeded):
+        run(43)
 
 
 def test_case_g_identity_one():

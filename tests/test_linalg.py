@@ -1,5 +1,10 @@
+import random
+
+import pytest
+
+from tmfkit import linalg
 from tmfkit.linalg import coefficient_matrix, rank
-from tmfkit.scalars import ZERO, Scalar
+from tmfkit.scalars import ONE, ZERO, Scalar, parse_scalar
 
 
 def n(k):
@@ -26,3 +31,188 @@ def test_coefficient_matrix_empty_inputs():
     assert coefficient_matrix([]) == []
     assert coefficient_matrix([{}, {}]) == []
     assert rank(coefficient_matrix([{}, {}])) == 0
+
+
+# -- brute-force reference: dense Gauss-Jordan on every cell -------------------
+
+
+def dense_rref(rows):
+    m = [row[:] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if not m[i][c].is_zero()), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and not m[i][c].is_zero():
+                factor = m[i][c]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def dense_nullspace(rows, ncols):
+    m, pivots = dense_rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [ZERO] * ncols
+        vec[fc] = ONE
+        for r, pc in enumerate(pivots):
+            vec[pc] = -m[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def dense_solve(rows, rhs):
+    ncols = len(rows[0]) if rows else 0
+    m, pivots = dense_rref([row + [b] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [ZERO] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r][ncols]
+    return x
+
+
+def dense_invert(rows):
+    size = len(rows)
+    aug = [row + [ONE if j == i else ZERO for j in range(size)] for i, row in enumerate(rows)]
+    m, pivots = dense_rref(aug)
+    if pivots != list(range(size)):
+        return None
+    return [row[size:] for row in m[:size]]
+
+
+def matmul(a, b):
+    return [
+        [sum((x * y for x, y in zip(row, col)), ZERO) for col in zip(*b)] for row in a
+    ]
+
+
+# -- seeded random matrices ------------------------------------------------------
+
+# entries with D != 1: the elimination then runs polynomial gcds
+FRACTIONS = [parse_scalar(text) for text in ("1/(t+1)", "(t - i)/(t^2 + 1)", "(2*t)/(t - 3)")]
+
+
+def random_entry(rng, density, fractions=True):
+    if rng.random() > density:
+        return ZERO
+    if fractions and rng.random() < 0.15:
+        return rng.choice(FRACTIONS)
+    # a Laurent monomial c*t^k over the Gaussian integers
+    c = Scalar.from_int(rng.choice([-3, -2, -1, 1, 2, 5]))
+    if rng.random() < 0.3:
+        c = c * parse_scalar("i") + Scalar.from_int(rng.randint(-1, 1))
+    return c * Scalar.t_power(rng.randint(-4, 4))
+
+
+def random_matrix(rng, nrows, ncols, density=0.6):
+    return [[random_entry(rng, density) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def random_case(seed):
+    """A small matrix of one of several kinds, chosen by the seed."""
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+    kind = seed % 4
+    if kind == 0:
+        return random_matrix(rng, nrows, ncols)
+    if kind == 1:
+        # rank deficient: a product through an inner dimension below both sizes
+        inner = rng.randint(1, max(1, min(nrows, ncols) - 1))
+        return matmul(random_matrix(rng, nrows, inner), random_matrix(rng, inner, ncols))
+    m = random_matrix(rng, nrows, ncols, density=0.8)
+    if kind == 2:
+        # zero rows and zero columns
+        for i in rng.sample(range(nrows), rng.randint(0, nrows)):
+            m[i] = [ZERO] * ncols
+        for j in rng.sample(range(ncols), rng.randint(0, ncols)):
+            for row in m:
+                row[j] = ZERO
+        return m
+    # repeated and combined rows
+    if nrows > 1:
+        c = random_entry(rng, 1.0)
+        m[-1] = [x * c + y for x, y in zip(m[0], m[1 % (nrows - 1)])]
+    return m
+
+
+SEEDS = range(32)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rref_and_rank_match_dense_reference(seed):
+    m = random_case(seed)
+    want = dense_rref(m)
+    assert linalg.rref(m) == want
+    assert linalg.rank(m) == len(want[1])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_nullspace_matches_dense_reference(seed):
+    m = random_case(seed)
+    ncols = len(m[0])
+    basis = linalg.nullspace(m, ncols)
+    assert basis == dense_nullspace(m, ncols)
+    assert len(basis) == ncols - linalg.rank(m)
+    for vec in basis:
+        assert matmul(m, [[x] for x in vec]) == [[ZERO]] * len(m)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_solve_matches_dense_reference(seed):
+    m = random_case(seed)
+    rng = random.Random(1000 + seed)
+    x0 = [random_entry(rng, 0.7, fractions=False) for _ in m[0]]
+    consistent = [row[0] for row in matmul(m, [[x] for x in x0])]
+    x = linalg.solve(m, consistent)
+    assert x == dense_solve(m, consistent)
+    assert [row[0] for row in matmul(m, [[c] for c in x])] == consistent
+    if linalg.rank(m) == len(m):
+        return
+    # a generic right-hand side of a rank-deficient system is inconsistent
+    rhs = [random_entry(rng, 1.0, fractions=False) for _ in m]
+    assert linalg.solve(m, rhs) is None
+    assert dense_solve(m, rhs) is None
+
+
+def test_solve_inconsistent_system():
+    m = [[ONE, n(2)], [n(2), n(4)], [ZERO, ZERO]]
+    assert linalg.solve(m, [ONE, ONE, ZERO]) is None
+    assert linalg.solve(m, [ZERO, ZERO, ONE]) is None
+    assert linalg.solve(m, [ONE, n(2), ZERO]) == [ONE, ZERO]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_invert_matches_dense_reference(seed):
+    rng = random.Random(seed)
+    size = rng.randint(1, 5)
+    m = random_case(seed)
+    m = [(row + [ZERO] * size)[:size] for row in (m + [[ZERO] * size] * size)[:size]]
+    inv = linalg.invert(m)
+    assert inv == dense_invert(m)
+    identity = [[ONE if i == j else ZERO for j in range(size)] for i in range(size)]
+    if inv is None:
+        assert linalg.rank(m) < size
+    else:
+        assert matmul(m, inv) == identity
+
+
+def test_degenerate_shapes():
+    assert linalg.rref([]) == ([], [])
+    assert linalg.rref([[]]) == ([[]], [])
+    assert linalg.rank([[ZERO, ZERO], [ZERO, ZERO]]) == 0
+    assert linalg.nullspace([], 2) == [[ONE, ZERO], [ZERO, ONE]]
+    assert linalg.solve([], []) == []
+    assert linalg.invert([]) == []
+    assert linalg.invert([[ZERO]]) is None

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -20,7 +21,7 @@ from tmfkit.ncalgebra import (
     ore_extension,
     parse_poly,
 )
-from tmfkit.scalars import I, MINUS_ONE, ONE, Scalar, parse_scalar
+from tmfkit.scalars import I, MINUS_ONE, ONE, T, Scalar, parse_scalar
 
 S = parse_scalar
 
@@ -98,7 +99,7 @@ def test_normal_form_case_h():
 def test_normal_form_idempotent_degree_preserving():
     A = case_h_algebra()
     p = A.normal_form([2, 1, 0, 2])
-    assert p.is_homogeneous() and p.degree() == 4
+    assert p.degree() == 4  # raises when p is not homogeneous
     rebuilt = A.zero()
     for e, c in p.terms.items():
         rebuilt = rebuilt + A.normal_form(A._exps_word(e)).scale(c)
@@ -447,6 +448,26 @@ def test_poly_literal_edge_values():
     assert parse_poly("(t+1)^-2*a1", A) == a1.scale(S("1/(t^2 + 2*t + 1)"))
     assert parse_poly("a1/(2*i)", A) == a1.scale(S("(-1/2)*i"))
     assert parse_poly("-(-t)^-2", A) == A.scalar(-Scalar.t_power(-2))
+
+
+def test_poly_literal_powers():
+    A = case_g_algebra(3)
+    a1, a2 = A.gen("a1"), A.gen("a2")
+    start = time.perf_counter()
+    p = parse_poly("t^1000000*a1", A)
+    assert time.perf_counter() - start < 0.5
+    assert p == A.scalar(T**1000000) * a1
+    assert parse_poly("(2*t - i)^3", A) == A.scalar(parse_scalar("(2*t - i)^3"))
+    assert parse_poly("(a1 + 0)^0", A) == A.one()
+    assert parse_poly("(a1 - a1)^0", A) == A.one()
+    # repeated squaring agrees with repeated multiplication
+    p = a1 + a2.scale(S("t")) + A.one()
+    naive = A.one()
+    for k in range(8):
+        assert p**k == naive
+        naive = naive * p
+    with pytest.raises(PolyParseError, match="multi-term"):
+        parse_poly("(t+1)^300*a1", A)
 
 
 def test_poly_literal_errors():

@@ -187,6 +187,21 @@ def test_large_t_exponents_cost_nothing():
     assert time.perf_counter() - start < 0.5
 
 
+def test_dense_literal_powers_are_capped():
+    cap = sc.MAX_DENSE_POWER
+    assert cap == 256
+    assert S(f"(t+1)^{cap}") == S("t+1") ** cap
+    assert S(f"(1/(t+1))^-{cap}") == S("t+1") ** cap
+    for text in (f"(t+1)^{cap + 1}", f"(t+1)^-{cap + 1}", "(1/(1+t))^3000", "2*(t^2 - i)^600"):
+        with pytest.raises(ScalarParseError, match="multi-term"):
+            parse_scalar(text)
+    # a single-term base stays exempt, however large the exponent
+    start = time.perf_counter()
+    assert S("(2*t^-3)^1000") == Scalar.from_int(2) ** 1000 * Scalar.t_power(-3000)
+    assert S("t^10000000") == Scalar.t_power(10000000)
+    assert time.perf_counter() - start < 0.5
+
+
 # -- sympy as an independent oracle over Q(i)(t) ------------------------------
 
 t_sym = sp.Symbol("t")

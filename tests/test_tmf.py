@@ -459,6 +459,19 @@ def test_g_distinct_j_not_isomorphic():
     assert not verdict.isomorphic
 
 
+def test_probably_isomorphic_tmf_rejects_different_contexts():
+    # same algebra, f and sigma, but one context has tau and one has not:
+    # the factorizations are incomparable, so there is no verdict to give
+    t = case_g_tmf(3, 1)
+    ctx = t.context
+    assert ctx.tau is not None
+    bare = NormalContext(ctx.algebra, ctx.f, ctx.sigma)
+    with pytest.raises(tm.ContextMismatch, match="different contexts"):
+        probably_isomorphic_tmf(t, TMF(bare, t.phi, t.psi), trials=4, seed=3)
+    with pytest.raises(tm.ContextMismatch):
+        probably_isomorphic_tmf(case_c_tmf(), t, trials=4, seed=3)
+
+
 def test_json_roundtrip():
     t = case_c_tmf()
     A = t.context.algebra
