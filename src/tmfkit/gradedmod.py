@@ -228,20 +228,28 @@ def left_multiplication(module: FreeModule, g: NCPoly, shift: int) -> GradedMatr
     )
 
 
-def compose(first: GradedMatrix, second: GradedMatrix) -> GradedMatrix:
-    """Matrix of "first then second" = FIRST * SECOND."""
+def compose(
+    first: GradedMatrix, second: GradedMatrix, minus: NCPoly | None = None
+) -> GradedMatrix:
+    """Matrix of "first then second" = FIRST * SECOND; given `minus` = g,
+    FIRST * SECOND - g*I, with each diagonal sum started at -g."""
     if first.target != second.source:
         raise ShapeMismatch(
             f"composition mismatch: {first.target.shifts} vs {second.source.shifts}"
         )
     algebra = first.algebra
+    seed: dict = {}
+    if minus is not None:
+        if minus.algebra != algebra:
+            raise AlgebraMismatch("diagonal term lives over a different algebra")
+        seed = {e: -c for e, c in minus.terms.items()}
     columns = [[row[k] for row in second.entries] for k in range(second.target.rank)]
     rows = []
-    for first_row in first.entries:
+    for i, first_row in enumerate(first.entries):
         row = []
-        for column in columns:
+        for k, column in enumerate(columns):
             # each entry product keeps its own rewrite budget, as a * b does
-            acc: dict = {}
+            acc: dict = dict(seed) if i == k else {}
             for a, b in zip(first_row, column):
                 if a.terms and b.terms:
                     algebra._mul_into(acc, a.terms, b.terms, [nca.REWRITE_FUEL])

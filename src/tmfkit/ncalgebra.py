@@ -60,7 +60,8 @@ class ConfluenceFailure(ValueError):
 
 
 class RewriteLimitExceeded(RuntimeError):
-    """Rewriting exceeded its operation budget (nonterminating presentation?)."""
+    """Rewriting exceeded its operation budget or Python's recursion depth;
+    the message names the algebra and the word being rewritten."""
 
 
 class PolyParseError(ValueError):
@@ -111,6 +112,7 @@ class GradedAlgebra:
         self._gen_mul_cache: dict = {}
         self._mono_mul_cache: dict = {}
         self._basis_cache: dict[int, tuple[Exps, ...]] = {}
+        self._degree_cache: dict[Exps, int] = {}
         if check_confluence:
             self.check_diamond()
 
@@ -177,7 +179,7 @@ class GradedAlgebra:
             return hit
         fuel[0] -= 1
         if fuel[0] <= 0:
-            raise RewriteLimitExceeded("rewriting operation budget exhausted")
+            raise RewriteLimitExceeded("operation budget exhausted")
         last = None
         for j in range(self.ngens - 1, -1, -1):
             if exps[j]:
@@ -211,12 +213,25 @@ class GradedAlgebra:
         self._mono_mul_cache[key] = current
         return current
 
+    # The rewriting entry points below (_mul_into, normal_form and
+    # check_diamond) turn an exhausted budget, or a word deep enough to
+    # exhaust Python's recursion depth in the two methods above, into one
+    # RewriteLimitExceeded naming the algebra and the word.
+    def _rewrite_failure(self, word: str, exc: Exception) -> RewriteLimitExceeded:
+        reason = "recursion depth exhausted" if isinstance(exc, RecursionError) else exc
+        return RewriteLimitExceeded(f"rewriting {word} in {self!r}: {reason}")
+
     def _mul_into(self, out: dict, terms_a: dict, terms_b: dict, fuel: list[int]) -> None:
         """Accumulate the product of two term dicts into out, which never
         holds a zero coefficient; rewriting draws on fuel."""
         for e1, c1 in terms_a.items():
             for e2, c2 in terms_b.items():
-                _acc_into(out, self._mono_times_mono(e1, e2, fuel), c1 * c2)
+                try:
+                    part = self._mono_times_mono(e1, e2, fuel)
+                except (RewriteLimitExceeded, RecursionError) as exc:
+                    word = " * ".join(_format_monomial(self, e) or "1" for e in (e1, e2))
+                    raise self._rewrite_failure(word, exc) from None
+                _acc_into(out, part, c1 * c2)
 
     def normal_form(self, word: list[int] | tuple[int, ...]) -> NCPoly:
         """Normal form of a word of generator indices as an element."""
@@ -225,10 +240,15 @@ class GradedAlgebra:
         for g in word:
             if not (0 <= g < self.ngens):
                 raise ValueError(f"bad generator index {g}")
-            nxt: dict = {}
-            for e, c in current.items():
-                _acc_into(nxt, self._mono_times_gen(e, g, fuel), c)
-            current = nxt
+        try:
+            for g in word:
+                nxt: dict = {}
+                for e, c in current.items():
+                    _acc_into(nxt, self._mono_times_gen(e, g, fuel), c)
+                current = nxt
+        except (RewriteLimitExceeded, RecursionError) as exc:
+            text = "*".join(self.names[g] for g in word)
+            raise self._rewrite_failure(text, exc) from None
         return _wrap(self, current)
 
     def check_diamond(self) -> None:
@@ -238,14 +258,18 @@ class GradedAlgebra:
                 for a in range(b):
                     fuel = [REWRITE_FUEL]
                     left: dict = {}
-                    for coeff, target in self.rules[(c, b)]:
-                        part = self._mono_times_mono(target, self._unit(a), fuel)
-                        _acc_into(left, part, coeff)
                     right: dict = {}
                     unit_c = self._unit(c)
-                    for coeff, target in self.rules[(b, a)]:
-                        part = self._mono_times_mono(unit_c, target, fuel)
-                        _acc_into(right, part, coeff)
+                    try:
+                        for coeff, target in self.rules[(c, b)]:
+                            part = self._mono_times_mono(target, self._unit(a), fuel)
+                            _acc_into(left, part, coeff)
+                        for coeff, target in self.rules[(b, a)]:
+                            part = self._mono_times_mono(unit_c, target, fuel)
+                            _acc_into(right, part, coeff)
+                    except (RewriteLimitExceeded, RecursionError) as exc:
+                        text = "*".join(self.names[g] for g in (c, b, a))
+                        raise self._rewrite_failure(text, exc) from None
                     if left != right:
                         raise ConfluenceFailure(
                             f"diamond fails on ({self.names[c]}, {self.names[b]}, "
@@ -260,7 +284,11 @@ class GradedAlgebra:
     # -- graded pieces --------------------------------------------------------
 
     def exps_degree(self, exps: Exps) -> int:
-        return self._exps_degree_raw(exps)
+        """Degree of a PBW monomial, computed once per algebra."""
+        degree = self._degree_cache.get(exps)
+        if degree is None:
+            degree = self._degree_cache[exps] = self._exps_degree_raw(exps)
+        return degree
 
     def monomials_of_degree(self, degree: int) -> tuple[Exps, ...]:
         """All PBW monomials of the given total degree, lexicographic order."""
@@ -473,17 +501,24 @@ class AlgebraMorphism:
                 )
 
     def _apply_monomial(self, exps: Exps) -> NCPoly:
-        hit = self._mono_cache.get(exps)
-        if hit is not None:
-            return hit
-        if not any(exps):
-            result = self.target.one()
-        else:
+        """Image of a monomial: peel generators off its end down to a cached
+        prefix (or 1), then multiply their images back on, caching each
+        prefix; a loop, so a long monomial needs no deep recursion."""
+        cache = self._mono_cache
+        peeled = []
+        while exps not in cache:
+            if not any(exps):
+                cache[exps] = self.target.one()
+                break
             last = max(g for g in range(self.source.ngens) if exps[g])
+            peeled.append((exps, last))
             head = list(exps)
             head[last] -= 1
-            result = self._apply_monomial(tuple(head)) * self.images[last]
-        self._mono_cache[exps] = result
+            exps = tuple(head)
+        result = cache[exps]
+        for exps, last in reversed(peeled):
+            result = result * self.images[last]
+            cache[exps] = result
         return result
 
     def __call__(self, p: NCPoly) -> NCPoly:

@@ -445,6 +445,13 @@ def evaluate(a: Scalar, t0: GaussRational | Fraction | int) -> GaussRational:
 # A single-term base, such as t^1000000, is exempt.
 MAX_DENSE_POWER = 256
 
+# Largest exponent a polynomial literal may put on a non-scalar base with
+# more than one term, such as (a1+a2+a3)^7: every factor multiplies out and
+# rewrites.  The costliest catalog presentation, the second cover of case
+# (h), takes about 0.3 s for the sum of its generators to the 7th and 1.2 s
+# to the 8th.  A single-term base, such as a2^5, is exempt.
+MAX_POLY_POWER = 7
+
 
 class _Tok:
     __slots__ = ("kind", "value", "pos")
@@ -568,10 +575,14 @@ class _LiteralParser:
                 raise ScalarParseError("exponent must be an integer", tok.pos)
             e = sign * tok.value
             base = self.as_scalar(val)
-            dense = base is not None and (len(base.n) > 1 or len(base.d) > 1)
-            if dense and abs(e) > MAX_DENSE_POWER:
+            if base is None:  # a polynomial, not a scalar
+                what, limit, dense = "polynomial", MAX_POLY_POWER, len(val.terms) > 1
+            else:
+                what, limit = "scalar", MAX_DENSE_POWER
+                dense = len(base.n) > 1 or len(base.d) > 1
+            if dense and abs(e) > limit:
                 raise ScalarParseError(
-                    f"power {e} of a multi-term scalar exceeds {MAX_DENSE_POWER}", caret.pos
+                    f"power {e} of a multi-term {what} exceeds {limit}", caret.pos
                 )
             if e < 0:
                 val = self.unit * self.scalar(val, "negative power of", caret.pos) ** e

@@ -15,11 +15,12 @@ suspension T and symmetric-root extraction are available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gradedmod as gm
 from . import linalg
+from . import ncalgebra as nca
 from .gradedmod import FreeModule, GradedMatrix
 from .ncalgebra import (
     GradedAlgebra,
@@ -112,9 +113,12 @@ class NormalContext:
 
 
 class TMF:
-    """Pair (phi, psi) over a NormalContext; shape-checked when strict."""
+    """Pair (phi, psi) over a NormalContext; shape-checked when strict.
 
-    __slots__ = ("context", "phi", "psi")
+    Immutable by discipline: verify stores its report on the factorization
+    it checked (in ``_report``) and answers later calls from it."""
+
+    __slots__ = ("context", "phi", "psi", "_report")
 
     def __init__(
         self, context: NormalContext, phi: GradedMatrix, psi: GradedMatrix,
@@ -123,6 +127,7 @@ class TMF:
         self.context = context
         self.phi = phi
         self.psi = psi
+        self._report: VerifyReport | None = None
         if strict:
             problems = self.shape_problems()
             if problems:
@@ -161,10 +166,12 @@ class TMF:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerifyReport:
+    """Verdict of verify; shared by every caller, so it is immutable."""
+
     ok: bool
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
+    checks: tuple[tuple[str, bool, str], ...] = ()
     residual_one: GradedMatrix | None = None
     residual_two: GradedMatrix | None = None
 
@@ -177,42 +184,51 @@ def lambda_matrix(ctx: NormalContext, module: FreeModule) -> GradedMatrix:
     return gm.left_multiplication(module, ctx.f, ctx.d)
 
 
+def _identity_detail(identity: str, residual: GradedMatrix) -> str:
+    """'' for a zero residual, else the identity and its first nonzero
+    residual entry (1-based row and column, row by row)."""
+    for i, row in enumerate(residual.entries):
+        for j, entry in enumerate(row):
+            if entry.terms:
+                return (
+                    f"{identity} != f*I; first nonzero residual at "
+                    f"({i + 1},{j + 1}): {format_poly(entry)}"
+                )
+    return ""
+
+
 def verify(t: TMF) -> VerifyReport:
-    """Check homogeneity, shift compatibility, identities (1) and (2)."""
+    """Check homogeneity, shift compatibility, identities (1) and (2).
+
+    The report is computed once per factorization and stored on it."""
+    if t._report is None:
+        t._report = _verify(t)
+    return t._report
+
+
+def _verify(t: TMF) -> VerifyReport:
     checks: list[tuple[str, bool, str]] = []
-    ok = True
-
-    def record(name: str, passed: bool, detail: str = "") -> None:
-        nonlocal ok
-        checks.append((name, passed, detail))
-        ok = ok and passed
-
     for name, mat in (("phi", t.phi), ("psi", t.psi)):
         try:
             mat.check_homogeneous()
-            record(f"homogeneous:{name}", True)
+            checks.append((f"homogeneous:{name}", True, ""))
         except gm.DegreeMismatch as exc:
-            record(f"homogeneous:{name}", False, str(exc))
+            checks.append((f"homogeneous:{name}", False, str(exc)))
     problems = t.shape_problems()
-    record("shift-compatibility", not problems, "; ".join(problems))
-    if not ok:
-        return VerifyReport(False, checks)
+    checks.append(("shift-compatibility", not problems, "; ".join(problems)))
+    if not all(passed for _, passed, _ in checks):
+        return VerifyReport(False, tuple(checks))
 
+    # each residual is the product with f subtracted on its diagonal only
     ctx = t.context
-    res1 = gm.compose(t.psi, t.phi) - lambda_matrix(ctx, t.phi.target)
-    record(
-        "identity-1",
-        res1.is_zero(),
-        "" if res1.is_zero() else "compose(psi, phi) != f*I",
-    )
+    res1 = gm.compose(t.psi, t.phi, minus=ctx.f)
+    detail1 = _identity_detail("compose(psi, phi)", res1)
+    checks.append(("identity-1", not detail1, detail1))
     tw_phi = gm.twist_matrix(t.phi, ctx.sigma, ctx.d)
-    res2 = gm.compose(tw_phi, t.psi) - lambda_matrix(ctx, t.phi.source)
-    record(
-        "identity-2",
-        res2.is_zero(),
-        "" if res2.is_zero() else "compose(tw(phi), psi) != f*I",
-    )
-    return VerifyReport(ok, checks, res1, res2)
+    res2 = gm.compose(tw_phi, t.psi, minus=ctx.f)
+    detail2 = _identity_detail("compose(tw(phi), psi)", res2)
+    checks.append(("identity-2", not detail2, detail2))
+    return VerifyReport(not detail1 and not detail2, tuple(checks), res1, res2)
 
 
 def infer_f(t: TMF) -> NCPoly | None:
@@ -619,16 +635,19 @@ def coker_hilbert(t: TMF, max_degree: int) -> list[int]:
     series_a = [hs_g[e] - hs_f[e] for e in range(max_degree + 1)]
     series_b = []
     for e in range(max_degree + 1):
-        # one column per k-basis element m*e_i of F_e: its image m*phi[i]
+        # one column per k-basis element m*e_i of F_e: its image m*phi[i],
+        # one product (with its own rewrite budget) per entry of phi[i]
         columns = []
         for i in range(F.rank):
             for mono in algebra.monomials_of_degree(e - F.shifts[i]):
-                m_poly = algebra.monomial(mono)
-                columns.append({
-                    (j, exps): c
-                    for j in range(G.rank)
-                    for exps, c in (m_poly * t.phi.entries[i][j]).terms.items()
-                })
+                column: dict = {}
+                for j, entry in enumerate(t.phi.entries[i]):
+                    if entry.terms:
+                        image: dict = {}
+                        algebra._mul_into(image, {mono: ONE}, entry.terms, [nca.REWRITE_FUEL])
+                        for exps, c in image.items():
+                            column[(j, exps)] = c
+                columns.append(column)
         image_rank = linalg.rank(linalg.coefficient_matrix(columns))
         dim_g = sum(len(algebra.monomials_of_degree(e - s)) for s in G.shifts)
         series_b.append(dim_g - image_rank)

@@ -320,3 +320,20 @@ def test_commutative_a1_entry():
     t = entry.factorization("rank1")
     assert verify(t).ok
     assert format_poly(entry.context.f) == "x*y"
+
+
+def test_exps_degree_memo_matches_the_raw_degree():
+    from tmfkit.cover import second_cover
+
+    cases = [
+        ("b", 3), ("c", None), ("d-odd", 5), ("d-even", 4), ("e", 2), ("g", 3),
+        ("h", None), ("commutative-A1", None),
+    ]
+    for case, n in cases:
+        sc = second_cover(build(case, n).context)
+        for A in (sc.base.algebra, sc.first.algebra, sc.second.algebra, sc.uv.algebra):
+            for degree in range(13):
+                for exps in A.monomials_of_degree(degree):
+                    # the first call fills the memo, the second reads it
+                    assert A.exps_degree(exps) == A._exps_degree_raw(exps) == degree
+                    assert A.exps_degree(exps) == degree

@@ -283,6 +283,42 @@ def test_exhausted_rewrite_budget_exits_2(tmp_path, capsys, monkeypatch):
     assert err.startswith("input error:") and "budget" in err
 
 
+def test_verify_deep_rewrite_exits_2_without_traceback(tmp_path, capsys):
+    # rewriting a3^1000*a1^1000 would exhaust Python's recursion depth
+    main(["catalog", "export", "g", "--n", "3", "--out", str(tmp_path)])
+    path = capsys.readouterr().out.strip().splitlines()[0]
+    with open(path) as handle:
+        obj = json.load(handle)
+    obj["phi"]["entries"][0][0] = "a3^1000*a1^1000"
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps(obj))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tmfkit.cli", "verify", str(deep)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: rewriting a3^1000 * a1^1000 in GradedAlgebra(")
+    assert "recursion depth exhausted" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_multi_term_poly_power_exits_2(tmp_path, capsys):
+    main(["catalog", "export", "h", "--out", str(tmp_path)])
+    path = capsys.readouterr().out.strip().splitlines()[-1]
+    with open(path) as handle:
+        obj = json.load(handle)
+    obj["phi"]["entries"][0][0] = "(a1 + a2 + a3)^16"
+    bad = tmp_path / "power.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["verify", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert "power 16 of a multi-term polynomial exceeds 7" in err
+
+
 def test_functor_h_of_an_h_output_exits_1(tmp_path, capsys):
     # the output of H lives over k[...][u][v], so a second H would reuse the
     # names u and v: a verification failure, not a traceback

@@ -1,10 +1,10 @@
-"""The benchmark's param-sweep ops must reproduce perfbench/golden.json.
+"""The benchmark's in-process ops must reproduce perfbench/golden.json.
 
 The benchmark checks every op's outcome (check names, verdicts and
-coker-oracle series) against the golden file; running one pass here makes a
-drift fail the test suite too, not only a benchmark run.  The pass runs in a
-fresh interpreter, as the benchmark runs it, and writes nothing under
-perfbench/.
+coker-oracle series) against the golden file; running one pass of each
+in-process workload here makes a drift fail the test suite too, not only a
+benchmark run.  Each pass runs in a fresh interpreter, as the benchmark runs
+it, and writes nothing under perfbench/.
 """
 
 import json
@@ -16,12 +16,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
-def test_param_sweep_outcomes_match_golden():
+def check_outcomes_match_golden(workload):
     with open(os.path.join(PERFBENCH, "golden.json"), encoding="utf-8") as handle:
-        golden = json.load(handle)["param-sweep"]
+        golden = json.load(handle)[workload]
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, os.path.join(PERFBENCH, "worker.py"), "param-sweep", "0"],
+        [sys.executable, os.path.join(PERFBENCH, "worker.py"), workload, "0"],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -34,3 +34,11 @@ def test_param_sweep_outcomes_match_golden():
     assert list(got) == list(golden)
     for name, outcome in golden.items():
         assert got[name] == outcome, name
+
+
+def test_param_sweep_outcomes_match_golden():
+    check_outcomes_match_golden("param-sweep")
+
+
+def test_catalog_deep_outcomes_match_golden():
+    check_outcomes_match_golden("catalog-deep")

@@ -12,6 +12,7 @@ from tmfkit.ncalgebra import (
     IllDefined,
     NotNormal,
     PolyParseError,
+    RewriteLimitExceeded,
     SkewDerivation,
     algebra_from_json,
     algebra_to_json,
@@ -21,7 +22,7 @@ from tmfkit.ncalgebra import (
     ore_extension,
     parse_poly,
 )
-from tmfkit.scalars import I, MINUS_ONE, ONE, T, Scalar, parse_scalar
+from tmfkit.scalars import I, MAX_POLY_POWER, MINUS_ONE, ONE, T, Scalar, parse_scalar
 
 S = parse_scalar
 
@@ -468,6 +469,53 @@ def test_poly_literal_powers():
         naive = naive * p
     with pytest.raises(PolyParseError, match="multi-term"):
         parse_poly("(t+1)^300*a1", A)
+
+
+def test_multi_term_poly_literal_powers_are_capped():
+    A = case_h_algebra()
+    cap = MAX_POLY_POWER
+    assert cap == 7
+    base = parse_poly("a1 + a2 + a3", A)
+    assert parse_poly(f"(a1 + a2 + a3)^{cap}", A) == base**cap
+    for text in (f"(a1 + a2 + a3)^{cap + 1}", "(a1 + a2 + a3)^16", "2*(a1 - t*a2)^24"):
+        with pytest.raises(PolyParseError, match=f"multi-term polynomial exceeds {cap}"):
+            parse_poly(text, A)
+    # single-term bases, and bases that cancel to one term, stay exempt
+    assert parse_poly("a2^5", A) == A.monomial((0, 5, 0))
+    assert parse_poly("(2*a2)^40", A) == A.monomial((0, 40, 0), Scalar.from_int(2) ** 40)
+    assert parse_poly("(a1 - a1 + a2)^12", A) == A.monomial((0, 12, 0))
+
+
+def test_deep_rewrites_raise_rewrite_limit_exceeded():
+    # rewriting a3^1000 * a1^1000 recurses once per exponent, past Python's
+    # recursion depth: a typed error naming the algebra and the word
+    A = case_g_algebra(3)
+    with pytest.raises(RewriteLimitExceeded) as info:
+        parse_poly("a3^1000*a1^1000", A)
+    message = str(info.value)
+    assert "a3^1000 * a1^1000" in message and repr(A) in message
+    assert "recursion depth exhausted" in message
+    with pytest.raises(RewriteLimitExceeded, match=r"a3\*a3\*a1"):
+        A.normal_form([2] * 700 + [0] * 700)
+    # the algebra still works, and its caches stay sound
+    a1, a3 = A.gen("a1"), A.gen("a3")
+    assert a3**3 * a1**2 == A.normal_form([2, 2, 2, 0, 0])
+
+
+def test_exhausted_budget_names_the_word(monkeypatch):
+    A = case_h_algebra()
+    monkeypatch.setattr("tmfkit.ncalgebra.REWRITE_FUEL", 3)
+    with pytest.raises(RewriteLimitExceeded, match=r"rewriting a3\^3 \* a1\^2 in GradedAlgebra\(a1:1"):
+        parse_poly("a3^3", A) * parse_poly("a1^2", A)
+    with pytest.raises(RewriteLimitExceeded, match="operation budget exhausted"):
+        A.normal_form([2, 2, 2, 0, 0])
+
+
+def test_automorphism_of_a_long_monomial_needs_no_deep_recursion():
+    A = case_g_algebra(3)
+    sigma = GradedAutomorphism(A, [A.gen("a1").scale(T), A.gen("a2"), A.gen("a3")])
+    image = sigma(A.monomial((3000, 0, 0)))
+    assert image == A.monomial((3000, 0, 0), T**3000)
 
 
 def test_poly_literal_errors():

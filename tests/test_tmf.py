@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -482,3 +484,111 @@ def test_json_roundtrip():
     assert B == A
     phi = matrix_from_json(back["phi"], B)
     assert phi.entries == t.phi.entries
+
+
+# ---------------------------------------------------------------------------
+# verify: one report per factorization, residuals seeded with -f
+# ---------------------------------------------------------------------------
+
+CATALOG_FAMILIES = [
+    ("b", 3), ("c", None), ("d-odd", 5), ("g", 3), ("h", None), ("commutative-A1", None)
+]
+
+
+def reference_residuals(t):
+    """The residuals as products less a separately built f*I."""
+    ctx = t.context
+    res1 = gm.compose(t.psi, t.phi) - tm.lambda_matrix(ctx, t.phi.target)
+    tw_phi = gm.twist_matrix(t.phi, ctx.sigma, ctx.d)
+    res2 = gm.compose(tw_phi, t.psi) - tm.lambda_matrix(ctx, t.phi.source)
+    return res1.is_zero() and res2.is_zero(), res1, res2
+
+
+def negate_one_entry(t, rng):
+    """A copy of t with one nonzero entry of phi or psi negated."""
+    cells = [
+        (name, i, j)
+        for name in ("phi", "psi")
+        for i, row in enumerate(getattr(t, name).entries)
+        for j, entry in enumerate(row)
+        if not entry.is_zero()
+    ]
+    name, i, j = rng.choice(cells)
+    mat = getattr(t, name)
+    rows = [list(row) for row in mat.entries]
+    rows[i][j] = -rows[i][j]
+    broken = GradedMatrix(mat.source, mat.target, rows, check=False)
+    phi, psi = (broken, t.psi) if name == "phi" else (t.phi, broken)
+    return TMF(t.context, phi, psi, strict=False)
+
+
+def test_verify_report_is_stored_on_the_factorization():
+    t = case_c_tmf()
+    report = verify(t)
+    assert verify(t) is report
+    assert isinstance(report.checks, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.ok = False
+    # an equal but distinct factorization is verified on its own, to an
+    # equal report
+    other = case_c_tmf()
+    assert other == t and other is not t
+    assert verify(other) is not report
+    assert verify(other) == report
+    bad = negate_one_entry(t, random.Random(1))
+    assert verify(bad) != report and not verify(bad).ok
+
+
+def test_verify_residuals_match_products_less_f_times_identity():
+    from tmfkit.catalog import build
+
+    rng = random.Random(20261018)
+    for case, n in CATALOG_FAMILIES:
+        entry = build(case, n)
+        for label in entry.labels():
+            t = entry.factorization(label)
+            for candidate in [t] + [negate_one_entry(t, rng) for _ in range(3)]:
+                ok, res1, res2 = reference_residuals(candidate)
+                assert ok == (candidate is t), (case, label)
+                report = verify(candidate)
+                assert report.ok == ok, (case, label)
+                assert report.residual_one == res1, (case, label)
+                assert report.residual_two == res2, (case, label)
+
+
+def test_failed_identity_names_its_first_nonzero_residual():
+    from tmfkit.catalog import build, d_rank4_phi
+
+    entry = build("d-odd", 3)
+    phi = d_rank4_phi(entry.algebra, 3, 1, printed_sign=True)
+    t = TMF(entry.context, phi, gm.shift_matrix(phi, -5), strict=False)
+    report = verify(t)
+    details = {name: detail for name, _, detail in report.checks}
+    assert details["identity-1"] == (
+        "compose(psi, phi) != f*I; first nonzero residual at (1,3): 8*a2^3"
+    )
+    assert details["identity-2"].startswith("compose(tw(phi), psi) != f*I; first nonzero")
+    # a passing check keeps an empty detail
+    flipped = d_rank4_phi(entry.algebra, 3, 1, printed_sign=False)
+    good = verify(TMF(entry.context, flipped, gm.shift_matrix(flipped, -5), strict=False))
+    assert good.ok and all(detail == "" for _, _, detail in good.checks)
+
+
+def test_check_homogeneous_catches_one_off_degree_term():
+    t = case_c_tmf()
+    assert verify(t).ok  # fills the algebra's degree memo
+    A = t.context.algebra
+    rows = [list(row) for row in t.phi.entries]
+    rows[0][0] = rows[0][0] + A.gen("a1")
+    bad = GradedMatrix(t.phi.source, t.phi.target, rows, check=False)
+    with pytest.raises(gm.DegreeMismatch, match=r"entry \(0,0\)"):
+        bad.check_homogeneous()
+    report = verify(TMF(t.context, bad, t.psi, strict=False))
+    assert not report.ok and report.failed() == ["homogeneous:phi"]
+
+
+def test_coker_hilbert_rejects_a_factorization_that_fails_to_verify():
+    bad = negate_one_entry(case_c_tmf(), random.Random(2))
+    assert not verify(bad).ok
+    with pytest.raises(ValueError, match="verified factorization"):
+        coker_hilbert(bad, 4)
