@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import catalog as cat
@@ -51,7 +52,7 @@ class Report:
     status: str
     seed: int
     elapsed: float
-    checks: list[dict] = field(default_factory=list)
+    checks: Sequence[tm.Check] = ()
     artifacts: dict = field(default_factory=dict)
     convention: str = CONVENTION
 
@@ -62,16 +63,16 @@ class Report:
             "seed": self.seed,
             "elapsed": round(self.elapsed, 6),
             "convention": self.convention,
-            "checks": self.checks,
+            "checks": [check._asdict() for check in self.checks],
             "artifacts": self.artifacts,
         }
 
     def render_text(self) -> str:
         lines = [f"[{self.status}] {self.command} (seed={self.seed})"]
         for check in self.checks:
-            mark = "PASS" if check["ok"] else "FAIL"
-            detail = f" -- {check['detail']}" if check.get("detail") else ""
-            lines.append(f"  {mark} {check['name']}{detail}")
+            mark = "PASS" if check.ok else "FAIL"
+            detail = f" -- {check.detail}" if check.detail else ""
+            lines.append(f"  {mark} {check.name}{detail}")
         for key, value in self.artifacts.items():
             if isinstance(value, str):
                 lines.append(f"  {key}: {value}")
@@ -192,13 +193,6 @@ def load_module(path: str) -> cov.EquivariantModule:
 # ---------------------------------------------------------------------------
 
 
-def _verify_report_checks(report: tm.VerifyReport) -> list[dict]:
-    return [
-        {"name": name, "ok": ok, "detail": detail}
-        for name, ok, detail in report.checks
-    ]
-
-
 def _residual_artifacts(report: tm.VerifyReport) -> dict:
     artifacts = {}
     for key, mat in (("residual_one", report.residual_one), ("residual_two", report.residual_two)):
@@ -216,7 +210,7 @@ def cmd_verify(args) -> int:
         status="pass" if report.ok else "fail",
         seed=args.seed,
         elapsed=time.perf_counter() - start,
-        checks=_verify_report_checks(report),
+        checks=report.checks,
         artifacts=_residual_artifacts(report),
     )
     emit(out, args.format)
@@ -245,10 +239,7 @@ def cmd_catalog(args) -> int:
             status="pass" if suite.ok else "fail",
             seed=args.seed,
             elapsed=time.perf_counter() - start,
-            checks=[
-                {"name": c.name, "ok": c.ok, "detail": c.detail}
-                for c in suite.checks
-            ],
+            checks=suite.checks,
             artifacts={"notes": "; ".join(suite.notes)} if suite.notes else {},
         )
         emit(out, args.format)
@@ -285,12 +276,11 @@ def _tmf_output(functor):
     """Step for a functor whose output is a factorization: functor(input)
     gives (output, artifacts); the step dumps, verifies and reports it."""
 
-    def step(x, path: str) -> tuple[bool, list[dict], dict]:
+    def step(x, path: str) -> tuple[bool, Sequence[tm.Check], dict]:
         out_t, artifacts = functor(x)
         dump_tmf(out_t, path)
         report = verify(out_t)
-        checks = _verify_report_checks(report)
-        return report.ok, checks, artifacts | _residual_artifacts(report)
+        return report.ok, report.checks, artifacts | _residual_artifacts(report)
 
     return step
 
@@ -301,18 +291,18 @@ def _reduce(t: TMF) -> tuple[TMF, dict]:
     return result.reduced, {"trivial_summands": summands}
 
 
-def _functor_B(t: TMF, path: str) -> tuple[bool, list[dict], dict]:
+def _functor_B(t: TMF, path: str) -> tuple[bool, Sequence[tm.Check], dict]:
     _write_json(module_to_json(cov.functor_B(cov.make_cover(t.context), t)), path)
-    return True, [{"name": "z-squared-is-minus-f", "ok": True, "detail": ""}], {}
+    return True, [tm.Check("z-squared-is-minus-f", True)], {}
 
 
-def _functor_split(t: TMF, path: str) -> tuple[bool, list[dict], dict]:
+def _functor_split(t: TMF, path: str) -> tuple[bool, Sequence[tm.Check], dict]:
     t1, t2 = cov.symmetric_split(cov.make_cover(t.context), t)
     algebra = _algebra_json(t1.context)
     pair = {"first": tm.tmf_to_json(t1, algebra), "second": tm.tmf_to_json(t2, algebra)}
     _write_json(pair, path)
     ok = verify(t1).ok and verify(t2).ok
-    return ok, [{"name": "summands-verify", "ok": ok, "detail": ""}], {}
+    return ok, [tm.Check("summands-verify", ok)], {}
 
 
 # name -> (reader of --input, step that writes --output and returns the
@@ -369,11 +359,11 @@ def cmd_iso(args) -> int:
         seed=args.seed,
         elapsed=time.perf_counter() - start,
         checks=[
-            {
-                "name": "isomorphic",
-                "ok": verdict.isomorphic,
-                "detail": f"failures={verdict.failures} trials={args.trials}",
-            }
+            tm.Check(
+                "isomorphic",
+                verdict.isomorphic,
+                f"failures={verdict.failures} trials={args.trials}",
+            )
         ],
         artifacts=artifacts,
     )

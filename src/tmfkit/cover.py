@@ -27,7 +27,7 @@ from .ncalgebra import (
     normalizing_automorphism,
     ore_extension,
 )
-from .scalars import HALF, I as IMAG, MINUS_ONE, ONE, Scalar, parse_scalar
+from .scalars import HALF, I as IMAG, MINUS_ONE, ONE, parse_scalar
 from .tmf import NormalContext, TMF, T_functor, direct_sum_tmf, twist_tmf, verify
 
 
@@ -134,20 +134,6 @@ def lift_matrix(mat: GradedMatrix, extended: GradedAlgebra) -> GradedMatrix:
     return mat.map_entries(lambda e: e.lift(extended), extended)
 
 
-def assemble_blocks(
-    source: FreeModule, target: FreeModule, blocks: list[list[GradedMatrix]]
-) -> GradedMatrix:
-    rows: list[list[NCPoly]] = []
-    for brow in blocks:
-        height = brow[0].source.rank
-        for r in range(height):
-            row: list[NCPoly] = []
-            for block in brow:
-                row.extend(block.entries[r])
-            rows.append(row)
-    return GradedMatrix(source, target, rows)
-
-
 # ---------------------------------------------------------------------------
 # the functor C: TMF(f) -> TMF(f + xy)
 # ---------------------------------------------------------------------------
@@ -162,37 +148,23 @@ def _cover_blocks(cover: CoverContext, t: TMF) -> TMF:
     resolved so that both identities hold exactly for f + xy."""
     if t.context != cover.base:
         raise HypothesisViolation("factorization does not live over the base")
-    E = cover.algebra
     d, ell = cover.base.d, cover.ell
     x, y = cover.x(), cover.y()
-    phi = lift_matrix(t.phi, E)
-    psi = lift_matrix(t.psi, E)
-    f_sh = t.phi.source.shifts
-    g_sh = t.phi.target.shifts
-    FM = lambda shifts: FreeModule(E, shifts)
-
-    src = FM(tuple(s + d for s in g_sh) + tuple(s + ell for s in f_sh))
-    tgt = FM(tuple(f_sh) + tuple(s + ell for s in g_sh))
-    lam_y = gm.left_multiplication(FM(tuple(s + ell for s in g_sh)), y, ell)
-    lam_x = gm.left_multiplication(FM(tuple(f_sh)), x, ell)
-    phi_c = assemble_blocks(
-        src,
-        tgt,
+    phi = lift_matrix(t.phi, cover.algebra)
+    psi = lift_matrix(t.psi, cover.algebra)
+    F, G = phi.source, phi.target
+    lam = lambda module, g: gm.left_multiplication(module, g, ell)
+    phi_c = gm.block_matrix(
         [
-            [psi, -lam_y],
-            [lam_x, gm.twist_matrix(phi, cover.tau, ell)],
-        ],
+            [psi, -lam(G.twisted(ell), y)],
+            [lam(F, x), gm.twist_matrix(phi, cover.tau, ell)],
+        ]
     )
-    src2 = FM(tuple(s + d for s in f_sh) + tuple(s + 3 * ell for s in g_sh))
-    lam_y2 = gm.left_multiplication(FM(tuple(s + ell for s in f_sh)), y, ell)
-    lam_x2 = gm.left_multiplication(FM(tuple(s + d for s in g_sh)), x, ell)
-    psi_c = assemble_blocks(
-        src2,
-        src,
+    psi_c = gm.block_matrix(
         [
-            [gm.twist_matrix(phi, cover.sigma, d), lam_y2],
-            [-lam_x2, gm.twist_matrix(psi, cover.tau, ell)],
-        ],
+            [gm.twist_matrix(phi, cover.sigma, d), lam(F.twisted(ell), y)],
+            [-lam(G.twisted(d), x), gm.twist_matrix(psi, cover.tau, ell)],
+        ]
     )
     return TMF(cover.context, phi_c, psi_c)
 
@@ -312,22 +284,16 @@ def functor_B(cover: CoverContext, t: TMF) -> EquivariantModule:
     and theta = (+1 on F, -1 on the twisted G part)."""
     if t.context != cover.base:
         raise HypothesisViolation("factorization does not live over the base")
-    ctx = cover.base
     ell = cover.ell
-    f_sh = t.phi.source.shifts
-    g_sh = tuple(s + ell for s in t.phi.target.shifts)
-    module = FreeModule(ctx.algebra, f_sh + g_sh)
-    rF, rG = len(f_sh), len(g_sh)
-    tau_inv_phi = gm.twist_matrix(t.phi, ctx.tau, ell)
-    zero = ctx.algebra.zero()
-    rows = []
-    for i in range(rF):
-        rows.append([zero] * rF + list(tau_inv_phi.entries[i]))
-    for k in range(rG):
-        rows.append([(-e) for e in t.psi.entries[k]] + [zero] * rG)
-    z_action = GradedMatrix(module.twisted(ell), module, rows)
-    theta = (1,) * rF + (-1,) * rG
-    return EquivariantModule(cover, module, z_action, theta)
+    F, G = t.phi.source, t.phi.target.twisted(ell)
+    z_action = gm.block_matrix(
+        [
+            [gm.zero_matrix(F.twisted(ell), F), gm.twist_matrix(t.phi, cover.base.tau, ell)],
+            [-t.psi, gm.zero_matrix(t.psi.source, G)],
+        ]
+    )
+    theta = (1,) * F.rank + (-1,) * G.rank
+    return EquivariantModule(cover, z_action.target, z_action, theta)
 
 
 def functor_A(cover: CoverContext, m: EquivariantModule) -> TMF:
@@ -357,7 +323,7 @@ def delta_sigma(cover: CoverContext, m: EquivariantModule) -> TMF:
     z_lifted = lift_matrix(m.z_action, E)
     lam1 = gm.left_multiplication(F, z, ell)
     delta = lam1 - z_lifted
-    lam2 = gm.left_multiplication(FreeModule(E, F.twisted(ell).shifts), z, ell)
+    lam2 = gm.left_multiplication(F.twisted(ell), z, ell)
     sigma_mat = lam2 + gm.twist_matrix(z_lifted, cover.tau, ell)
     return _checked(TMF(cover.context, delta, sigma_mat), "delta/sigma output")
 
@@ -415,29 +381,6 @@ def functor_H(sc: SecondCover, t: TMF) -> TMF:
     return _checked(_cover_blocks(sc.uv, tm.tw_functor(t)), "functor H output")
 
 
-def _block_scalar_matrix(
-    algebra: GradedAlgebra,
-    sizes: list[int],
-    shifts: tuple[int, ...],
-    pattern: list[list[Scalar]],
-) -> GradedMatrix:
-    """Blockwise scalar matrix: entry pattern[a][b] times an identity block."""
-    module = FreeModule(algebra, shifts)
-    zero = algebra.zero()
-    total = sum(sizes)
-    rows = [[zero] * total for _ in range(total)]
-    offs = [sum(sizes[:k]) for k in range(len(sizes))]
-    for a, row in enumerate(pattern):
-        for b, c in enumerate(row):
-            if c.is_zero():
-                continue
-            if sizes[a] != sizes[b]:
-                raise gm.ShapeMismatch("scalar block pattern needs equal sizes")
-            for r in range(sizes[a]):
-                rows[offs[a] + r][offs[b] + r] = algebra.scalar(c)
-    return GradedMatrix(module, module, rows)
-
-
 LEMMA_5_13_MATRIX = [
     ["1", "0", "0", "i"],
     ["0", "-1", "-i", "0"],
@@ -465,12 +408,8 @@ def check_lemma_5_13(sc: SecondCover, t: TMF, c1: TMF, h: TMF) -> Lemma513Report
     mapped = tm.map_tmf(c2, sc.to_uv, sc.uv.context)
     rF, rG = t.phi.source.rank, t.phi.target.rank
     pattern = [[parse_scalar(x) for x in row] for row in LEMMA_5_13_MATRIX]
-    p_src = _block_scalar_matrix(
-        sc.uv.algebra, [rF, rG, rG, rF], mapped.phi.source.shifts, pattern
-    )
-    p_tgt = _block_scalar_matrix(
-        sc.uv.algebra, [rG, rF, rF, rG], mapped.phi.target.shifts, pattern
-    )
+    p_src = gm.block_scalar_matrix(mapped.phi.source, [rF, rG, rG, rF], pattern)
+    p_tgt = gm.block_scalar_matrix(mapped.phi.target, [rG, rF, rF, rG], pattern)
     conj = tm.conjugate(mapped, p_src, p_tgt)
     rhs = direct_sum_tmf(h, T_functor(h))
     conjugation_exact = conj == rhs
@@ -496,25 +435,19 @@ def c_image_symmetry_witness(
     checked witness (image-of-C factorizations are symmetric)."""
     c = functor_C(cover, t)
     tc = T_functor(c)
-    E = cover.algebra
-    rF, rG = t.phi.source.rank, t.phi.target.rank
-    zero = E.zero()
-    one = E.one()
-
-    def swap(sizes, src_shifts, tgt_shifts):
-        total = sum(sizes)
-        rows = [[zero] * total for _ in range(total)]
-        a, b = sizes
-        for r in range(a):
-            rows[r][b + r] = one
-        for r in range(b):
-            rows[a + r][r] = one
-        return GradedMatrix(
-            FreeModule(E, src_shifts), FreeModule(E, tgt_shifts), rows
+    # C(t) has source tw(G) + tau(F) and target F + tau(G); T(C(t)) swaps both
+    swaps = []
+    for module, first in ((c.phi.source, t.phi.target.rank), (c.phi.target, t.rank)):
+        p, q = gm.summands(module, [first, module.rank - first])
+        swaps.append(
+            gm.block_matrix(
+                [
+                    [gm.zero_matrix(p, q), gm.identity_matrix(p)],
+                    [gm.identity_matrix(q), gm.zero_matrix(q, p)],
+                ]
+            )
         )
-
-    alpha = swap((rG, rF), c.phi.source.shifts, tc.phi.source.shifts)
-    beta = swap((rF, rG), c.phi.target.shifts, tc.phi.target.shifts)
+    alpha, beta = swaps
     if not tm.is_morphism(c, tc, alpha, beta):
         raise InvariantViolation("block swap is not a morphism C(t) -> T C(t)")
     ok_a, _ = gm.is_invertible(alpha)
@@ -530,11 +463,10 @@ def symmetric_split(cover: CoverContext, t: TMF) -> tuple[TMF, TMF]:
     if not tm.in_root_form(t):
         raise tm.NotSymmetricForm("input is not of the form (phi0, tau-twist phi0)")
     c = functor_C(cover, t)
-    E = cover.algebra
     r = t.phi.source.rank
     pattern = [[ONE, IMAG], [IMAG, ONE]]
-    k_src = _block_scalar_matrix(E, [r, r], c.phi.source.shifts, pattern)
-    k_tgt = _block_scalar_matrix(E, [r, r], c.phi.target.shifts, pattern)
+    k_src = gm.block_scalar_matrix(c.phi.source, [r, r], pattern)
+    k_tgt = gm.block_scalar_matrix(c.phi.target, [r, r], pattern)
     conj = tm.conjugate(c, k_src, k_tgt)
     top = list(range(r))
     bottom = list(range(r, 2 * r))

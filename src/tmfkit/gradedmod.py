@@ -17,6 +17,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import linalg
 from . import ncalgebra as nca
@@ -70,12 +71,10 @@ class FreeModule:
         return f"FreeModule{self.shifts}"
 
     def hilbert(self, max_degree: int) -> list[int]:
-        from .ncalgebra import hilbert_series
-
         if not self.shifts:
             return [0] * (max_degree + 1)
         reach = max_degree - min(min(self.shifts), 0)
-        base = hilbert_series(self.algebra, max(reach, 0))
+        base = nca.hilbert_series(self.algebra, max(reach, 0))
         dims = [0] * (max_degree + 1)
         for d in self.shifts:
             for e in range(max_degree + 1):
@@ -116,7 +115,7 @@ class GradedMatrix:
         for i, row in enumerate(self.entries):
             for j, entry in enumerate(row):
                 want = self.source.shifts[i] - self.target.shifts[j]
-                if any(degree(e) != want for e in entry.terms):
+                if entry.terms and any(degree(e) != want for e in entry.terms):
                     raise DegreeMismatch(
                         f"entry ({i},{j}) must be homogeneous of degree {want}"
                     )
@@ -281,19 +280,67 @@ def shift_matrix(mat: GradedMatrix, n: int) -> GradedMatrix:
     )
 
 
+def block_matrix(grid: list[list[GradedMatrix]]) -> GradedMatrix:
+    """The matrix whose block (r, c) is grid[r][c]: its source is the sum of
+    the block rows' sources and its target the sum of the block columns'
+    targets.  ShapeMismatch when a block row disagrees on its source or a
+    block column on its target."""
+    sources = [row[0].source for row in grid]
+    targets = [block.target for block in grid[0]]
+    for r, (row, source) in enumerate(zip(grid, sources)):
+        if [block.target for block in row] != targets:
+            raise ShapeMismatch(f"block row {r} disagrees on the column targets")
+        if any(block.source != source for block in row):
+            raise ShapeMismatch(f"block row {r} disagrees on its source")
+    algebra = sources[0].algebra
+    rows = [
+        [e for block in row for e in block.entries[i]]
+        for row, source in zip(grid, sources)
+        for i in range(source.rank)
+    ]
+    return GradedMatrix(
+        FreeModule(algebra, sum((m.shifts for m in sources), ())),
+        FreeModule(algebra, sum((m.shifts for m in targets), ())),
+        rows,
+    )
+
+
+def summands(module: FreeModule, sizes: list[int]) -> list[FreeModule]:
+    """Split a module into consecutive summands of the given ranks."""
+    if sum(sizes) != module.rank:
+        raise ShapeMismatch(f"summand ranks {sizes} do not add up to {module.rank}")
+    return [
+        FreeModule(module.algebra, module.shifts[end - size : end])
+        for size, end in zip(sizes, accumulate(sizes))
+    ]
+
+
+def block_scalar_matrix(
+    module: FreeModule, sizes: list[int], pattern: list[list[Scalar]]
+) -> GradedMatrix:
+    """Endomorphism of `module`, split into summands of the given ranks, whose
+    block (a, b) is pattern[a][b] times the identity; ShapeMismatch when a
+    nonzero entry joins summands with different shifts."""
+    parts = summands(module, sizes)
+    if len(pattern) != len(parts) or any(len(row) != len(parts) for row in pattern):
+        raise ShapeMismatch(f"pattern shape does not match {len(parts)} summands")
+
+    def block(a: FreeModule, b: FreeModule, c: Scalar) -> GradedMatrix:
+        if c.is_zero():
+            return zero_matrix(a, b)
+        if a != b:
+            raise ShapeMismatch(f"scalar block between summands {a} and {b}")
+        return identity_matrix(a).scale(c)
+
+    return block_matrix(
+        [[block(a, b, c) for b, c in zip(parts, row)] for a, row in zip(parts, pattern)]
+    )
+
+
 def direct_sum(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
-    if a.algebra != b.algebra:
-        raise AlgebraMismatch("direct sum over different algebras")
-    algebra = a.algebra
-    source = FreeModule(algebra, a.source.shifts + b.source.shifts)
-    target = FreeModule(algebra, a.target.shifts + b.target.shifts)
-    zero = algebra.zero()
-    rows = []
-    for i in range(a.source.rank):
-        rows.append(list(a.entries[i]) + [zero] * b.target.rank)
-    for i in range(b.source.rank):
-        rows.append([zero] * a.target.rank + list(b.entries[i]))
-    return GradedMatrix(source, target, rows, check=False)
+    return block_matrix(
+        [[a, zero_matrix(a.source, b.target)], [zero_matrix(b.source, a.target), b]]
+    )
 
 
 def submatrix(

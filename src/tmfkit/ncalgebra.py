@@ -75,7 +75,6 @@ class GradedAlgebra:
         self,
         generators: list[tuple[str, int]],
         rules: dict[tuple[int, int], list[tuple[Scalar, Exps]]],
-        check_confluence: bool = True,
     ) -> None:
         names = [g[0] for g in generators]
         if len(set(names)) != len(names):
@@ -113,8 +112,7 @@ class GradedAlgebra:
         self._mono_mul_cache: dict = {}
         self._basis_cache: dict[int, tuple[Exps, ...]] = {}
         self._degree_cache: dict[Exps, int] = {}
-        if check_confluence:
-            self.check_diamond()
+        self.check_diamond()
 
     def _exps_degree_raw(self, exps: Exps) -> int:
         return sum(e * d for e, d in zip(exps, self.degrees))

@@ -441,8 +441,10 @@ def evaluate(a: Scalar, t0: GaussRational | Fraction | int) -> GaussRational:
 # ---------------------------------------------------------------------------
 
 # Largest |exponent| a literal may put on a scalar with more than one term in
-# N or D: such a power is dense, and its size and cost grow with the exponent.
-# A single-term base, such as t^1000000, is exempt.
+# N or D, alone or as the coefficient of a single-term polynomial such as
+# (t+1)*a1: such a power is dense, and its size and cost grow with the
+# exponent.  A single-term coefficient, as in t^1000000 or (2*t*a1)^1000, is
+# exempt.
 MAX_DENSE_POWER = 256
 
 # Largest exponent a polynomial literal may put on a non-scalar base with
@@ -575,11 +577,14 @@ class _LiteralParser:
                 raise ScalarParseError("exponent must be an integer", tok.pos)
             e = sign * tok.value
             base = self.as_scalar(val)
-            if base is None:  # a polynomial, not a scalar
-                what, limit, dense = "polynomial", MAX_POLY_POWER, len(val.terms) > 1
+            if base is None and len(val.terms) > 1:
+                what, limit, dense = "polynomial", MAX_POLY_POWER, True
             else:
-                what, limit = "scalar", MAX_DENSE_POWER
-                dense = len(base.n) > 1 or len(base.d) > 1
+                # a single-term polynomial is as dense as its coefficient
+                what = "scalar" if base is not None else "coefficient"
+                if base is None:
+                    (base,) = val.terms.values()
+                limit, dense = MAX_DENSE_POWER, len(base.n) > 1 or len(base.d) > 1
             if dense and abs(e) > limit:
                 raise ScalarParseError(
                     f"power {e} of a multi-term {what} exceeds {limit}", caret.pos

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import gradedmod as gm
 from . import linalg
@@ -166,17 +167,25 @@ class TMF:
         )
 
 
+class Check(NamedTuple):
+    """One named verdict; detail says why it failed ('' on a pass)."""
+
+    name: str
+    ok: bool
+    detail: str = ""
+
+
 @dataclass(frozen=True)
 class VerifyReport:
     """Verdict of verify; shared by every caller, so it is immutable."""
 
     ok: bool
-    checks: tuple[tuple[str, bool, str], ...] = ()
+    checks: tuple[Check, ...] = ()
     residual_one: GradedMatrix | None = None
     residual_two: GradedMatrix | None = None
 
     def failed(self) -> list[str]:
-        return [name for name, passed, _ in self.checks if not passed]
+        return [check.name for check in self.checks if not check.ok]
 
 
 def lambda_matrix(ctx: NormalContext, module: FreeModule) -> GradedMatrix:
@@ -207,27 +216,27 @@ def verify(t: TMF) -> VerifyReport:
 
 
 def _verify(t: TMF) -> VerifyReport:
-    checks: list[tuple[str, bool, str]] = []
+    checks: list[Check] = []
     for name, mat in (("phi", t.phi), ("psi", t.psi)):
         try:
             mat.check_homogeneous()
-            checks.append((f"homogeneous:{name}", True, ""))
+            checks.append(Check(f"homogeneous:{name}", True))
         except gm.DegreeMismatch as exc:
-            checks.append((f"homogeneous:{name}", False, str(exc)))
+            checks.append(Check(f"homogeneous:{name}", False, str(exc)))
     problems = t.shape_problems()
-    checks.append(("shift-compatibility", not problems, "; ".join(problems)))
-    if not all(passed for _, passed, _ in checks):
+    checks.append(Check("shift-compatibility", not problems, "; ".join(problems)))
+    if not all(check.ok for check in checks):
         return VerifyReport(False, tuple(checks))
 
     # each residual is the product with f subtracted on its diagonal only
     ctx = t.context
     res1 = gm.compose(t.psi, t.phi, minus=ctx.f)
     detail1 = _identity_detail("compose(psi, phi)", res1)
-    checks.append(("identity-1", not detail1, detail1))
+    checks.append(Check("identity-1", not detail1, detail1))
     tw_phi = gm.twist_matrix(t.phi, ctx.sigma, ctx.d)
     res2 = gm.compose(tw_phi, t.psi, minus=ctx.f)
     detail2 = _identity_detail("compose(tw(phi), psi)", res2)
-    checks.append(("identity-2", not detail2, detail2))
+    checks.append(Check("identity-2", not detail2, detail2))
     return VerifyReport(not detail1 and not detail2, tuple(checks), res1, res2)
 
 
@@ -421,8 +430,6 @@ class ReduceResult:
     reduced: TMF
     unit_first: int
     f_first: int
-    witness_alpha: GradedMatrix | None = None
-    witness_beta: GradedMatrix | None = None
 
 
 def _slice_tmf(t: TMF, drop_f: int, drop_g: int) -> TMF:

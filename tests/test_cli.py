@@ -83,6 +83,20 @@ def test_verify_dense_literal_power_exits_2(tmp_path, capsys):
     assert err.startswith("input error:") and "exceeds 256" in err
 
 
+def test_verify_dense_coefficient_power_exits_2(tmp_path, capsys):
+    main(["catalog", "export", "c", "--out", str(tmp_path)])
+    path = capsys.readouterr().out.strip().splitlines()[-1]
+    with open(path) as handle:
+        obj = json.load(handle)
+    obj["phi"]["entries"][0][0] = "((t+1)*a2)^2000"
+    bad = tmp_path / "dense.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["verify", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert "power 2000 of a multi-term coefficient exceeds 256" in err
+
+
 def exported_c_with_context(tmp_path, capsys, edit):
     """Export case (c) and write a copy whose context went through edit."""
     main(["catalog", "export", "c", "--out", str(tmp_path)])

@@ -3,7 +3,6 @@ import pytest
 from tmfkit import gradedmod as gm
 from tmfkit import tmf as tm
 from tmfkit.cover import (
-    assemble_blocks,
     lift_matrix,
     EquivariantModule,
     HypothesisViolation,
@@ -92,6 +91,23 @@ def test_functor_C_irrelevant():
     cover = make_cover(ctx)
     out = functor_C(cover, irrelevant(ctx))
     assert out.rank == 0
+
+
+def test_block_constructions_of_rank_zero_blocks():
+    # C, B and direct sums of the irrelevant factorization assemble grids
+    # whose blocks all have rank 0, or pad a block with rank-0 neighbours
+    t = case_c_tmf()
+    ctx = t.context
+    cover = make_cover(ctx)
+    zero = irrelevant(ctx)
+    c = functor_C(cover, zero)
+    assert verify(c).ok and c.phi.source == FreeModule(cover.algebra, ())
+    m = functor_B(cover, zero)
+    assert m.rank == 0 and m.theta == ()
+    assert m.z_action.source == m.z_action.target == FreeModule(ctx.algebra, ())
+    for summed in (direct_sum_tmf(zero, t), direct_sum_tmf(t, zero)):
+        assert summed == t
+    assert direct_sum_tmf(zero, zero) == zero
 
 
 def test_res_after_C_is_lemma_5_5():
@@ -244,25 +260,23 @@ def explicit_H(sc, t):
     FM = lambda *parts: FreeModule(E, tuple(s + k for sh, k in parts for s in sh))
     lam = lambda x, shifts, k: gm.left_multiplication(FM((shifts, k)), x, ell)
 
-    src = FM((f_sh, d), (g_sh, 3 * ell))
-    tgt = FM((g_sh, d), (f_sh, ell))
-    phi_h = assemble_blocks(
-        src,
-        tgt,
+    phi_h = gm.block_matrix(
         [
             [gm.twist_matrix(phi, sigma, d), -lam(v, f_sh, ell)],
             [lam(u, g_sh, d), gm.twist_matrix(psi, tau, ell)],
-        ],
+        ]
     )
-    src2 = FM((g_sh, 2 * d), (f_sh, 3 * ell))
-    psi_h = assemble_blocks(
-        src2,
-        src,
+    psi_h = gm.block_matrix(
         [
             [gm.twist_matrix(psi, sigma, d), lam(v, g_sh, 3 * ell)],
             [-lam(u, f_sh, d), gm.twist_matrix(phi, tau3, 3 * ell)],
-        ],
+        ]
     )
+    # the modules the blocks determine are the ones written out by hand
+    src = FM((f_sh, d), (g_sh, 3 * ell))
+    assert phi_h.source == src and psi_h.target == src
+    assert phi_h.target == FM((g_sh, d), (f_sh, ell))
+    assert psi_h.source == FM((g_sh, 2 * d), (f_sh, 3 * ell))
     return TMF(sc.uv.context, phi_h, psi_h)
 
 
@@ -369,16 +383,11 @@ def test_zeta_conjugates_C_output():
     )
     assert verify(zeta_c).ok
     r = t.rank
-    from tmfkit.cover import _block_scalar_matrix
     from tmfkit.scalars import MINUS_ONE, ONE
 
     pattern = [[ONE, Scalar.from_int(0)], [Scalar.from_int(0), MINUS_ONE]]
-    d_src = _block_scalar_matrix(
-        cover.algebra, [r, r], c.phi.source.shifts, pattern
-    )
-    d_tgt = _block_scalar_matrix(
-        cover.algebra, [r, r], c.phi.target.shifts, pattern
-    )
+    d_src = gm.block_scalar_matrix(c.phi.source, [r, r], pattern)
+    d_tgt = gm.block_scalar_matrix(c.phi.target, [r, r], pattern)
     assert tm.conjugate(c, d_src, d_tgt) == zeta_c
 
 

@@ -7,6 +7,9 @@ from tmfkit.gradedmod import (
     DegreeMismatch,
     FreeModule,
     GradedMatrix,
+    ShapeMismatch,
+    block_matrix,
+    block_scalar_matrix,
     compose,
     direct_sum,
     identity_matrix,
@@ -234,6 +237,68 @@ def test_direct_sum_blocks():
     assert s.entries[0][3].is_zero()
     r0 = direct_sum(phi, zero_matrix(FreeModule(A, ()), FreeModule(A, ())))
     assert r0 == phi
+
+
+def test_block_matrix_derives_its_modules():
+    A, phi, psi = case_g_phi_psi()
+    F, G = phi.source, phi.target
+    grid = [[phi, zero_matrix(F, F)], [identity_matrix(G), left_multiplication(G, A.gen("a2"), 2)]]
+    with pytest.raises(ShapeMismatch):
+        block_matrix(grid)  # the second row's blocks start from G and G[+2]
+    grid[1][1] = zero_matrix(G, F)
+    m = block_matrix(grid)
+    assert m.source == FreeModule(A, F.shifts + G.shifts)
+    assert m.target == FreeModule(A, G.shifts + F.shifts)
+    assert m.entries[0] == phi.entries[0] + (A.zero(), A.zero())
+    assert m.entries[2] == identity_matrix(G).entries[0] + (A.zero(), A.zero())
+    assert block_matrix([[phi]]) == phi
+    # a rank-0 block row adds no rows; its blocks still name the targets
+    empty = FreeModule(A, ())
+    assert block_matrix([[phi], [zero_matrix(empty, G)]]) == phi
+
+
+def test_block_matrix_rejects_a_misaligned_grid():
+    A, phi, psi = case_g_phi_psi()
+    F, G = phi.source, phi.target
+    # block column 0 would map to G in one row and to F in the other
+    with pytest.raises(ShapeMismatch, match="column targets"):
+        block_matrix([[phi], [identity_matrix(F)]])
+    # block row 0 would start from F in one block and from G in the other
+    with pytest.raises(ShapeMismatch, match="its source"):
+        block_matrix([[phi, identity_matrix(G)]])
+    with pytest.raises(ShapeMismatch):
+        block_matrix([[phi, zero_matrix(F, G)], [zero_matrix(G, G)]])
+    # direct sums check homogeneity, like every block matrix
+    bad = GradedMatrix(F, G, [[A.gen("a1") * A.gen("a1")] * 2] * 2, check=False)
+    with pytest.raises(DegreeMismatch):
+        direct_sum(phi, bad)
+
+
+def test_block_scalar_matrix_is_a_pattern_times_identities():
+    A = case_h_algebra()
+    module = FreeModule(A, (0, 1, 0, 1, 2))
+    two, i = S("2"), S("i")
+    m = block_scalar_matrix(module, [2, 2, 1], [[ONE, two, ZERO], [i, ZERO, ZERO], [ZERO, ZERO, -ONE]])
+    assert m.source == m.target == module
+    c = A.scalar
+    z = A.zero()
+    assert [list(row) for row in m.entries] == [
+        [c(ONE), z, c(two), z, z],
+        [z, c(ONE), z, c(two), z],
+        [c(i), z, z, z, z],
+        [z, c(i), z, z, z],
+        [z, z, z, z, c(-ONE)],
+    ]
+    # a nonzero entry between summands with different shifts has no identity
+    with pytest.raises(ShapeMismatch, match="scalar block"):
+        block_scalar_matrix(FreeModule(A, (0, 1)), [1, 1], [[ONE, ONE], [ZERO, ONE]])
+    # ... while a zero one is a zero block
+    lower = block_scalar_matrix(FreeModule(A, (0, 1)), [1, 1], [[ONE, ZERO], [ZERO, two]])
+    assert lower.entries == ((c(ONE), z), (z, c(two)))
+    with pytest.raises(ShapeMismatch):
+        block_scalar_matrix(module, [2, 2], [[ONE, ZERO], [ZERO, ONE]])
+    with pytest.raises(ShapeMismatch):
+        block_scalar_matrix(module, [2, 2, 1], [[ONE, ZERO], [ZERO, ONE]])
 
 
 def test_scalar_part_and_examples():

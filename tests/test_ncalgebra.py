@@ -22,7 +22,16 @@ from tmfkit.ncalgebra import (
     ore_extension,
     parse_poly,
 )
-from tmfkit.scalars import I, MAX_POLY_POWER, MINUS_ONE, ONE, T, Scalar, parse_scalar
+from tmfkit.scalars import (
+    I,
+    MAX_DENSE_POWER,
+    MAX_POLY_POWER,
+    MINUS_ONE,
+    ONE,
+    T,
+    Scalar,
+    parse_scalar,
+)
 
 S = parse_scalar
 
@@ -484,6 +493,25 @@ def test_multi_term_poly_literal_powers_are_capped():
     assert parse_poly("a2^5", A) == A.monomial((0, 5, 0))
     assert parse_poly("(2*a2)^40", A) == A.monomial((0, 40, 0), Scalar.from_int(2) ** 40)
     assert parse_poly("(a1 - a1 + a2)^12", A) == A.monomial((0, 12, 0))
+
+
+def test_single_term_powers_with_dense_coefficients_are_capped():
+    # a single term is as dense as its coefficient: ((t+1)*a1)^k costs what
+    # (t+1)^k does, so the scalar limit applies to it
+    A = case_h_algebra()
+    cap = MAX_DENSE_POWER
+    assert parse_poly(f"((t+1)*a1)^{cap}", A) == A.monomial((cap, 0, 0), S("t+1") ** cap)
+    for text in (f"((t+1)*a1)^{cap + 1}", "((t+1)*a1)^600", "(a1 - a1 + a2/(1-t))^2000"):
+        with pytest.raises(PolyParseError, match=f"multi-term coefficient exceeds {cap}"):
+            parse_poly(text, A)
+    # single-term coefficients stay exempt, however large the exponent
+    start = time.perf_counter()
+    assert parse_poly("a2^5", A) == A.monomial((0, 5, 0))
+    assert parse_poly("t^1000000*a1", A) == A.monomial((1, 0, 0), Scalar.t_power(1000000))
+    assert parse_poly("(2*t*a1)^1000", A) == A.monomial(
+        (1000, 0, 0), Scalar.from_int(2) ** 1000 * Scalar.t_power(1000)
+    )
+    assert time.perf_counter() - start < 0.5
 
 
 def test_deep_rewrites_raise_rewrite_limit_exceeded():
