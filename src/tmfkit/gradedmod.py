@@ -27,7 +27,7 @@ from .ncalgebra import (
     GradedAutomorphism,
     NCPoly,
 )
-from .scalars import ZERO, Scalar
+from .scalars import MINUS_ONE, ONE, ZERO, Scalar
 
 
 class ShapeMismatch(ValueError):
@@ -469,21 +469,18 @@ def solve_intertwiners(
     # (residual entry, PBW monomial)
     columns = []
     for kind, i, j, mono in unknowns:
-        mono_poly = algebra.monomial(mono)
-        col: dict[tuple[int, int, tuple], Scalar] = {}
         if kind == "a":
             # contributes + mono * phi'[j][k] at residual (i, k)
-            for k in range(Gp.rank):
-                for exps, c in (mono_poly * phi_prime.entries[j][k]).terms.items():
-                    col[(i, k, exps)] = c
+            columns.append(
+                [((i, k), {mono: ONE}, phi_prime.entries[j][k].terms) for k in range(Gp.rank)]
+            )
         else:
             # contributes - phi[i0][i] * mono at residual (i0, j)
-            for i0 in range(F.rank):
-                for exps, c in (phi.entries[i0][i] * mono_poly).terms.items():
-                    col[(i0, j, exps)] = -c
-        columns.append(col)
+            columns.append(
+                [((i0, j), phi.entries[i0][i].terms, {mono: MINUS_ONE}) for i0 in range(F.rank)]
+            )
 
-    null = linalg.nullspace(linalg.coefficient_matrix(columns), len(unknowns))
+    null = linalg.nullspace(algebra.slice_matrix(columns), len(unknowns))
     basis: list[tuple[GradedMatrix, GradedMatrix]] = []
     for vec in null:
         a_entries = [[algebra.zero() for _ in range(Fp.rank)] for _ in range(F.rank)]

@@ -1,7 +1,8 @@
 """Sparse exact Gauss-Jordan elimination over the scalar field Q(i)(t).
 
-Matrices come in as lists of row lists of Scalar.  One private elimination
-works on sparse rows, ``{column: nonzero Scalar}`` dicts, and visits only the
+Matrices come in as lists of row lists of Scalar; ``GradedAlgebra.slice_matrix``
+builds the matrix of a map on a graded slice.  One private elimination works
+on sparse rows, ``{column: nonzero Scalar}`` dicts, and visits only the
 nonzeros of each pivot row: forward-only for ``rank``, Gauss-Jordan for
 ``rref``, ``nullspace``, ``solve`` and ``invert``.  The reduced row echelon
 form is unique, so the results do not depend on the pivot order.
@@ -10,23 +11,6 @@ form is unique, so the results do not depend on the pivot order.
 from __future__ import annotations
 
 from .scalars import ONE, ZERO, Scalar
-
-
-def coefficient_matrix(columns: list[dict]) -> list[list[Scalar]]:
-    """Matrix of a k-linear map on a graded slice, one column per image.
-
-    Each column is a ``{coordinate: Scalar}`` dict; there is one row per
-    coordinate that occurs, in first-seen order, and absent ones read as 0.
-    """
-    index: dict = {}
-    for col in columns:
-        for key in col:
-            index.setdefault(key, len(index))
-    rows = [[ZERO] * len(columns) for _ in index]
-    for j, col in enumerate(columns):
-        for key, c in col.items():
-            rows[index[key]][j] = c
-    return rows
 
 
 def _eliminate(rows: list[list[Scalar]], jordan: bool) -> list[tuple[int, dict]]:

@@ -231,6 +231,31 @@ class GradedAlgebra:
                     raise self._rewrite_failure(word, exc) from None
                 _acc_into(out, part, c1 * c2)
 
+    def slice_matrix(self, columns: list[list[tuple]]) -> list[list[Scalar]]:
+        """Matrix of a k-linear map on a graded slice, one column per image.
+
+        Each column is a list of (key, terms_a, terms_b) products, each with
+        its own rewrite budget; row (key, exps) holds the coefficient of exps
+        in the sum of the column's products under key.  Rows come in
+        first-seen order, and absent coordinates read as 0.
+        """
+        index: dict = {}
+        images = []
+        for products in columns:
+            parts: dict = {}
+            for key, terms_a, terms_b in products:
+                if terms_a and terms_b:
+                    self._mul_into(parts.setdefault(key, {}), terms_a, terms_b, [REWRITE_FUEL])
+            image = {(key, e): c for key, part in parts.items() for e, c in part.items()}
+            for row in image:
+                index.setdefault(row, len(index))
+            images.append(image)
+        rows = [[ZERO] * len(columns) for _ in index]
+        for j, image in enumerate(images):
+            for row, c in image.items():
+                rows[index[row]][j] = c
+        return rows
+
     def normal_form(self, word: list[int] | tuple[int, ...]) -> NCPoly:
         """Normal form of a word of generator indices as an element."""
         fuel = [REWRITE_FUEL]
@@ -747,9 +772,9 @@ def normalizing_automorphism(f: NCPoly) -> GradedAutomorphism:
         basis = algebra.monomials_of_degree(algebra.degrees[g])
         n = len(basis)
         # augmented system [f*m for m in basis | a_g*f]
-        columns = [(f * algebra.monomial(m)).terms for m in basis]
-        columns.append((algebra.gen(g) * f).terms)
-        echelon, pivots = linalg.rref(linalg.coefficient_matrix(columns))
+        columns = [[(0, f.terms, {m: ONE})] for m in basis]
+        columns.append([(0, {algebra._unit(g): ONE}, f.terms)])
+        echelon, pivots = linalg.rref(algebra.slice_matrix(columns))
         if n in pivots:
             raise NotNormal(
                 f"{algebra.names[g]}*f is not a right f-multiple: f is not normal"
@@ -773,8 +798,8 @@ def check_regular(f: NCPoly, max_degree: int | None = None) -> bool:
     bound = 2 * d if max_degree is None else max_degree
     for e in range(bound + 1):
         basis = algebra.monomials_of_degree(e)
-        columns = [(f * algebra.monomial(m)).terms for m in basis]
-        if linalg.rank(linalg.coefficient_matrix(columns)) < len(basis):
+        columns = [[(0, f.terms, {m: ONE})] for m in basis]
+        if linalg.rank(algebra.slice_matrix(columns)) < len(basis):
             return False
     return True
 

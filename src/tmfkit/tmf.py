@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 from . import gradedmod as gm
 from . import linalg
-from . import ncalgebra as nca
 from .gradedmod import FreeModule, GradedMatrix
 from .ncalgebra import (
     GradedAlgebra,
@@ -238,24 +237,6 @@ def _verify(t: TMF) -> VerifyReport:
     detail2 = _identity_detail("compose(tw(phi), psi)", res2)
     checks.append(Check("identity-2", not detail2, detail2))
     return VerifyReport(not detail1 and not detail2, tuple(checks), res1, res2)
-
-
-def infer_f(t: TMF) -> NCPoly | None:
-    """Diagonal of compose(psi, phi) when it is a scalar multiple g*I.
-
-    Diagnostic for unit-multiple discrepancies between printed versions of
-    the same factorization; returns None when the product is not g*I.
-    """
-    if t.rank == 0:
-        return None
-    prod = gm.compose(t.psi, t.phi)
-    candidate = prod.entries[0][0]
-    for i in range(prod.source.rank):
-        for j in range(prod.target.rank):
-            want = candidate if i == j else t.context.algebra.zero()
-            if prod.entries[i][j] != want:
-                return None
-    return candidate
 
 
 # ---------------------------------------------------------------------------
@@ -643,19 +624,13 @@ def coker_hilbert(t: TMF, max_degree: int) -> list[int]:
     series_b = []
     for e in range(max_degree + 1):
         # one column per k-basis element m*e_i of F_e: its image m*phi[i],
-        # one product (with its own rewrite budget) per entry of phi[i]
-        columns = []
-        for i in range(F.rank):
-            for mono in algebra.monomials_of_degree(e - F.shifts[i]):
-                column: dict = {}
-                for j, entry in enumerate(t.phi.entries[i]):
-                    if entry.terms:
-                        image: dict = {}
-                        algebra._mul_into(image, {mono: ONE}, entry.terms, [nca.REWRITE_FUEL])
-                        for exps, c in image.items():
-                            column[(j, exps)] = c
-                columns.append(column)
-        image_rank = linalg.rank(linalg.coefficient_matrix(columns))
+        # one product per entry of phi[i]
+        columns = [
+            [(j, {mono: ONE}, entry.terms) for j, entry in enumerate(t.phi.entries[i])]
+            for i in range(F.rank)
+            for mono in algebra.monomials_of_degree(e - F.shifts[i])
+        ]
+        image_rank = linalg.rank(algebra.slice_matrix(columns))
         dim_g = sum(len(algebra.monomials_of_degree(e - s)) for s in G.shifts)
         series_b.append(dim_g - image_rank)
     if series_a != series_b:

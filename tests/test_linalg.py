@@ -3,34 +3,54 @@ import random
 import pytest
 
 from tmfkit import linalg
-from tmfkit.linalg import coefficient_matrix, rank
-from tmfkit.scalars import ONE, ZERO, Scalar, parse_scalar
+from tmfkit.linalg import rank
+from tmfkit.ncalgebra import GradedAlgebra
+from tmfkit.scalars import MINUS_ONE, ONE, ZERO, Scalar, parse_scalar
 
 
 def n(k):
     return Scalar.from_int(k)
 
 
-def test_coefficient_matrix_first_seen_rows():
-    columns = [{"y": n(2), "x": n(1)}, {"z": n(3), "x": n(4)}]
-    # rows y, x, z: the order in which the coordinates first occur
-    assert coefficient_matrix(columns) == [
+# the commutative polynomial ring k[x, y]: y*x rewrites to x*y
+XY = GradedAlgebra([("x", 1), ("y", 1)], {(1, 0): [(ONE, (1, 1))]})
+ONE_EXPS, X, Y = (0, 0), (1, 0), (0, 1)
+
+
+def test_slice_matrix_first_seen_rows():
+    columns = [
+        [("b", {Y: n(2)}, {ONE_EXPS: ONE}), ("a", {ONE_EXPS: ONE}, {X: n(1)})],
+        [("c", {X: n(3)}, {ONE_EXPS: ONE}), ("a", {X: n(4)}, {ONE_EXPS: ONE})],
+    ]
+    # rows (b, y), (a, x), (c, x): the order in which the coordinates first occur
+    assert XY.slice_matrix(columns) == [
         [n(2), ZERO],
         [n(1), n(4)],
         [ZERO, n(3)],
     ]
 
 
-def test_coefficient_matrix_absent_coordinates_are_zero():
-    rows = coefficient_matrix([{(0, (1, 0)): n(5)}, {(1, (0, 1)): n(7)}, {}])
+def test_slice_matrix_absent_coordinates_are_zero():
+    columns = [[(0, {X: n(5)}, {X: ONE})], [(1, {ONE_EXPS: ONE}, {Y: n(7)})], []]
+    rows = XY.slice_matrix(columns)
+    # rows (0, x^2) and (1, y)
     assert rows == [[n(5), ZERO, ZERO], [ZERO, n(7), ZERO]]
     assert rank(rows) == 2
 
 
-def test_coefficient_matrix_empty_inputs():
-    assert coefficient_matrix([]) == []
-    assert coefficient_matrix([{}, {}]) == []
-    assert rank(coefficient_matrix([{}, {}])) == 0
+def test_slice_matrix_empty_inputs(monkeypatch):
+    assert XY.slice_matrix([]) == []
+    assert XY.slice_matrix([[], []]) == []
+    # products under one key add up, so x*y - y*x leaves no row
+    cancel = [[(0, {X: ONE}, {Y: ONE}), (0, {Y: ONE}, {X: MINUS_ONE})]]
+    assert XY.slice_matrix(cancel) == []
+    # a product with an empty side is never multiplied out
+    calls = []
+    monkeypatch.setattr(XY, "_mul_into", lambda *args: calls.append(args))
+    empty_sides = [[(0, {}, {X: ONE})], [(0, {X: ONE}, {})]]
+    assert XY.slice_matrix(empty_sides) == []
+    assert calls == []
+    assert rank(XY.slice_matrix(empty_sides)) == 0
 
 
 # -- brute-force reference: dense Gauss-Jordan on every cell -------------------

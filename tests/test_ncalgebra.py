@@ -4,6 +4,8 @@ import time
 import pytest
 
 from tmfkit import ncalgebra as nca
+from tmfkit.catalog import build
+from tmfkit.cover import make_cover
 from tmfkit.ncalgebra import (
     AlgebraMorphism,
     ConfluenceFailure,
@@ -16,6 +18,7 @@ from tmfkit.ncalgebra import (
     SkewDerivation,
     algebra_from_json,
     algebra_to_json,
+    check_regular,
     format_poly,
     hilbert_series,
     normalizing_automorphism,
@@ -29,6 +32,7 @@ from tmfkit.scalars import (
     MINUS_ONE,
     ONE,
     T,
+    ZERO,
     Scalar,
     parse_scalar,
 )
@@ -313,6 +317,16 @@ def test_normalizing_errors():
         normalizing_automorphism(A.zero())
 
 
+def test_check_regular_sees_a_zero_divisor():
+    # k<x,y>/(yx): y*x = 0, so left multiplication by y kills x in degree 1
+    A = GradedAlgebra([("x", 1), ("y", 1)], {(1, 0): []})
+    x, y = A.gen("x"), A.gen("y")
+    assert check_regular(y, 0)
+    assert not check_regular(y, 1)
+    assert check_regular(x, 3)
+    assert not check_regular(A.zero())
+
+
 def test_ore_extension_commutative():
     A = commutative([("a", 1)])
     E = ore_extension(A, "z", 1, GradedAutomorphism.identity(A))
@@ -537,6 +551,63 @@ def test_exhausted_budget_names_the_word(monkeypatch):
         parse_poly("a3^3", A) * parse_poly("a1^2", A)
     with pytest.raises(RewriteLimitExceeded, match="operation budget exhausted"):
         A.normal_form([2, 2, 2, 0, 0])
+
+
+def first_seen_matrix(images):
+    """Reference for slice_matrix: one column per {(key, exps): Scalar}
+    image, one row per coordinate in first-seen order."""
+    index = {}
+    for image in images:
+        for row in image:
+            index.setdefault(row, len(index))
+    rows = [[ZERO] * len(images) for _ in index]
+    for j, image in enumerate(images):
+        for row, c in image.items():
+            rows[index[row]][j] = c
+    return rows
+
+
+def test_slice_matrix_columns_are_ncpoly_products():
+    # left, right and signed products of f with seeded monomials, on every
+    # catalog algebra and its f + z^2 cover
+    rng = random.Random(20261018)
+    cases = [("b", 2), ("c", None), ("d-odd", 3), ("d-even", 4), ("e", 2), ("g", 2),
+             ("h", None), ("commutative-A1", None)]
+    for case, n in cases:
+        ctx = build(case, n).context
+        cover = make_cover(ctx)
+        for A, f in ((ctx.algebra, ctx.f), (cover.algebra, cover.f_cover)):
+            pool = [m for e in range(5) for m in A.monomials_of_degree(e)]
+            columns, images = [], []
+            for m in rng.sample(pool, min(6, len(pool))):
+                c = Scalar.from_int(rng.randint(1, 5)) * Scalar.t_power(rng.randint(-2, 2))
+                mono = A.monomial(m, c)
+                columns.append(
+                    [("left", {m: c}, f.terms), ("right", f.terms, {m: c}),
+                     ("signed", f.terms, {m: -c})]
+                )
+                products = {"left": mono * f, "right": f * mono, "signed": f * -mono}
+                images.append(
+                    {(key, e): x for key, p in products.items() for e, x in p.terms.items()}
+                )
+            assert A.slice_matrix(columns) == first_seen_matrix(images), (case, n, A)
+
+
+def test_slice_matrix_keeps_the_rewrite_budget_per_product(monkeypatch):
+    # as for compose: on a fresh algebra a3^3 * a1^2 takes 43 rewrite steps
+    # and then a3^2*a2 * a2*a1 takes 8; a budget of 44 covers each, not
+    # their sum, though both products fill one column
+    def run(budget):
+        A = case_h_algebra()
+        a3_3, a3_2a2, a1_2, a2a1 = (
+            parse_poly(text, A).terms for text in ("a3^3", "a3^2*a2", "a1^2", "a2*a1")
+        )
+        monkeypatch.setattr("tmfkit.ncalgebra.REWRITE_FUEL", budget)
+        return A.slice_matrix([[(0, a3_3, a1_2), (1, a3_2a2, a2a1)]])
+
+    assert run(44)
+    with pytest.raises(RewriteLimitExceeded, match=r"a3\^3 \* a1\^2"):
+        run(43)
 
 
 def test_automorphism_of_a_long_monomial_needs_no_deep_recursion():

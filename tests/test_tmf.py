@@ -25,7 +25,6 @@ from tmfkit.tmf import (
     conjugate,
     direct_sum_tmf,
     endomorphism_dimension,
-    infer_f,
     irrelevant,
     is_reduced,
     is_symmetric,
@@ -201,14 +200,16 @@ def test_case_c_verifies_as_printed():
     t = case_c_tmf()
     report = verify(t)
     assert report.ok, report.checks
-    assert infer_f(t) == t.context.f
+    assert gm.compose(t.psi, t.phi) == tm.lambda_matrix(t.context, t.phi.target)
 
 
 def test_case_c_table1_alias_is_minus_f():
     # Table 1 prints a1^6 - a2^2; the engine sees the product as -f then
     t = case_c_tmf()
     flipped = TMF(t.context, t.phi.scale(MINUS_ONE), t.psi)
-    assert infer_f(flipped) == -t.context.f
+    assert gm.compose(flipped.psi, flipped.phi) == tm.lambda_matrix(
+        t.context, t.phi.target
+    ).scale(MINUS_ONE)
 
 
 def test_verify_detects_sign_flip():
