@@ -11,7 +11,7 @@ sources; unit-multiple variants are kept as aliases.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import gradedmod as gm
 from . import tmf as tm
@@ -57,15 +57,19 @@ class ConventionResolutionFailure(VerificationFailure):
 CASES = ("b", "c", "d-odd", "d-even", "e", "g", "h", "commutative-A1")
 
 
-@dataclass
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     case: str
     n: int | None
     context: NormalContext
     families: dict[str, TMF]
     swaps: dict[str, bool]
-    notes: list[str] = field(default_factory=list)
-    f_aliases: dict[str, NCPoly] = field(default_factory=dict)
+    notes: list[str]
+    f_aliases: dict[str, NCPoly]
+
+    @classmethod
+    def new(cls, case: str, n: int | None, context: NormalContext) -> CatalogEntry:
+        """An entry whose families, swaps, notes and aliases are new and empty."""
+        return cls(case, n, context, {}, {}, [], {})
 
     @property
     def algebra(self) -> GradedAlgebra:
@@ -140,7 +144,7 @@ def _build_gb(case: str, n: int) -> CatalogEntry:
         A, [A.gen(0).scale(p), A.gen(1), A.gen(2).scale(p.inverse())]
     )
     ctx = NormalContext(A, f, sigma, tau)
-    entry = CatalogEntry(case, n, ctx, {}, {})
+    entry = CatalogEntry.new(case, n, ctx)
     entry.f_aliases["table1"] = A.monomial((0, n, 0)) - A.monomial(
         (1, 0, 1), q ** (n * (n - 1) // 2)
     )
@@ -194,7 +198,7 @@ def _build_c() -> CatalogEntry:
     f = A.monomial((0, 0, 2)) - A.monomial((6, 0, 0))
     ident = GradedAutomorphism.identity(A)
     ctx = NormalContext(A, f, ident, ident)
-    entry = CatalogEntry("c", None, ctx, {}, {})
+    entry = CatalogEntry.new("c", None, ctx)
     entry.notes.append("presentation adds b = a2*a1 (degree 4) for PBW form")
     entry.f_aliases["table1"] = -f
     F = FreeModule(A, (4, 3))
@@ -263,7 +267,7 @@ def _build_d_odd(n: int) -> CatalogEntry:
     f = A.monomial((0, 0, 2)) + A.monomial((2, 1, 0))
     ident = GradedAutomorphism.identity(A)
     ctx = NormalContext(A, f, ident, ident)
-    entry = CatalogEntry("d-odd", n, ctx, {}, {})
+    entry = CatalogEntry.new("d-odd", n, ctx)
     a1, a2, a3 = A.gen(0), A.gen(1), A.gen(2)
     F = FreeModule(A, (2 * n, n + 2))
     G = FreeModule(A, (n - 2, 0))
@@ -305,7 +309,7 @@ def _build_d_even(n: int) -> CatalogEntry:
     )
     ident = GradedAutomorphism.identity(A)
     ctx = NormalContext(A, f, ident, ident)
-    entry = CatalogEntry("d-even", n, ctx, {}, {})
+    entry = CatalogEntry.new("d-even", n, ctx)
     entry.notes.append("commutative case; families deferred to the classical lists")
     return entry
 
@@ -320,7 +324,7 @@ def _build_e(n: int) -> CatalogEntry:
     )
     ident = GradedAutomorphism.identity(A)
     ctx = NormalContext(A, f, ident, ident)
-    entry = CatalogEntry("e", n, ctx, {}, {})
+    entry = CatalogEntry.new("e", n, ctx)
     entry.notes.append("commutative case; families deferred to the classical lists")
     return entry
 
@@ -342,7 +346,7 @@ def _build_h() -> CatalogEntry:
         A, [a1, a1 + a2, a1.scale(two) + a2.scale(two) + a3]
     )
     ctx = NormalContext(A, f, sigma, tau)
-    entry = CatalogEntry("h", None, ctx, {}, {})
+    entry = CatalogEntry.new("h", None, ctx)
     F = FreeModule(A, (1, 1))
     G = FreeModule(A, (0, 0))
     phi = GradedMatrix(F, G, [[-a3, -a1 - a2], [a2, a1]])
@@ -368,7 +372,7 @@ def _build_a1() -> CatalogEntry:
     f = A.gen("x") * A.gen("y")
     ident = GradedAutomorphism.identity(A)
     ctx = NormalContext(A, f, ident, ident)
-    entry = CatalogEntry("commutative-A1", None, ctx, {}, {})
+    entry = CatalogEntry.new("commutative-A1", None, ctx)
     F = FreeModule(A, (1,))
     G = FreeModule(A, (0,))
     phi = GradedMatrix(F, G, [[A.gen("x")]])
@@ -422,8 +426,7 @@ def parameter_ranges() -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SignFinding:
+class SignFinding(NamedTuple):
     n: int
     j: int
     printed_ok: bool
@@ -512,8 +515,7 @@ def zhang_untransport_tmf(
     return TMF(target_ctx, phi, psi)
 
 
-@dataclass
-class ZhangCrosscheckResult:
+class ZhangCrosscheckResult(NamedTuple):
     label: str
     transported_verifies: bool
     exact_match: bool
@@ -552,16 +554,16 @@ def zhang_crosscheck(entry: CatalogEntry, trials: int = 32, seed: int = 0) -> li
     ident = GradedAutomorphism.identity(twisted)
     ctx_xi = NormalContext(twisted, f_xi, ident, ident)
     gammas = _gamma_pairs(n, q)
-    sc = second_cover(gammas[0].context)
+    uv = make_cover(gammas[0].context, ("u", "v"))
     # conjugate by diag(1,-1) blockwise to reach the printed form
     pattern = [[ONE, ZERO], [ZERO, MINUS_ONE]]
     # rename k[y][u][v] -> twist of C: y -> a2, u -> a3 (z), v -> a1 (x)
     mor = AlgebraMorphism(
-        sc.uv.algebra, twisted, [twisted.gen(1), twisted.gen(2), twisted.gen(0)]
+        uv.algebra, twisted, [twisted.gen(1), twisted.gen(2), twisted.gen(0)]
     )
     results = []
     for j, gamma in enumerate(gammas, start=1):
-        h = functor_H(sc, gamma)
+        h = functor_H(uv, gamma)
         d_src = gm.block_scalar_matrix(h.phi.source, [1, 1], pattern)
         d_tgt = gm.block_scalar_matrix(h.phi.target, [1, 1], pattern)
         printed_form = tm.conjugate(h, d_src, d_tgt)
@@ -587,8 +589,7 @@ def zhang_crosscheck(entry: CatalogEntry, trials: int = 32, seed: int = 0) -> li
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     case: str
     n: int | None
     checks: list[Check]
@@ -714,7 +715,7 @@ def run_suite(
         record_or_fail(f"lemma-5-5:{label}", lambda: (check_lemma_5_5(cover, t, built(c)), ""))
     if deep:
         for label, t, c in zip(labels, families, c_outputs):
-            h = output(functor_H, sc, t)
+            h = output(functor_H, sc.uv, t)
             record_or_fail(f"functor-H-verifies:{label}", lambda: (built(h) is not None, ""))
             if t.rank <= 2:
                 record_or_fail(

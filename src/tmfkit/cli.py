@@ -1,7 +1,8 @@
 """Command line interface: verify, catalog, functor, iso.
 
 Exit codes: 0 pass, 1 verification failure, 2 input error (a malformed
-option, an unwritable output and an exhausted rewrite budget included), 3
+option, an option over MAX_DEGREE_WINDOW or MAX_TRIALS, an unwritable output
+and an exhausted rewrite budget included), 3
 probabilistic negative; ``main`` alone maps typed errors to 1 and 2.  All
 randomized procedures take an explicit seed (flag --seed, falling back to the
 TMFKIT_SEED environment variable, then 0), so reports are reproducible.
@@ -15,7 +16,7 @@ import os
 import sys
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import catalog as cat
 from . import cover as cov
@@ -35,6 +36,14 @@ CONVENTION = (
     "left-to-right entry products; tw raises generator degrees by deg f"
 )
 
+# Largest --max-degree window: the (h) suite takes about 20 s at 20, and its
+# cost grows faster than the fourth power of the window.
+MAX_DEGREE_WINDOW = 20
+
+# Largest --trials: iso runs every trial on a non-isomorphic pair whose Hom
+# space is nonzero.
+MAX_TRIALS = 1024
+
 
 class InputError(ValueError):
     """Unreadable or malformed input file, or an unwritable output (exit code 2)."""
@@ -44,16 +53,15 @@ class InputFailsVerification(ValueError):
     """A functor's input factorization does not verify (exit code 1)."""
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """Serializable check report: deterministic for a fixed seed."""
 
     command: str
     status: str
     seed: int
     elapsed: float
-    checks: Sequence[tm.Check] = ()
-    artifacts: dict = field(default_factory=dict)
+    checks: Sequence[tm.Check]
+    artifacts: dict
     convention: str = CONVENTION
 
     def to_json(self) -> dict:
@@ -313,7 +321,7 @@ FUNCTORS = {
     "Res": (_verified_tmf, _tmf_output(
         lambda t: (cov.restrict_tmf(t, cov.truncate_context(t.context)), {}))),
     "H": (_verified_tmf, _tmf_output(
-        lambda t: (cov.functor_H(cov.second_cover(t.context), t), {}))),
+        lambda t: (cov.functor_H(cov.make_cover(t.context, ("u", "v")), t), {}))),
     "T": (_verified_tmf, _tmf_output(lambda t: (tm.T_functor(t), {}))),
     "tw": (_verified_tmf, _tmf_output(lambda t: (tm.tw_functor(t), {}))),
     "B": (_verified_tmf, _functor_B),
@@ -454,6 +462,15 @@ EXITS = (
 )
 
 
+def _check_limits(args) -> None:
+    if args.trials > MAX_TRIALS:
+        raise InputError(f"--trials {args.trials} exceeds MAX_TRIALS = {MAX_TRIALS}")
+    if args.max_degree is not None and args.max_degree > MAX_DEGREE_WINDOW:
+        raise InputError(
+            f"--max-degree {args.max_degree} exceeds MAX_DEGREE_WINDOW = {MAX_DEGREE_WINDOW}"
+        )
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     commands = {
@@ -463,6 +480,7 @@ def main(argv: list[str] | None = None) -> int:
         "iso": cmd_iso,
     }
     try:
+        _check_limits(args)
         return commands[args.command](args)
     except tuple(t for types, _, _ in EXITS for t in types) as exc:
         code, prefix = next((c, p) for types, c, p in EXITS if isinstance(exc, types))

@@ -13,7 +13,7 @@ are verified mechanically on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import gradedmod as gm
 from . import tmf as tm
@@ -376,9 +376,13 @@ def second_cover(base: NormalContext) -> SecondCover:
     return SecondCover(base)
 
 
-def functor_H(sc: SecondCover, t: TMF) -> TMF:
-    """H(t) is the block construction of f + uv applied to tw(t) (checked)."""
-    return _checked(_cover_blocks(sc.uv, tm.tw_functor(t)), "functor H output")
+def functor_H(uv: CoverContext, t: TMF) -> TMF:
+    """H(t) is the block construction of f + uv applied to tw(t) (checked);
+    uv is the cover make_cover(t.context, ("u", "v")), or a second cover's
+    uv."""
+    if len(uv.names) != 2:
+        raise HypothesisViolation("H needs the cover f + uv by two new variables")
+    return _checked(_cover_blocks(uv, tm.tw_functor(t)), "functor H output")
 
 
 LEMMA_5_13_MATRIX = [
@@ -389,8 +393,7 @@ LEMMA_5_13_MATRIX = [
 ]
 
 
-@dataclass
-class Lemma513Report:
+class Lemma513Report(NamedTuple):
     conjugation_exact: bool
     restriction_exact: bool
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from . import linalg
 from . import ncalgebra as nca
@@ -427,8 +427,7 @@ def is_invertible(mat: GradedMatrix) -> tuple[bool, GradedMatrix | None]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class IntertwinerSpace:
+class IntertwinerSpace(NamedTuple):
     """k-basis of pairs (alpha, beta) with alpha*PHI' = PHI*beta."""
 
     phi: GradedMatrix
@@ -503,8 +502,7 @@ def solve_intertwiners(
     return IntertwinerSpace(phi, phi_prime, basis)
 
 
-@dataclass
-class IsoVerdict:
+class IsoVerdict(NamedTuple):
     """Outcome of randomized isomorphism testing.
 
     Iso verdicts carry a checked witness and are certain; negative verdicts

@@ -18,7 +18,10 @@ and can be used as dict keys by the polynomial layer above.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class NoSquareRoot(ValueError):
@@ -39,12 +42,13 @@ class ScalarParseError(ValueError):
 
 class GaussRational:
     """Element of Q(i): (a + b*i)/d with integers a, b, d, d > 0 and
-    gcd(a, b, d) = 1; built from exact rational parts re + im*i."""
+    gcd(a, b, d) = 1; built from exact rational parts re + im*i (ints or
+    Fractions).  Arithmetic stays on the integer triple; only .re and .im
+    hand out Fractions."""
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, re: Fraction | int = 0, im: Fraction | int = 0) -> None:
-        re, im = Fraction(re), Fraction(im)
         d = math.lcm(re.denominator, im.denominator)
         self.a = re.numerator * (d // re.denominator)
         self.b = im.numerator * (d // im.denominator)
@@ -52,10 +56,14 @@ class GaussRational:
 
     @property
     def re(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.a, self.d)
 
     @property
     def im(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.b, self.d)
 
     def __add__(self, other: GaussRational) -> GaussRational:
@@ -111,41 +119,43 @@ def _gauss(a: int, b: int, d: int) -> GaussRational:
 GR_ZERO = GaussRational(0)
 GR_ONE = GaussRational(1)
 GR_I = GaussRational(0, 1)
-GR_HALF = GaussRational(Fraction(1, 2))
+GR_HALF = _gauss(1, 0, 2)
 
 
-def _frac_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None."""
-    if x < 0:
+def _isqrt_exact(n: int) -> int | None:
+    """The square root of an integer that is a perfect square, or None."""
+    if n < 0:
         return None
-    pn, pd = x.numerator, x.denominator
-    rn, rd = math.isqrt(pn), math.isqrt(pd)
-    if rn * rn != pn or rd * rd != pd:
-        return None
-    return Fraction(rn, rd)
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 def _gauss_sqrt(c: GaussRational) -> GaussRational | None:
-    """Square root of a Gaussian rational inside Q(i), or None."""
-    if c.is_zero():
+    """Square root of a Gaussian rational inside Q(i), or None.
+
+    A rational p/q >= 0 is a square exactly when the integer p*q is, and
+    then sqrt(p/q) = sqrt(p*q)/q; so every root below is an integer isqrt.
+    The root returned has a positive real part, or is i times a positive
+    rational when c is a negative rational."""
+    a, b, d = c.a, c.b, c.d
+    if a == 0 and b == 0:
         return GR_ZERO
-    if c.im == 0:
-        r = _frac_sqrt(c.re)
+    if b == 0:
+        r = _isqrt_exact(a * d)
         if r is not None:
-            return GaussRational(r)
-        r = _frac_sqrt(-c.re)
+            return _gauss(r, 0, d)
+        r = _isqrt_exact(-a * d)
         if r is not None:
-            return GaussRational(0, r)
+            return _gauss(0, r, d)
         return None
-    norm = _frac_sqrt(c.re * c.re + c.im * c.im)
-    if norm is None:
+    # |c| = n/d, u = Re(sqrt c) = sqrt((a + n)/(2d)) = r/(2d), Im = (b/d)/(2u) = b/r
+    n = _isqrt_exact(a * a + b * b)
+    if n is None:
         return None
-    u2 = (c.re + norm) / 2
-    u = _frac_sqrt(u2)
-    if u is None or u == 0:
+    r = _isqrt_exact((a + n) * 2 * d)
+    if not r:
         return None
-    v = c.im / (2 * u)
-    cand = GaussRational(u, v)
+    cand = _gauss(r * r, 2 * b * d, 2 * d * r)
     return cand if cand * cand == c else None
 
 
@@ -277,7 +287,9 @@ class Scalar:
 
     @staticmethod
     def rational(p: int, q: int = 1) -> Scalar:
-        return Scalar.from_gauss(GaussRational(Fraction(p, q)))
+        if q == 0:
+            raise ZeroDivisionError(f"rational {p}/0")
+        return Scalar.from_gauss(_gauss(-p, 0, -q) if q < 0 else _gauss(p, 0, q))
 
     @staticmethod
     def from_gauss(c: GaussRational) -> Scalar:
@@ -418,7 +430,7 @@ def evaluate(a: Scalar, t0: GaussRational | Fraction | int) -> GaussRational:
     t^v * N/D is the reduced fraction t^max(v, 0) * N over t^max(-v, 0) * D,
     so t0 is a pole exactly when that denominator vanishes there."""
     if not isinstance(t0, GaussRational):
-        t0 = GaussRational(Fraction(t0))
+        t0 = GaussRational(t0)
     d = _seval(a.d, max(-a.v, 0), t0)
     if d.is_zero():
         raise PoleAtPoint(f"pole at t = {t0.re}+{t0.im}i")
@@ -622,30 +634,32 @@ def parse_scalar(text: str) -> Scalar:
     return _LiteralParser(text, _scalar_atom, lambda s: s, ONE).parse()
 
 
-def _format_fraction(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def _format_ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, for d > 0."""
+    g = math.gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _format_gauss(c: GaussRational, need_atom: bool) -> str:
     """Render a Gaussian rational; parenthesize unless it is a plain factor."""
-    if c.im == 0:
-        s = _format_fraction(c.re)
-        if need_atom and (c.re < 0 or c.re.denominator != 1):
+    a, b, d = c.a, c.b, c.d
+    if b == 0:
+        s = _format_ratio(a, d)
+        if need_atom and (a < 0 or a % d):
             return f"({s})"
         return s
-    if c.re == 0:
-        if c.im == 1:
+    if a == 0:
+        if b == d:
             return "i"
-        if c.im == -1:
+        if b == -d:
             return "-i" if not need_atom else "(-i)"
-        s = f"{_format_fraction(c.im)}*i"
+        s = f"{_format_ratio(b, d)}*i"
         return f"({s})" if need_atom else s
-    re_s = _format_fraction(c.re)
-    im = c.im
-    op = "+" if im > 0 else "-"
-    im_abs = abs(im)
-    im_s = "i" if im_abs == 1 else f"{_format_fraction(im_abs)}*i"
-    return f"({re_s}{op}{im_s})"
+    op = "+" if b > 0 else "-"
+    im_s = "i" if abs(b) == d else f"{_format_ratio(abs(b), d)}*i"
+    return f"({_format_ratio(a, d)}{op}{im_s})"
 
 
 def _format_poly(p: Terms, shift: int) -> str:

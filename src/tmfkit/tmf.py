@@ -15,8 +15,7 @@ suspension T and symmetric-root extraction are available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import math
 from typing import NamedTuple
 
 from . import gradedmod as gm
@@ -29,7 +28,7 @@ from .ncalgebra import (
     format_poly,
     parse_poly,
 )
-from .scalars import ONE, GaussRational, Scalar, try_sqrt
+from .scalars import ONE, Scalar, try_sqrt
 
 
 class ContextMismatch(ValueError):
@@ -174,8 +173,7 @@ class Check(NamedTuple):
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Verdict of verify; shared by every caller, so it is immutable."""
 
     ok: bool
@@ -406,8 +404,7 @@ def _clearing_pair(
     return row_ops, col_ops
 
 
-@dataclass
-class ReduceResult:
+class ReduceResult(NamedTuple):
     reduced: TMF
     unit_first: int
     f_first: int
@@ -505,15 +502,15 @@ def _binomial_half_series(rho: GradedMatrix) -> GradedMatrix:
     ident = gm.identity_matrix(rho.source)
     series = ident
     power = ident
-    coeff = Fraction(1)
     k = 0
     while True:
         power = gm.compose(power, rho)
         if power.is_zero():
             break
         k += 1
-        coeff = coeff * (Fraction(-1, 2) - (k - 1)) / k
-        series = series + power.scale(Scalar.from_gauss(GaussRational(coeff)))
+        # binomial(-1/2, k) = (-1)^k * binomial(2k, k) / 4^k
+        coeff = Scalar.rational((-1) ** k * math.comb(2 * k, k), 4**k)
+        series = series + power.scale(coeff)
         if k > rho.source.rank * (len(set(rho.source.shifts)) + 1) + 2:
             raise MultiEigenvalue("rho is not nilpotent")
     return series

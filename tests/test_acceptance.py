@@ -202,7 +202,7 @@ def test_criterion_06_lemma_5_13():
     ]
     for t in targets:
         sc = second_cover(t.context)
-        report = check_lemma_5_13(sc, t, functor_C(sc.first, t), functor_H(sc, t))
+        report = check_lemma_5_13(sc, t, functor_C(sc.first, t), functor_H(sc.uv, t))
         assert report.conjugation_exact
         assert report.restriction_exact
     note(

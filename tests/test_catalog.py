@@ -225,13 +225,16 @@ def test_run_suite_builds_each_functor_output_once(monkeypatch):
     assert builds == []
 
 
-def test_zhang_crosscheck_builds_one_second_cover(monkeypatch):
+def test_zhang_crosscheck_builds_one_uv_cover(monkeypatch):
     from tmfkit import catalog, cover
 
-    calls = counting(monkeypatch, "second_cover", [cover, catalog])
-    results = zhang_crosscheck(build("g", 3), trials=8, seed=0)
+    entry = build("g", 3)
+    covers = counting(monkeypatch, "make_cover", [cover, catalog])
+    second_covers = counting(monkeypatch, "second_cover", [cover, catalog])
+    results = zhang_crosscheck(entry, trials=8, seed=0)
     assert len(results) == 2 and all(r.ok for r in results)
-    assert len(calls) == 1
+    assert [names for _, names in covers] == [("u", "v")]
+    assert second_covers == []
 
 
 def test_deep_suite_leaves_no_cyclic_garbage(monkeypatch):

@@ -152,6 +152,33 @@ def test_catalog_bad_params_exit_2(capsys):
     assert capsys.readouterr().err == "input error: case (c) takes no n\n"
 
 
+def test_max_degree_window_at_and_over_the_cap(capsys):
+    from tmfkit.cli import MAX_DEGREE_WINDOW
+
+    window = str(MAX_DEGREE_WINDOW)
+    assert main(["--trials", "8", "catalog", "verify", "c", "--max-degree", window]) == 0
+    capsys.readouterr()
+    over = str(MAX_DEGREE_WINDOW + 1)
+    assert main(["catalog", "verify", "c", "--max-degree", over]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: --max-degree {over} exceeds MAX_DEGREE_WINDOW = {window}\n"
+    )
+
+
+def test_trials_at_and_over_the_cap(tmp_path, capsys):
+    from tmfkit.cli import MAX_TRIALS
+
+    main(["catalog", "export", "g", "--n", "3", "--out", str(tmp_path)])
+    j1, j2 = capsys.readouterr().out.strip().splitlines()[:2]
+    assert main(["--trials", str(MAX_TRIALS), "iso", j1, j1]) == 0
+    capsys.readouterr()
+    over = str(MAX_TRIALS + 1)
+    assert main(["iso", j1, j2, "--trials", over]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: --trials {over} exceeds MAX_TRIALS = {MAX_TRIALS}\n"
+    )
+
+
 def test_functor_T_twice_is_identity_bytewise(tmp_path, capsys):
     main(["catalog", "export", "h", "--out", str(tmp_path)])
     path = capsys.readouterr().out.strip().splitlines()[-1]
@@ -440,3 +467,19 @@ def test_functor_split_of_a_root_form_file(tmp_path, capsys):
         summand = tmp_path / f"{key}.json"
         summand.write_text(json.dumps(pair[key]))
         assert main(["verify", str(summand)]) == 0
+
+
+def test_cold_start_imports_no_unused_stdlib():
+    # every CLI command starts a fresh interpreter, so the import of
+    # tmfkit.cli is paid per command; -S keeps site's own imports out
+    heavy = ("dataclasses", "fractions", "decimal", "inspect")
+    code = f"import sys, tmfkit.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -236,13 +236,24 @@ def test_second_cover_change_of_variables():
 
 def test_functor_H_verifies():
     for t in [case_c_tmf(), case_g_tmf(2, 1), case_h_tmf()]:
-        sc = second_cover(t.context)
-        h = functor_H(sc, t)
+        h = functor_H(make_cover(t.context, ("u", "v")), t)
         assert verify(h).ok
         assert h.rank == 2 * t.rank
     ctx = case_c_context()
-    sc = second_cover(ctx)
-    assert functor_H(sc, irrelevant(ctx)).rank == 0
+    assert functor_H(make_cover(ctx, ("u", "v")), irrelevant(ctx)).rank == 0
+
+
+def test_functor_H_over_a_second_covers_uv_matches_the_uv_cover():
+    t = case_g_tmf(3, 1)
+    assert functor_H(second_cover(t.context).uv, t) == functor_H(
+        make_cover(t.context, ("u", "v")), t
+    )
+
+
+def test_functor_H_refuses_a_one_variable_cover():
+    t = case_c_tmf()
+    with pytest.raises(HypothesisViolation):
+        functor_H(make_cover(t.context), t)
 
 
 def explicit_H(sc, t):
@@ -293,13 +304,13 @@ def test_functor_H_matches_explicit_formula(case, n):
     sc = second_cover(entry.context)
     for label in entry.labels():
         t = entry.factorization(label)
-        assert functor_H(sc, t) == explicit_H(sc, t), label
+        assert functor_H(sc.uv, t) == explicit_H(sc, t), label
 
 
 def test_lemma_5_13_case_c():
     t = case_c_tmf()
     sc = second_cover(t.context)
-    report = check_lemma_5_13(sc, t, functor_C(sc.first, t), functor_H(sc, t))
+    report = check_lemma_5_13(sc, t, functor_C(sc.first, t), functor_H(sc.uv, t))
     assert report.conjugation_exact
     assert report.restriction_exact
 
@@ -307,7 +318,7 @@ def test_lemma_5_13_case_c():
 def test_lemma_5_13_case_g():
     t = case_g_tmf(2, 1)
     sc = second_cover(t.context)
-    report = check_lemma_5_13(sc, t, functor_C(sc.first, t), functor_H(sc, t))
+    report = check_lemma_5_13(sc, t, functor_C(sc.first, t), functor_H(sc.uv, t))
     assert report.ok
 
 
@@ -315,7 +326,7 @@ def test_lemma_5_13_irrelevant():
     ctx = case_c_context()
     sc = second_cover(ctx)
     t = irrelevant(ctx)
-    report = check_lemma_5_13(sc, t, functor_C(sc.first, t), functor_H(sc, t))
+    report = check_lemma_5_13(sc, t, functor_C(sc.first, t), functor_H(sc.uv, t))
     assert report.ok
 
 
@@ -361,13 +372,12 @@ def test_h_image_preserves_asymmetry():
     # image
     t_asym = case_g_tmf(3, 1)
     assert not is_symmetric(t_asym, trials=8, seed=7).isomorphic
-    sc = second_cover(t_asym.context)
-    h = functor_H(sc, t_asym)
+    h = functor_H(make_cover(t_asym.context, ("u", "v")), t_asym)
     assert not is_symmetric(h, trials=8, seed=7).isomorphic
     t_sym = case_g_tmf(2, 1)
     assert is_symmetric(t_sym, trials=8, seed=7).isomorphic
-    sc2 = second_cover(t_sym.context)
-    assert is_symmetric(functor_H(sc2, t_sym), trials=8, seed=7).isomorphic
+    h_sym = functor_H(make_cover(t_sym.context, ("u", "v")), t_sym)
+    assert is_symmetric(h_sym, trials=8, seed=7).isomorphic
 
 
 def test_zeta_conjugates_C_output():

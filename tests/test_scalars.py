@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -312,3 +313,132 @@ def test_evaluate_agrees_with_sympy_subs():
 @hypothesis.given(scalars())
 def test_evaluate_agrees_with_sympy_subs_random(a):
     assert_evaluate_matches_subs(a)
+
+
+# -- the integer printer and square root against Fraction references ---------
+
+
+def ref_fraction(f):
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def ref_gauss(c, need_atom):
+    """The printer of a Gaussian rational, written on Fraction parts."""
+    re, im = c.re, c.im
+    if im == 0:
+        s = ref_fraction(re)
+        return f"({s})" if need_atom and (re < 0 or re.denominator != 1) else s
+    if re == 0:
+        if im == 1:
+            return "i"
+        if im == -1:
+            return "(-i)" if need_atom else "-i"
+        s = f"{ref_fraction(im)}*i"
+        return f"({s})" if need_atom else s
+    op = "+" if im > 0 else "-"
+    im_s = "i" if abs(im) == 1 else f"{ref_fraction(abs(im))}*i"
+    return f"({ref_fraction(re)}{op}{im_s})"
+
+
+def ref_poly(terms, shift):
+    parts = []
+    for e, c in reversed(terms):
+        e += shift
+        mono = None if e == 0 else "t" if e == 1 else f"t^{e}"
+        if mono is None:
+            term = ref_gauss(c, False)
+        elif (c.re, c.im) == (1, 0):
+            term = mono
+        elif (c.re, c.im) == (-1, 0):
+            term = f"-{mono}"
+        else:
+            term = f"{ref_gauss(c, True)}*{mono}"
+        if not parts:
+            parts.append(term)
+        else:
+            parts.append(f" - {term[1:]}" if term.startswith("-") else f" + {term}")
+    return "".join(parts) or "0"
+
+
+def ref_format_scalar(a):
+    num = ref_poly(a.n, max(a.v, 0))
+    if a.d == ((0, GR_ONE),) and a.v >= 0:
+        return num
+    return f"({num})/({ref_poly(a.d, max(-a.v, 0))})"
+
+
+def ref_gauss_sqrt(c):
+    """Square root in Q(i) on Fraction parts, or None."""
+
+    def frac_sqrt(x):
+        if x < 0:
+            return None
+        rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
+        return Fraction(rn, rd) if rn * rn == x.numerator and rd * rd == x.denominator else None
+
+    if c.is_zero():
+        return GR_ZERO
+    if c.im == 0:
+        r = frac_sqrt(c.re)
+        if r is not None:
+            return GaussRational(r)
+        r = frac_sqrt(-c.re)
+        return None if r is None else GaussRational(0, r)
+    norm = frac_sqrt(c.re * c.re + c.im * c.im)
+    u = None if norm is None else frac_sqrt((c.re + norm) / 2)
+    if not u:
+        return None
+    cand = GaussRational(u, c.im / (2 * u))
+    return cand if cand * cand == c else None
+
+
+PRINTER = hypothesis.settings(max_examples=300, derandomize=True, deadline=None)
+
+# zero, +-1 and +-i, then pure imaginary, real and mixed values whose parts
+# may be negative and need not be integers
+printed_gauss = st.one_of(
+    st.sampled_from([GR_ZERO, GR_ONE, -GR_ONE, GR_I, -GR_I]),
+    st.builds(
+        lambda a, b, d: GaussRational(Fraction(a, d), Fraction(b, d)),
+        st.integers(-12, 12),
+        st.integers(-12, 12),
+        st.integers(1, 6),
+    ),
+)
+
+
+@PRINTER
+@hypothesis.given(printed_gauss, st.booleans())
+def test_gauss_printer_matches_the_fraction_reference(c, need_atom):
+    assert sc._format_gauss(c, need_atom) == ref_gauss(c, need_atom)
+
+
+@PRINTER
+@hypothesis.given(
+    st.dictionaries(st.integers(0, 3), printed_gauss, min_size=1, max_size=3),
+    st.one_of(st.none(), st.dictionaries(st.integers(0, 2), printed_gauss, min_size=1, max_size=2)),
+    st.integers(-3, 3),
+)
+def test_format_scalar_matches_the_fraction_reference(num, den, v):
+    a = poly(num.items())
+    if den is not None:
+        d = poly(den.items())
+        hypothesis.assume(not d.is_zero())
+        a = a / d
+    a = a * Scalar.t_power(v)
+    assert format_scalar(a) == ref_format_scalar(a)
+
+
+@PRINTER
+@hypothesis.given(printed_gauss)
+def test_gauss_sqrt_matches_the_fraction_reference(c):
+    assert sc._gauss_sqrt(c) == ref_gauss_sqrt(c)
+    assert sc._gauss_sqrt(c * c) == ref_gauss_sqrt(c * c)
+
+
+def test_rational_constructor_reduces_and_signs():
+    assert Scalar.rational(2, -4) == S("-1/2")
+    assert Scalar.rational(-6, 3) == Scalar.from_int(-2)
+    assert format_scalar(Scalar.rational(3, 9)) == "1/3"
+    with pytest.raises(ZeroDivisionError):
+        Scalar.rational(1, 0)

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import json
 import random
 from pathlib import Path
@@ -528,7 +527,7 @@ def test_verify_report_is_stored_on_the_factorization():
     report = verify(t)
     assert verify(t) is report
     assert isinstance(report.checks, tuple)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         report.ok = False
     # an equal but distinct factorization is verified on its own, to an
     # equal report
