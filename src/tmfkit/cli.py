@@ -27,6 +27,7 @@ from .ncalgebra import (
     algebra_from_json,
     algebra_to_json,
     format_poly,
+    json_int,
     parse_poly,
 )
 from .tmf import NormalContext, TMF, matrix_from_json, matrix_to_json, verify
@@ -187,11 +188,10 @@ def load_module(path: str) -> cov.EquivariantModule:
         ctx = _context_from_json(obj["context"], os.path.dirname(path))
         cover = cov.make_cover(ctx)
         data = obj["module"]
-        module = FreeModule(ctx.algebra, tuple(int(x) for x in data["shifts"]))
+        shifts = tuple(json_int(x, "module shift") for x in data["shifts"])
+        theta = tuple(json_int(x, "theta entry") for x in data["theta"])
         z_action = matrix_from_json(data["z_action"], ctx.algebra)
-        return cov.EquivariantModule(
-            cover, module, z_action, tuple(int(x) for x in data["theta"])
-        )
+        return cov.EquivariantModule(cover, FreeModule(ctx.algebra, shifts), z_action, theta)
     except _MALFORMED as exc:
         raise InputError(f"bad module file {path}: {exc}") from exc
 

@@ -379,10 +379,12 @@ def scalar_part(mat: GradedMatrix) -> list[list[Scalar]]:
 def is_invertible(mat: GradedMatrix) -> tuple[bool, GradedMatrix | None]:
     """Invertibility over the graded algebra, with the inverse on success.
 
-    A degree-0 matrix is invertible iff its scalar part is invertible over
-    k; the inverse is the finite Neumann series (I + N)^{-1} S^{-1} where N
-    is the strictly-positive-degree remainder (nilpotent because entry
-    degrees strictly descend through the finitely many generator degrees).
+    A degree-0 matrix is invertible iff its scalar part S is invertible
+    over k; the inverse is the finite Neumann series (I + N)^{-1} S^{-1}
+    where N is the strictly-positive-degree remainder (nilpotent because
+    entry degrees strictly descend through the finitely many generator
+    degrees).  A matrix over k (N = 0) inverts as S^{-1} alone.  Either
+    way both composites with the candidate must be identities.
     """
     if mat.source.rank != mat.target.rank:
         return False, None
@@ -404,16 +406,20 @@ def is_invertible(mat: GradedMatrix) -> tuple[bool, GradedMatrix | None]:
         mat.source,
         [[algebra.scalar(s_inv[i][j]) for j in range(n)] for i in range(n)],
     )
-    # M = S (I + S^{-1}N), so M^{-1} = [sum_k (-S^{-1}N)^k] S^{-1}
-    n_part = compose(s_inv_mat, mat - s_mat)  # target -> target
-    series = identity_matrix(mat.target)
-    term = series
-    for _ in range(len(set(mat.source.shifts))):
-        term = -compose(term, n_part)
-        if term.is_zero():
-            break
-        series = series + term
-    inverse = compose(series, s_inv_mat)
+    if mat == s_mat:
+        # N = 0: the matrix lives over k, and S^{-1} is its inverse
+        inverse = s_inv_mat
+    else:
+        # M = S (I + S^{-1}N), so M^{-1} = [sum_k (-S^{-1}N)^k] S^{-1}
+        n_part = compose(s_inv_mat, mat - s_mat)  # target -> target
+        series = identity_matrix(mat.target)
+        term = series
+        for _ in range(len(set(mat.source.shifts))):
+            term = -compose(term, n_part)
+            if term.is_zero():
+                break
+            series = series + term
+        inverse = compose(series, s_inv_mat)
     # exactness guard: both composites must be identities
     if compose(mat, inverse) != identity_matrix(mat.source) or compose(
         inverse, mat

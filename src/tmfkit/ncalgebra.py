@@ -337,7 +337,7 @@ class GradedAlgebra:
 def _acc_into(acc: dict, part: dict, coeff: Scalar) -> None:
     """acc += coeff * part; a coefficient that cancels is removed."""
     for e, c in part.items():
-        prod = c if coeff is ONE else coeff * c
+        prod = c if coeff is ONE else coeff if c is ONE else coeff * c
         prev = acc.get(e)
         new = prod if prev is None else prev + prod
         if new.is_zero():
@@ -1004,16 +1004,27 @@ def algebra_to_json(
     return obj
 
 
+def json_int(value, what: str) -> int:
+    """An integer field of a JSON file; a float or a bool is refused, not
+    truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def algebra_from_json(obj: dict) -> tuple[GradedAlgebra, dict[str, GradedAutomorphism]]:
-    gens = [(g["name"], int(g["degree"])) for g in obj["generators"]]
+    gens = [(g["name"], json_int(g["degree"], "generator degree")) for g in obj["generators"]]
     rules: dict[tuple[int, int], list[tuple[Scalar, Exps]]] = {}
     for rule in obj["rules"]:
-        b, a = rule["lhs"]
+        b, a = (json_int(x, "rule lhs index") for x in rule["lhs"])
         rhs = [
-            (parse_scalar(term["coeff"]), tuple(term["monomial"]))
+            (
+                parse_scalar(term["coeff"]),
+                tuple(json_int(x, "rule monomial exponent") for x in term["monomial"]),
+            )
             for term in rule["rhs"]
         ]
-        rules[(int(b), int(a))] = rhs
+        rules[(b, a)] = rhs
     algebra = GradedAlgebra(gens, rules)
     autos: dict[str, GradedAutomorphism] = {}
     for name, images in obj.get("automorphisms", {}).items():

@@ -6,7 +6,9 @@ with nonzero Gaussian rational coefficients.  Canonical form: N(0) != 0 and
 D(0) != 0, so the whole t-content sits in v; D is monic and gcd(N, D) = 1;
 zero is the empty N with v = 0 and D = 1.  The catalog's parameters are
 Laurent monomials c*t^k, whose products and sums never need a polynomial
-gcd: one runs only when a denominator D != 1 takes part.
+gcd: one runs only when a denominator D != 1 takes part.  Monomials take a
+short lane: two of them multiply, and two with the same k add, on their
+coefficients alone, without building or sorting a polynomial.
 
 A GaussRational is (a + b*i)/d over the integers with d > 0 and
 gcd(a, b, d) = 1, so each operation costs at most one integer gcd.
@@ -319,8 +321,22 @@ class Scalar:
         if not self.n or not other.n:
             return ZERO
         if self.d is D_ONE and other.d is D_ONE:
-            # N1*N2 keeps a nonzero constant term, so the form stays canonical
-            return _make(self.v + other.v, _smul(self.n, other.n), D_ONE)
+            # N1*N2 keeps a nonzero constant term, so the form stays canonical;
+            # the monomial lane multiplies two c*t^k without building a product
+            n1, n2 = self.n, other.n
+            if n1 is D_ONE:
+                if not self.v:
+                    return other
+                n = n2
+            elif n2 is D_ONE:
+                if not other.v:
+                    return self
+                n = n1
+            elif len(n1) == 1 and len(n2) == 1:
+                n = ((0, n1[0][1] * n2[0][1]),)
+            else:
+                n = _smul(n1, n2)
+            return _make(self.v + other.v, n, D_ONE)
         return _reduce(self.v + other.v, _smul(self.n, other.n), _smul(self.d, other.d))
 
     def __truediv__(self, other: Scalar) -> Scalar:
@@ -395,6 +411,10 @@ def _add(a: Scalar, b: Scalar) -> Scalar:
         return b
     if not b.n:
         return a
+    if a.v == b.v and a.d is D_ONE and b.d is D_ONE and len(a.n) == 1 and len(b.n) == 1:
+        # the monomial lane: c1*t^k + c2*t^k = (c1 + c2)*t^k
+        c = a.n[0][1] + b.n[0][1]
+        return ZERO if c.is_zero() else _make(a.v, ((0, c),), D_ONE)
     v = min(a.v, b.v)
     n = _sadd(_smul(_shift(a.n, a.v - v), b.d), _smul(_shift(b.n, b.v - v), a.d))
     if not n:
@@ -466,6 +486,11 @@ MAX_DENSE_POWER = 256
 # to the 8th.  A single-term base, such as a2^5, is exempt.
 MAX_POLY_POWER = 7
 
+# Deepest nesting of parentheses a literal may use: each level is one more
+# round of the recursive descent below, and Python's own recursion limit
+# would end a much deeper literal in a RecursionError.
+MAX_LITERAL_NESTING = 64
+
 
 class _Tok:
     __slots__ = ("kind", "value", "pos")
@@ -518,6 +543,7 @@ class _LiteralParser:
     def __init__(self, text: str, atom, as_scalar, unit) -> None:
         self.toks = _tokenize(text)
         self.k = 0
+        self.depth = 0
         self.atom_rule = atom
         self.as_scalar = as_scalar
         self.unit = unit
@@ -612,10 +638,16 @@ class _LiteralParser:
         if tok.kind in ("int", "name"):
             return self.atom_rule(tok)
         if tok.kind == "(":
+            self.depth += 1
+            if self.depth > MAX_LITERAL_NESTING:
+                raise ScalarParseError(
+                    f"parentheses nested deeper than {MAX_LITERAL_NESTING}", tok.pos
+                )
             val = self.sum()
             close = self.take()
             if close.kind != ")":
                 raise ScalarParseError("expected ')'", close.pos)
+            self.depth -= 1
             return val
         raise ScalarParseError(f"unexpected token {tok.value!r}", tok.pos)
 

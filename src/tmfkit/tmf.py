@@ -26,6 +26,7 @@ from .ncalgebra import (
     GradedAutomorphism,
     NCPoly,
     format_poly,
+    json_int,
     parse_poly,
 )
 from .scalars import ONE, Scalar, try_sqrt
@@ -651,8 +652,8 @@ def matrix_to_json(mat: GradedMatrix) -> dict:
 
 
 def matrix_from_json(obj: dict, algebra: GradedAlgebra) -> GradedMatrix:
-    source = FreeModule(algebra, tuple(int(x) for x in obj["source"]))
-    target = FreeModule(algebra, tuple(int(x) for x in obj["target"]))
+    source = FreeModule(algebra, tuple(json_int(x, "source shift") for x in obj["source"]))
+    target = FreeModule(algebra, tuple(json_int(x, "target shift") for x in obj["target"]))
     entries = [
         [parse_poly(text, algebra) for text in row] for row in obj["entries"]
     ]

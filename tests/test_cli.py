@@ -97,6 +97,67 @@ def test_verify_dense_coefficient_power_exits_2(tmp_path, capsys):
     assert "power 2000 of a multi-term coefficient exceeds 256" in err
 
 
+def test_verify_deeply_nested_literal_exits_2_without_traceback(tmp_path, capsys):
+    # 5,000 nested parentheses would exhaust Python's recursion depth
+    main(["catalog", "export", "c", "--out", str(tmp_path)])
+    path = capsys.readouterr().out.strip().splitlines()[-1]
+    with open(path) as handle:
+        obj = json.load(handle)
+    obj["phi"]["entries"][0][0] = "(" * 5000 + "a2" + ")" * 5000
+    deep = tmp_path / "nested.json"
+    deep.write_text(json.dumps(obj))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tmfkit.cli", "verify", str(deep)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error:")
+    assert "parentheses nested deeper than 64" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _half_shifts(obj):
+    for key in ("phi", "psi"):
+        for side in ("source", "target"):
+            obj[key][side] = [x + 0.5 for x in obj[key][side]]
+
+
+def _bool_shift(obj):
+    assert obj["phi"]["target"][0] == 1
+    obj["phi"]["target"][0] = True
+
+
+def _float_degree(obj):
+    gens = obj["context"]["algebra"]["generators"]
+    assert gens[1] == {"degree": 4, "name": "b"}
+    gens[1]["degree"] = 4.5
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_half_shifts, "source shift must be an integer, got 4.5"),
+        (_bool_shift, "target shift must be an integer, got True"),
+        (_float_degree, "generator degree must be an integer, got 4.5"),
+    ],
+)
+def test_verify_non_integer_field_exits_2(tmp_path, capsys, edit, message):
+    # int() would truncate these to the exported values and verify [pass]
+    main(["catalog", "export", "c", "--out", str(tmp_path)])
+    path = capsys.readouterr().out.strip().splitlines()[-1]
+    with open(path) as handle:
+        obj = json.load(handle)
+    edit(obj)
+    bad = tmp_path / "non_integer.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["verify", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and message in err
+
+
 def exported_c_with_context(tmp_path, capsys, edit):
     """Export case (c) and write a copy whose context went through edit."""
     main(["catalog", "export", "c", "--out", str(tmp_path)])

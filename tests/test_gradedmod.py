@@ -3,6 +3,7 @@ import random
 import pytest
 
 from tmfkit import linalg
+from tmfkit.cover import LEMMA_5_13_MATRIX
 from tmfkit.gradedmod import (
     DegreeMismatch,
     FreeModule,
@@ -400,6 +401,35 @@ def test_is_invertible_lemma_5_13_matrix():
     assert ok
     # determinant of the scalar part is 4; double-check rank over k
     assert linalg.rank(scalar_part(m)) == 4
+
+
+def test_is_invertible_over_k_is_the_scalar_inverse():
+    A = case_h_algebra()
+    # summands F, G, G, F as in Lemma 5.13, with G's shifts above F's
+    module = FreeModule(A, (0, 1, 2, 3, 2, 3, 0, 1))
+    sizes = [2, 2, 2, 2]
+    pattern = [[S(x) for x in row] for row in LEMMA_5_13_MATRIX]
+    m = block_scalar_matrix(module, sizes, pattern)
+    ok, inv = is_invertible(m)
+    assert ok
+    assert inv == block_scalar_matrix(module, sizes, linalg.invert(pattern))
+    # a singular pattern over k has no inverse
+    singular = block_scalar_matrix(FreeModule(A, (0, 1, 0, 1)), [2, 2], [[ONE, S("i")], [S("i"), -ONE]])
+    assert is_invertible(singular) == (False, None)
+
+
+def test_is_invertible_unipotent_runs_the_series():
+    A = case_h_algebra()
+    G = FreeModule(A, (0, 1, 2))
+    a1, a2 = A.gen("a1"), A.gen("a2")
+    z, one = A.zero(), A.one()
+    # lower unitriangular with entries of degree 1 and 2
+    m = GradedMatrix(G, G, [[one, z, z], [a1, one, z], [a1 * a1 + a2 * a1, a2, one]])
+    ok, inv = is_invertible(m)
+    assert ok
+    # (I + N)^{-1} = I - N + N^2 with N strictly lower
+    n = m - identity_matrix(G)
+    assert inv == identity_matrix(G) - n + compose(n, n)
 
 
 def test_zero_row_scalar_part_not_invertible():

@@ -203,6 +203,17 @@ def test_dense_literal_powers_are_capped():
     assert time.perf_counter() - start < 0.5
 
 
+def test_literal_nesting_is_capped():
+    cap = sc.MAX_LITERAL_NESTING
+    assert cap == 64
+    assert S("(" * cap + "t+1" + ")" * cap) == S("t+1")
+    # only the depth counts: siblings at the cap are fine
+    assert S("+".join(["(" * cap + "t" + ")" * cap] * 3)) == S("3*t")
+    for text in ("(" * (cap + 1) + "t" + ")" * (cap + 1), "(" * 5000 + "1" + ")" * 5000):
+        with pytest.raises(ScalarParseError, match=f"nested deeper than {cap}"):
+            parse_scalar(text)
+
+
 # -- sympy as an independent oracle over Q(i)(t) ------------------------------
 
 t_sym = sp.Symbol("t")
@@ -269,6 +280,42 @@ def test_field_operations_agree_with_sympy(a, b):
         assert_canonical(a / b)
         assert sp.cancel(to_sympy(a / b) - x / y) == 0
         assert (a * b) / b == a
+
+
+# The catalog's parameters are Laurent monomials c*t^k; their sums and
+# products take a short path, checked here against sympy.
+nonzero_gauss = gauss.filter(lambda c: not c.is_zero())
+monomials = st.builds(
+    lambda c, k: Scalar.from_gauss(c) * Scalar.t_power(k), nonzero_gauss, st.integers(-40, 40)
+)
+
+
+@hypothesis.settings(max_examples=150, derandomize=True, deadline=None)
+@hypothesis.given(monomials, monomials, st.sampled_from(["any", "same valuation", "negated"]))
+def test_monomial_lane_agrees_with_sympy(a, b, relation):
+    if relation == "same valuation":
+        b = Scalar.from_gauss(b.n[0][1]) * Scalar.t_power(a.v)
+    elif relation == "negated":
+        b = -a
+    x, y = to_sympy(a), to_sympy(b)
+    for got, want in [(a + b, x + y), (a - b, x - y), (b - a, y - x), (a * b, x * y)]:
+        assert_canonical(got)
+        assert got.d is sc.D_ONE
+        assert sp.expand(to_sympy(got) - want) == 0
+    if relation == "negated":
+        for zero in (a + b, b + a, a - a):
+            assert (zero.v, zero.n) == (0, ()) and zero.d is sc.D_ONE
+
+
+def test_monomial_sums_that_cancel_are_the_canonical_zero():
+    for k in (-40, 0, 7, 40):
+        for c in (GR_ONE, GR_I, GaussRational(Fraction(-3, 2), Fraction(1, 3))):
+            a = Scalar.from_gauss(c) * Scalar.t_power(k)
+            minus = Scalar.from_gauss(-c) * Scalar.t_power(k)
+            for zero in (a + minus, minus + a, a - a):
+                assert zero == sc.ZERO
+                assert (zero.v, zero.n) == (0, ()) and zero.d is sc.D_ONE
+                assert format_scalar(zero) == "0"
 
 
 @ORACLE
