@@ -322,21 +322,12 @@ class Scalar:
             return ZERO
         if self.d is D_ONE and other.d is D_ONE:
             # N1*N2 keeps a nonzero constant term, so the form stays canonical;
-            # the monomial lane multiplies two c*t^k without building a product
-            n1, n2 = self.n, other.n
-            if n1 is D_ONE:
-                if not self.v:
-                    return other
-                n = n2
-            elif n2 is D_ONE:
-                if not other.v:
-                    return self
-                n = n1
-            elif len(n1) == 1 and len(n2) == 1:
-                n = ((0, n1[0][1] * n2[0][1]),)
-            else:
-                n = _smul(n1, n2)
-            return _make(self.v + other.v, n, D_ONE)
+            # a unit factor returns the other one as it is
+            if self.n is D_ONE and not self.v:
+                return other
+            if other.n is D_ONE and not other.v:
+                return self
+            return _make(self.v + other.v, _smul(self.n, other.n), D_ONE)
         return _reduce(self.v + other.v, _smul(self.n, other.n), _smul(self.d, other.d))
 
     def __truediv__(self, other: Scalar) -> Scalar:

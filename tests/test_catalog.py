@@ -237,6 +237,17 @@ def test_zhang_crosscheck_builds_one_uv_cover(monkeypatch):
     assert second_covers == []
 
 
+def test_deep_g_suite_adds_monomials_without_the_polynomial_path(monkeypatch):
+    # every scalar sum of the deep (g) suite adds two c*t^k of the same k, so
+    # a lost monomial lane shows here as calls to the sparse polynomial sum
+    from tmfkit import scalars
+
+    adds = counting(monkeypatch, "_add", [scalars])
+    sparse_adds = counting(monkeypatch, "_sadd", [scalars])
+    assert run_suite(build("g", 3), seed=0, trials=8, deep=True).ok
+    assert len(adds) > 100 and sparse_adds == []
+
+
 def test_deep_suite_leaves_no_cyclic_garbage(monkeypatch):
     from tmfkit import catalog, cover
 

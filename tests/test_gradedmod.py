@@ -399,34 +399,55 @@ def test_is_invertible_lemma_5_13_matrix():
     )
     ok, inv = is_invertible(m)
     assert ok
+    # a matrix over k inverts to its scalar inverse, exactly
+    inverse = linalg.invert([[S(x) for x in row] for row in rows])
+    assert inv == GradedMatrix(F, F, [[A.scalar(x) for x in row] for row in inverse])
     # determinant of the scalar part is 4; double-check rank over k
     assert linalg.rank(scalar_part(m)) == 4
 
 
-def test_is_invertible_over_k_is_the_scalar_inverse():
+def counting_compose(monkeypatch):
+    """Count the calls is_invertible makes to gradedmod.compose."""
+    from tmfkit import gradedmod
+
+    calls = [0]
+
+    def wrapper(*args):
+        calls[0] += 1
+        return compose(*args)
+
+    monkeypatch.setattr(gradedmod, "compose", wrapper)
+    return calls
+
+
+def test_is_invertible_over_k_composes_only_for_the_guard(monkeypatch):
     A = case_h_algebra()
     # summands F, G, G, F as in Lemma 5.13, with G's shifts above F's
     module = FreeModule(A, (0, 1, 2, 3, 2, 3, 0, 1))
-    sizes = [2, 2, 2, 2]
     pattern = [[S(x) for x in row] for row in LEMMA_5_13_MATRIX]
-    m = block_scalar_matrix(module, sizes, pattern)
+    m = block_scalar_matrix(module, [2, 2, 2, 2], pattern)
+    composes = counting_compose(monkeypatch)
     ok, inv = is_invertible(m)
     assert ok
-    assert inv == block_scalar_matrix(module, sizes, linalg.invert(pattern))
+    # no series: the two composites are the exactness guard
+    assert composes[0] == 2
     # a singular pattern over k has no inverse
     singular = block_scalar_matrix(FreeModule(A, (0, 1, 0, 1)), [2, 2], [[ONE, S("i")], [S("i"), -ONE]])
     assert is_invertible(singular) == (False, None)
 
 
-def test_is_invertible_unipotent_runs_the_series():
+def test_is_invertible_unipotent_runs_the_series(monkeypatch):
     A = case_h_algebra()
     G = FreeModule(A, (0, 1, 2))
     a1, a2 = A.gen("a1"), A.gen("a2")
     z, one = A.zero(), A.one()
     # lower unitriangular with entries of degree 1 and 2
     m = GradedMatrix(G, G, [[one, z, z], [a1, one, z], [a1 * a1 + a2 * a1, a2, one]])
+    composes = counting_compose(monkeypatch)
     ok, inv = is_invertible(m)
     assert ok
+    # S^{-1}N, the series terms and S^{-1}, then the two guard composites
+    assert composes[0] > 2
     # (I + N)^{-1} = I - N + N^2 with N strictly lower
     n = m - identity_matrix(G)
     assert inv == identity_matrix(G) - n + compose(n, n)
