@@ -118,7 +118,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 

@@ -377,9 +377,6 @@ class NCPoly:
             raise ValueError("element is not homogeneous")
         return degs.pop()
 
-    def coefficient(self, exps: Exps) -> Scalar:
-        return self.terms.get(tuple(exps), ZERO)
-
     def constant_term(self) -> Scalar:
         return self.terms.get((0,) * self.algebra.ngens, ZERO)
 
@@ -590,9 +587,6 @@ class GradedAutomorphism(AlgebraMorphism):
             self.images[g] == self.algebra.gen(g) for g in range(self.algebra.ngens)
         )
 
-    def fixes(self, p: NCPoly) -> bool:
-        return self(p) == p
-
     def linear_matrix(self) -> list[list[Scalar]]:
         """Coefficient matrix M with image(x_g) = sum_h M[g][h] x_h."""
         n = self.algebra.ngens
@@ -789,19 +783,15 @@ def normalizing_automorphism(f: NCPoly) -> GradedAutomorphism:
     return GradedAutomorphism(algebra, images)
 
 
-def check_regular(f: NCPoly, max_degree: int | None = None) -> bool:
-    """Heuristic regularity: left multiplication by f injective up to 2*deg f."""
+def left_ranks(f: NCPoly, max_degree: int) -> list[int]:
+    """Rank of m -> f*m on each A_e, e <= max_degree; f is regular on the
+    window when every rank is dim A_e."""
     algebra = f.algebra
-    d = f.degree()
-    if d is None:
-        return False
-    bound = 2 * d if max_degree is None else max_degree
-    for e in range(bound + 1):
-        basis = algebra.monomials_of_degree(e)
-        columns = [[(0, f.terms, {m: ONE})] for m in basis]
-        if linalg.rank(algebra.slice_matrix(columns)) < len(basis):
-            return False
-    return True
+    ranks = []
+    for e in range(max_degree + 1):
+        columns = [[(0, f.terms, {m: ONE})] for m in algebra.monomials_of_degree(e)]
+        ranks.append(linalg.rank(algebra.slice_matrix(columns)))
+    return ranks
 
 
 # ---------------------------------------------------------------------------

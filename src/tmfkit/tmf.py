@@ -147,9 +147,6 @@ class TMF:
     def rank(self) -> int:
         return self.phi.source.rank
 
-    def modules(self) -> tuple[FreeModule, FreeModule]:
-        return self.phi.source, self.phi.target
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TMF):
             return NotImplemented

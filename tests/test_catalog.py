@@ -144,10 +144,67 @@ def test_run_suite_records_a_coker_oracle_failure(monkeypatch):
     monkeypatch.setattr(tm, "coker_hilbert", disagree)
     report = run_suite(build("c"), seed=2, trials=8)
     assert report.ok is False
-    # the quotient oracle is coker_hilbert of the trivial factorization (f, 1)
+    # the quotient oracle reads the left-multiplication ranks, not coker_hilbert
     failed = [c for c in report.checks if not c.ok]
-    assert [c.name for c in failed] == ["hilbert-quotient-oracle", "coker-oracle:rank2"]
-    assert all(c.detail == "cokernel series disagree: [1] vs [2]" for c in failed)
+    assert [c.name for c in failed] == ["coker-oracle:rank2"]
+    assert failed[0].detail == "cokernel series disagree: [1] vs [2]"
+
+
+def test_one_rank_shortfall_fails_regularity_and_the_oracle_below_D_minus_d(monkeypatch):
+    from tmfkit import catalog
+
+    entry = build("c")
+    d, D = entry.context.d, 2 * entry.context.d
+    ranks = catalog.left_ranks(entry.context.f, D)
+    names = [c.name for c in run_suite(entry, seed=2, trials=8).checks]
+    for k in range(D + 1):
+        short = ranks[:k] + [ranks[k] - 1] + ranks[k + 1 :]
+        monkeypatch.setattr(catalog, "left_ranks", lambda f, max_degree: short)
+        report = run_suite(entry, seed=2, trials=8)
+        assert [c.name for c in report.checks] == names
+        failed = {c.name: c.detail for c in report.checks if not c.ok}
+        if k <= D - d:
+            assert list(failed) == ["f-regular-window", "hilbert-quotient-oracle"]
+            assert failed["hilbert-quotient-oracle"].startswith("cokernel series disagree: ")
+        else:
+            assert list(failed) == ["f-regular-window"]
+
+
+def test_run_suite_makes_one_rank_pass_and_no_trivial_factorization(monkeypatch):
+    from tmfkit import catalog
+
+    entry = build("g", 3)
+    rank_passes = counting(monkeypatch, "left_ranks", [catalog])
+    cokernels = counting(monkeypatch, "coker_hilbert", [tm])
+    trivials = counting(monkeypatch, "trivial", [tm])
+    assert run_suite(entry, seed=0, trials=8, deep=True).ok
+    assert [D for _, D in rank_passes] == [2 * entry.context.d]
+    assert [args[0] for args in cokernels] == [entry.factorization(la) for la in entry.labels()]
+    assert trivials == []
+
+
+def test_run_suite_reports_a_cover_that_fails_to_build():
+    # sigma = id is not the normalizing automorphism of (h), so the cover's
+    # own normality check raises; the suite records it and goes on
+    from tmfkit.catalog import CatalogEntry
+    from tmfkit.ncalgebra import GradedAutomorphism
+
+    entry = build("h")
+    A = entry.algebra
+    identity = GradedAutomorphism.identity(A)
+    ctx = tm.NormalContext(A, entry.context.f, identity, identity, check=False)
+    broken = CatalogEntry.new("h", None, ctx)
+    broken.families.update(entry.families)
+    for deep in (False, True):
+        report = run_suite(broken, seed=2, trials=8, deep=deep)
+        checks = {c.name: c for c in report.checks}
+        assert not checks["normality:a2"].ok and not checks["cover-normality"].ok
+        text = checks["cover-normality"].detail
+        assert "a2*f is not a right f-multiple" in text
+        dependent = ["functor-C-verifies:rank2", "lemma-5-5:rank2"]
+        if deep:
+            dependent += ["functor-H-verifies:rank2", "lemma-5-13:rank2"]
+        assert [checks[name].detail for name in dependent] == [text] * len(dependent)
 
 
 def test_run_suite_records_reduce_and_endomorphism_failures(monkeypatch):

@@ -119,6 +119,22 @@ def test_verify_deeply_nested_literal_exits_2_without_traceback(tmp_path, capsys
     assert "Traceback" not in proc.stderr
 
 
+def test_verify_deeply_nested_json_exits_2_without_traceback(tmp_path):
+    # json.load recurses once per nested array
+    deep = tmp_path / "nested.json"
+    deep.write_text("[" * 100_000)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tmfkit.cli", "verify", str(deep)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error:")
+    assert "Traceback" not in proc.stderr
+
+
 def _half_shifts(obj):
     for key in ("phi", "psi"):
         for side in ("source", "target"):

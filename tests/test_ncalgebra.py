@@ -18,9 +18,9 @@ from tmfkit.ncalgebra import (
     SkewDerivation,
     algebra_from_json,
     algebra_to_json,
-    check_regular,
     format_poly,
     hilbert_series,
+    left_ranks,
     normalizing_automorphism,
     ore_extension,
     parse_poly,
@@ -317,14 +317,15 @@ def test_normalizing_errors():
         normalizing_automorphism(A.zero())
 
 
-def test_check_regular_sees_a_zero_divisor():
+def test_left_ranks_see_a_zero_divisor():
     # k<x,y>/(yx): y*x = 0, so left multiplication by y kills x in degree 1
     A = GradedAlgebra([("x", 1), ("y", 1)], {(1, 0): []})
     x, y = A.gen("x"), A.gen("y")
-    assert check_regular(y, 0)
-    assert not check_regular(y, 1)
-    assert check_regular(x, 3)
-    assert not check_regular(A.zero())
+    dims = [len(A.monomials_of_degree(e)) for e in range(4)]
+    # full rank in degree 0, one short of dim A_1 = 2 in degree 1
+    assert dims[:2] == [1, 2] and left_ranks(y, 1) == [1, 1]
+    assert left_ranks(x, 3) == dims
+    assert left_ranks(A.zero(), 3) == [0, 0, 0, 0]
 
 
 def test_ore_extension_commutative():
