@@ -649,7 +649,9 @@ def run_suite(
             a * ctx.f == ctx.f * ctx.sigma(a),
             f"{A.names[g]}*f = f*sigma({A.names[g]})",
         )
-    record("sigma-matches-normalizing", normalizing_automorphism(ctx.f) == ctx.sigma)
+    record_or_fail(
+        "sigma-matches-normalizing", lambda: (normalizing_automorphism(ctx.f) == ctx.sigma, "")
+    )
     # passes unless check_well_defined raises IllDefined
     record_or_fail("tau-well-defined", lambda: (ctx.tau.check_well_defined() is None, ""))
     record("tau-squared-is-sigma", ctx.tau.compose(ctx.tau) == ctx.sigma)
@@ -676,7 +678,12 @@ def run_suite(
     for label in labels:
         t = entry.factorization(label)
         report = verify(t)
-        record(f"verify:{label}", report.ok, "; ".join(report.failed()))
+        ok, failed = report.ok, report.failed()
+        # a family verified over another context says nothing about this one
+        if t.context != ctx:
+            ok = False
+            failed.insert(0, "family context differs from the entry's context")
+        record(f"verify:{label}", ok, "; ".join(failed))
         record_or_fail(f"reduced:{label}", lambda: (_reduces_to_itself(t), ""))
         record_or_fail(
             f"endo-dim-1:{label}", lambda: (tm.endomorphism_dimension(t) == 1, "")

@@ -436,8 +436,6 @@ def is_invertible(mat: GradedMatrix) -> tuple[bool, GradedMatrix | None]:
 class IntertwinerSpace(NamedTuple):
     """k-basis of pairs (alpha, beta) with alpha*PHI' = PHI*beta."""
 
-    phi: GradedMatrix
-    phi_prime: GradedMatrix
     basis: list[tuple[GradedMatrix, GradedMatrix]]
 
     @property
@@ -505,7 +503,7 @@ def solve_intertwiners(
                 GradedMatrix(G, Gp, b_entries),
             )
         )
-    return IntertwinerSpace(phi, phi_prime, basis)
+    return IntertwinerSpace(basis)
 
 
 class IsoVerdict(NamedTuple):

@@ -21,6 +21,7 @@ from .scalars import (
     Scalar,
     ScalarParseError,
     _LiteralParser,
+    _power,
     _scalar_atom,
     format_scalar,
     parse_scalar,
@@ -412,11 +413,6 @@ class NCPoly:
         self.algebra._mul_into(out, self.terms, other.terms, [REWRITE_FUEL])
         return _wrap(self.algebra, out)
 
-    def __rmul__(self, other: Scalar) -> NCPoly:
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        return NotImplemented
-
     def __pow__(self, k: int) -> NCPoly:
         """self^k for k >= 0 (0^0 = 1): a scalar power in the scalar field,
         any other by repeated squaring."""
@@ -424,14 +420,7 @@ class NCPoly:
             raise ValueError("negative powers are not defined in the algebra")
         if not any(any(e) for e in self.terms):
             return self.algebra.scalar(self.constant_term() ** k)
-        acc, base = self.algebra.one(), self
-        while k:
-            if k & 1:
-                acc = acc * base
-            k >>= 1
-            if k:
-                base = base * base
-        return acc
+        return _power(self, k, self.algebra.one())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NCPoly):
@@ -640,102 +629,25 @@ class GradedAutomorphism(AlgebraMorphism):
         return f"GradedAutomorphism({body})"
 
 
-class SkewDerivation:
-    """tau-derivation: d(xy) = d(x) y + tau(x) d(y), given on generators."""
-
-    __slots__ = ("algebra", "tau", "images", "shift")
-
-    def __init__(
-        self,
-        algebra: GradedAlgebra,
-        tau: GradedAutomorphism,
-        images: list[NCPoly],
-        shift: int,
-        check: bool = True,
-    ) -> None:
-        if tau.algebra != algebra:
-            raise AlgebraMismatch("companion automorphism over a different algebra")
-        if len(images) != algebra.ngens:
-            raise ValueError("one image per generator required")
-        for g, img in enumerate(images):
-            if not img.is_zero() and img.degree() != algebra.degrees[g] + shift:
-                raise IllDefined(
-                    f"derivation image of {algebra.names[g]} has the wrong degree"
-                )
-        self.algebra = algebra
-        self.tau = tau
-        self.images = tuple(images)
-        self.shift = shift
-        if check:
-            self.check_leibniz()
-
-    def _apply_monomial(self, exps: Exps) -> NCPoly:
-        if not any(exps):
-            return self.algebra.zero()
-        first = min(g for g in range(self.algebra.ngens) if exps[g])
-        tail = list(exps)
-        tail[first] -= 1
-        tail_t = tuple(tail)
-        head_poly = self.algebra.gen(first)
-        rest = self.algebra.monomial(tail_t)
-        return self.images[first] * rest + self.tau(head_poly) * self._apply_monomial(
-            tail_t
-        )
-
-    def __call__(self, p: NCPoly) -> NCPoly:
-        out: dict = {}
-        for e, c in p.terms.items():
-            _acc_into(out, self._apply_monomial(e).terms, c)
-        return NCPoly(self.algebra, out)
-
-    def check_leibniz(self) -> None:
-        for (b, a), rhs in self.algebra.rules.items():
-            xb, xa = self.algebra.gen(b), self.algebra.gen(a)
-            lhs = self.images[b] * xa + self.tau(xb) * self.images[a]
-            for coeff, exps in rhs:
-                lhs = lhs - self._apply_monomial(exps).scale(coeff)
-            if not lhs.is_zero():
-                raise IllDefined(
-                    f"Leibniz identity fails on rule "
-                    f"({self.algebra.names[b]}, {self.algebra.names[a]})"
-                )
-
-
 def ore_extension(
     algebra: GradedAlgebra,
     name: str,
     degree: int,
     tau: GradedAutomorphism,
-    delta: SkewDerivation | None = None,
 ) -> GradedAlgebra:
-    """Append a generator z with z*x_a -> tau(x_a)*z + delta(x_a).
+    """Append a generator z with z*x_a -> tau(x_a)*z.
 
-    The new generator is ordered last.  tau must be well defined and delta,
-    when present, must satisfy its Leibniz identity; the diamond test is
-    re-run on the extension.
+    The new generator is ordered last.  tau must be well defined; the
+    diamond test is re-run on the extension.
     """
     if tau.algebra != algebra:
         raise AlgebraMismatch("tau lives over a different algebra")
     tau.check_well_defined()
-    if delta is not None:
-        if delta.algebra != algebra or delta.tau != tau:
-            raise AlgebraMismatch("delta does not match the extension data")
-        if delta.shift != degree:
-            raise IllDefined("delta degree must equal the new generator degree")
-        delta.check_leibniz()
     gens = list(zip(algebra.names, algebra.degrees)) + [(name, degree)]
     z = algebra.ngens
-    rules: dict[tuple[int, int], list[tuple[Scalar, Exps]]] = {}
-    for (b, a), rhs in algebra.rules.items():
-        rules[(b, a)] = [(c, e + (0,)) for c, e in rhs]
-    for a in range(algebra.ngens):
-        rhs_new: list[tuple[Scalar, Exps]] = []
-        for e, c in tau.images[a].terms.items():
-            rhs_new.append((c, e + (1,)))
-        if delta is not None:
-            for e, c in delta.images[a].terms.items():
-                rhs_new.append((c, e + (0,)))
-        rules[(z, a)] = rhs_new
+    rules = {ba: [(c, e + (0,)) for c, e in rhs] for ba, rhs in algebra.rules.items()}
+    for a in range(z):
+        rules[(z, a)] = [(c, e + (1,)) for e, c in tau.images[a].terms.items()]
     return GradedAlgebra(gens, rules)
 
 
@@ -743,11 +655,10 @@ def extend_automorphism(
     auto: GradedAutomorphism,
     extended: GradedAlgebra,
     last_images: list[NCPoly],
-    check: bool = True,
 ) -> GradedAutomorphism:
     """Extend an automorphism of the base to an Ore extension."""
     images = [img.lift(extended) for img in auto.images] + list(last_images)
-    return GradedAutomorphism(extended, images, check=check)
+    return GradedAutomorphism(extended, images)
 
 
 def normalizing_automorphism(f: NCPoly) -> GradedAutomorphism:

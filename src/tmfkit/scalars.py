@@ -249,14 +249,16 @@ def _ssqrt(p: Terms) -> Terms | None:
     return candidate if _smul(candidate, candidate) == p else None
 
 
-def _gpow(c: GaussRational, k: int) -> GaussRational:
-    """c^k for k >= 0 (0^0 = 1), by repeated squaring."""
-    acc = GR_ONE
+def _power(x, k: int, one):
+    """x^k for k >= 0 (x^0 = one), by repeated squaring: the one power
+    routine of every ring here (GaussRational, Scalar, NCPoly)."""
+    acc = one
     while k:
         if k & 1:
-            acc = acc * c
-        c = c * c
+            acc = acc * x
         k >>= 1
+        if k:
+            x = x * x
     return acc
 
 
@@ -264,7 +266,7 @@ def _seval(p: Terms, shift: int, t0: GaussRational) -> GaussRational:
     """(t^shift * p)(t0) for shift >= 0."""
     acc = GR_ZERO
     for e, c in p:
-        acc = acc + c * _gpow(t0, e + shift)
+        acc = acc + c * _power(t0, e + shift, GR_ONE)
     return acc
 
 
@@ -342,14 +344,8 @@ class Scalar:
 
     def __pow__(self, k: int) -> Scalar:
         if k < 0:
-            return ONE / (self ** (-k))
-        acc, base = ONE, self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+            return ONE / _power(self, -k, ONE)
+        return _power(self, k, ONE)
 
     def is_zero(self) -> bool:
         return not self.n

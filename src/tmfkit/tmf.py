@@ -520,22 +520,15 @@ def _single_eigenvalue(mat: GradedMatrix) -> Scalar:
     n = len(s)
     if n == 0:
         return ONE
-    trace = s[0][0]
-    for i in range(1, n):
-        trace = trace + s[i][i]
-    c = trace / Scalar.from_int(n)
+    c = sum((s[i][i] for i in range(1, n)), s[0][0]) / Scalar.from_int(n)
     # (S - cI)^n must vanish
-    m = [[s[i][j] - (c if i == j else Scalar.from_int(0)) for j in range(n)] for i in range(n)]
+    scalar = mat.algebra.scalar
+    m = GradedMatrix(mat.source, mat.target, [[scalar(x) for x in row] for row in s])
+    m = m - gm.identity_matrix(mat.source).scale(c)
     power = m
     for _ in range(n - 1):
-        power = [
-            [
-                sum((power[i][k] * m[k][j] for k in range(n)), Scalar.from_int(0))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    if any(not power[i][j].is_zero() for i in range(n) for j in range(n)):
+        power = gm.compose(power, m)
+    if not power.is_zero():
         raise MultiEigenvalue("scalar part has several eigenvalues")
     return c
 

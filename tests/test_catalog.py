@@ -5,12 +5,19 @@ import pytest
 from tmfkit import tmf as tm
 from tmfkit.catalog import (
     BadParams,
+    CatalogEntry,
     build,
     case_d_sign_check,
     run_suite,
     zhang_crosscheck,
 )
-from tmfkit.ncalgebra import format_poly, normalizing_automorphism, parse_poly
+from tmfkit.ncalgebra import (
+    GradedAlgebra,
+    GradedAutomorphism,
+    format_poly,
+    normalizing_automorphism,
+    parse_poly,
+)
 from tmfkit.scalars import Scalar
 from tmfkit.tmf import verify
 
@@ -95,7 +102,13 @@ def test_case_g_normality_identities_verbatim():
 
 
 def test_d_sign_erratum_n3():
-    finding = case_d_sign_check(build("d-odd", 3), 1)
+    entry = build("d-odd", 3)
+    A = entry.algebra
+    # a3*a1 = -a1*a3 + 4(-1)^2 a2^2, a3*a2 = a2*a3, and f = a3^2 + a2*a1^2 is central
+    assert A.normal_form([2, 0]) == parse_poly("-a1*a3 + 4*a2^2", A)
+    assert A.normal_form([2, 1]) == A.monomial((0, 1, 1))
+    assert normalizing_automorphism(parse_poly("a3^2 + a2*a1^2", A)).is_identity()
+    finding = case_d_sign_check(entry, 1)
     assert finding.dichotomy
     assert finding.printed_residual_13 == "8*a2^3"
 
@@ -183,18 +196,22 @@ def test_run_suite_makes_one_rank_pass_and_no_trivial_factorization(monkeypatch)
     assert trivials == []
 
 
-def test_run_suite_reports_a_cover_that_fails_to_build():
-    # sigma = id is not the normalizing automorphism of (h), so the cover's
-    # own normality check raises; the suite records it and goes on
-    from tmfkit.catalog import CatalogEntry
-    from tmfkit.ncalgebra import GradedAutomorphism
-
+def _h_entry_over_identity():
+    """An (h) entry whose context has sigma = tau = id (unchecked) but which
+    holds the catalog's rank-2 family, built over the true context."""
     entry = build("h")
     A = entry.algebra
     identity = GradedAutomorphism.identity(A)
     ctx = tm.NormalContext(A, entry.context.f, identity, identity, check=False)
     broken = CatalogEntry.new("h", None, ctx)
     broken.families.update(entry.families)
+    return broken
+
+
+def test_run_suite_reports_a_cover_that_fails_to_build():
+    # sigma = id is not the normalizing automorphism of (h), so the cover's
+    # own normality check raises; the suite records it and goes on
+    broken = _h_entry_over_identity()
     for deep in (False, True):
         report = run_suite(broken, seed=2, trials=8, deep=deep)
         checks = {c.name: c for c in report.checks}
@@ -205,6 +222,28 @@ def test_run_suite_reports_a_cover_that_fails_to_build():
         if deep:
             dependent += ["functor-H-verifies:rank2", "lemma-5-13:rank2"]
         assert [checks[name].detail for name in dependent] == [text] * len(dependent)
+
+
+def test_run_suite_fails_a_family_over_another_context():
+    checks = {c.name: c for c in run_suite(_h_entry_over_identity(), seed=2, trials=8).checks}
+    assert not checks["verify:rank2"].ok
+    assert checks["verify:rank2"].detail == "family context differs from the entry's context"
+    # the catalog entry itself still verifies its family
+    assert {c.name: c for c in run_suite(build("h"), seed=2, trials=8).checks}["verify:rank2"].ok
+
+
+def test_run_suite_records_a_failed_normalizing_automorphism():
+    # over k<x,y>/(yx), f = y^2 is not normal, so normalizing_automorphism
+    # raises NotNormal; the suite records it and runs on to the cover
+    A = GradedAlgebra([("x", 1), ("y", 1)], {(1, 0): []})
+    y = A.gen("y")
+    identity = GradedAutomorphism.identity(A)
+    ctx = tm.NormalContext(A, y * y, identity, identity, check=False)
+    report = run_suite(CatalogEntry.new("yx", None, ctx), seed=2, trials=8)
+    checks = {c.name: c for c in report.checks}
+    sigma = checks["sigma-matches-normalizing"]
+    assert not sigma.ok and sigma.detail == "x*f is not a right f-multiple: f is not normal"
+    assert report.checks[-1].name == "cover-normality" and not report.checks[-1].ok
 
 
 def test_run_suite_records_reduce_and_endomorphism_failures(monkeypatch):

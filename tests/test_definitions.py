@@ -33,14 +33,27 @@ KEPT = {
 }
 
 
+def _walk(node: ast.AST):
+    """ast.walk that skips type annotations: a name that only annotates a
+    parameter, a field or a return value is not a use."""
+    yield node
+    for field, value in ast.iter_fields(node):
+        if field in ("annotation", "returns"):
+            continue
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.AST):
+                yield from _walk(child)
+
+
 def unused_definitions() -> set[str]:
     """Names of definitions that no identifier in src/tmfkit uses: no name,
-    attribute or import refers to them (comments and strings do not count);
-    dunder methods are called by the language, not by name."""
+    attribute or import refers to them (comments, strings and type
+    annotations do not count); dunder methods are called by the language,
+    not by name."""
     defined: set[str] = set()
     used: set[str] = set()
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in _walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.add(node.name)
             elif isinstance(node, ast.Name):

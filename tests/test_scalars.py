@@ -188,6 +188,20 @@ def test_large_t_exponents_cost_nothing():
     assert time.perf_counter() - start < 0.5
 
 
+def test_power_squares_no_further_than_the_top_bit():
+    # 13 = 0b1101: three multiplies into the accumulator, three squarings
+    calls = []
+
+    class Word(str):
+        def __mul__(self, other):
+            calls.append(other)
+            return Word(str(self) + other)
+
+    assert sc._power(Word("x"), 13, Word("")) == "x" * 13
+    assert len(calls) == 6
+    assert sc._power(Word("x"), 0, Word("1")) == "1"
+
+
 def test_dense_literal_powers_are_capped():
     cap = sc.MAX_DENSE_POWER
     assert cap == 256

@@ -422,6 +422,24 @@ def test_symmetric_root_c_is_minus_one():
     assert tm.in_root_form(root)
 
 
+def test_single_eigenvalue_reads_the_scalar_part():
+    A = case_c_algebra()
+    a1 = A.gen("a1")
+    two, three = Scalar.from_int(2), Scalar.from_int(3)
+    F = FreeModule(A, (0, 0, 1))
+    # a Jordan block of 2 beside a 2 on another shift; a1 is not scalar
+    z = A.zero()
+    jordan = GradedMatrix(
+        F, F, [[A.scalar(two), A.one(), z], [z, A.scalar(two), z], [a1, a1, A.scalar(two)]]
+    )
+    assert tm._single_eigenvalue(jordan) == two
+    split = GradedMatrix(
+        F, F, [[A.scalar(two), z, z], [z, A.scalar(three), z], [a1, a1, A.scalar(two)]]
+    )
+    with pytest.raises(tm.MultiEigenvalue):
+        tm._single_eigenvalue(split)
+
+
 def test_coker_hilbert_trivial():
     ctx = case_c_context()
     A = ctx.algebra
