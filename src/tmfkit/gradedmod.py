@@ -146,15 +146,16 @@ class GradedMatrix:
         return all(e.is_zero() for row in self.entries for e in row)
 
     def _entrywise(self, other: GradedMatrix, op) -> GradedMatrix:
+        try:
+            entries = other.entries
+        except AttributeError:
+            return NotImplemented
         if self.source != other.source or self.target != other.target:
             raise ShapeMismatch("sum of matrices with different shapes")
         return GradedMatrix(
             self.source,
             self.target,
-            [
-                [op(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
+            [[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, entries)],
             check=False,
         )
 
@@ -320,21 +321,19 @@ def block_scalar_matrix(
 ) -> GradedMatrix:
     """Endomorphism of `module`, split into summands of the given ranks, whose
     block (a, b) is pattern[a][b] times the identity; ShapeMismatch when a
-    nonzero entry joins summands with different shifts."""
+    nonzero entry joins summands with different shifts (so no entry needs a
+    homogeneity check)."""
     parts = summands(module, sizes)
     if len(pattern) != len(parts) or any(len(row) != len(parts) for row in pattern):
         raise ShapeMismatch(f"pattern shape does not match {len(parts)} summands")
-
-    def block(a: FreeModule, b: FreeModule, c: Scalar) -> GradedMatrix:
-        if c.is_zero():
-            return zero_matrix(a, b)
-        if a != b:
-            raise ShapeMismatch(f"scalar block between summands {a} and {b}")
-        return identity_matrix(a).scale(c)
-
-    return block_matrix(
-        [[block(a, b, c) for b, c in zip(parts, row)] for a, row in zip(parts, pattern)]
-    )
+    for a, row in zip(parts, pattern):
+        for b, c in zip(parts, row):
+            if not c.is_zero() and a != b:
+                raise ShapeMismatch(f"scalar block between summands {a} and {b}")
+    zero, scalar = module.algebra.zero(), module.algebra.scalar
+    place = [(a, k) for a, size in enumerate(sizes) for k in range(size)]  # (summand, index)
+    rows = [[scalar(pattern[a][b]) if k == m else zero for b, m in place] for a, k in place]
+    return GradedMatrix(module, module, rows, check=False)
 
 
 def direct_sum(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:

@@ -381,20 +381,30 @@ class NCPoly:
     def constant_term(self) -> Scalar:
         return self.terms.get((0,) * self.algebra.ngens, ZERO)
 
-    def _check_same(self, other: NCPoly) -> None:
+    def _operand(self, other: NCPoly) -> dict | None:
+        """other's terms; None for a foreign operand, so NotImplemented."""
+        try:
+            terms = other.terms
+        except AttributeError:
+            return None
         if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise AlgebraMismatch("operands live over different algebras")
+        return terms
 
     def __add__(self, other: NCPoly) -> NCPoly:
-        self._check_same(other)
+        terms = self._operand(other)
+        if terms is None:
+            return NotImplemented
         out = dict(self.terms)
-        _acc_into(out, other.terms, ONE)
+        _acc_into(out, terms, ONE)
         return _wrap(self.algebra, out)
 
     def __sub__(self, other: NCPoly) -> NCPoly:
-        self._check_same(other)
+        terms = self._operand(other)
+        if terms is None:
+            return NotImplemented
         out = dict(self.terms)
-        _acc_into(out, other.terms, MINUS_ONE)
+        _acc_into(out, terms, MINUS_ONE)
         return _wrap(self.algebra, out)
 
     def __neg__(self) -> NCPoly:
@@ -408,9 +418,11 @@ class NCPoly:
     def __mul__(self, other: NCPoly | Scalar) -> NCPoly:
         if isinstance(other, Scalar):
             return self.scale(other)
-        self._check_same(other)
+        terms = self._operand(other)
+        if terms is None:
+            return NotImplemented
         out: dict = {}
-        self.algebra._mul_into(out, self.terms, other.terms, [REWRITE_FUEL])
+        self.algebra._mul_into(out, self.terms, terms, [REWRITE_FUEL])
         return _wrap(self.algebra, out)
 
     def __pow__(self, k: int) -> NCPoly:
@@ -498,8 +510,11 @@ class AlgebraMorphism:
         if check:
             self.check_well_defined()
 
-    def check_well_defined(self) -> None:
+    def check_well_defined(self, first: int = 0) -> None:
+        """IllDefined unless every rule (b, a) with b >= first maps to zero."""
         for (b, a), rhs in self.source.rules.items():
+            if b < first:
+                continue
             lhs = self.images[b] * self.images[a]
             for coeff, exps in rhs:
                 lhs = lhs - self._apply_monomial(exps).scale(coeff)
@@ -637,12 +652,11 @@ def ore_extension(
 ) -> GradedAlgebra:
     """Append a generator z with z*x_a -> tau(x_a)*z.
 
-    The new generator is ordered last.  tau must be well defined; the
-    diamond test is re-run on the extension.
+    The new generator is ordered last.  tau is well defined, as every
+    GradedAutomorphism is; the diamond test is re-run on the extension.
     """
     if tau.algebra != algebra:
         raise AlgebraMismatch("tau lives over a different algebra")
-    tau.check_well_defined()
     gens = list(zip(algebra.names, algebra.degrees)) + [(name, degree)]
     z = algebra.ngens
     rules = {ba: [(c, e + (0,)) for c, e in rhs] for ba, rhs in algebra.rules.items()}
@@ -656,41 +670,54 @@ def extend_automorphism(
     extended: GradedAlgebra,
     last_images: list[NCPoly],
 ) -> GradedAutomorphism:
-    """Extend an automorphism of the base to an Ore extension."""
+    """Extend an automorphism of the base to an Ore extension.  When
+    `extended` keeps the base rules as they are, only the rules it adds are
+    checked: a lifted base rule maps to the lift of its residual under
+    `auto`, which is zero because every GradedAutomorphism is well defined."""
+    base = auto.algebra
     images = [img.lift(extended) for img in auto.images] + list(last_images)
-    return GradedAutomorphism(extended, images)
+    pad = (0,) * (extended.ngens - base.ngens)
+    keeps = all(
+        extended.rules[ba] == tuple((c, e + pad) for c, e in r) for ba, r in base.rules.items()
+    )
+    result = GradedAutomorphism(extended, images, check=False)
+    result.check_well_defined(base.ngens if keeps else 0)
+    return result
 
 
 def normalizing_automorphism(f: NCPoly) -> GradedAutomorphism:
-    """Solve a*f = f*sigma(a) for every generator a.
-
-    Raises NotNormal when the system is inconsistent and Ambiguous when the
-    solution is not unique (left multiplication by f fails to be injective
-    on the relevant degree window, flagging non-regularity).
-    """
+    """Solve a*f = f*sigma(a) for every generator a, with one rref per degree
+    e of [f*m for m in A_e | a*f for each generator a of degree e].  The
+    first generator that fails is named: NotNormal when its column is a
+    pivot (a*f is no right f-multiple; the earlier ones passed, so this is
+    exact), Ambiguous when the f*m columns are dependent (f is not regular)."""
     algebra = f.algebra
     if f.is_zero():
         raise NotNormal("zero element has no normalizing automorphism")
     f.degree()  # raises ValueError when f is not homogeneous
+    solved: dict[int, tuple] = {}
     images: list[NCPoly] = []
-    for g in range(algebra.ngens):
-        basis = algebra.monomials_of_degree(algebra.degrees[g])
+    for g, degree in enumerate(algebra.degrees):
+        if degree not in solved:
+            gens = [h for h, e in enumerate(algebra.degrees) if e == degree]
+            basis = algebra.monomials_of_degree(degree)
+            columns = [[(0, f.terms, {m: ONE})] for m in basis]
+            columns += [[(0, {algebra._unit(h): ONE}, f.terms)] for h in gens]
+            solved[degree] = (gens, basis, *linalg.rref(algebra.slice_matrix(columns)))
+        gens, basis, echelon, pivots = solved[degree]
         n = len(basis)
-        # augmented system [f*m for m in basis | a_g*f]
-        columns = [[(0, f.terms, {m: ONE})] for m in basis]
-        columns.append([(0, {algebra._unit(g): ONE}, f.terms)])
-        echelon, pivots = linalg.rref(algebra.slice_matrix(columns))
-        if n in pivots:
+        col = n + gens.index(g)
+        if col in pivots:
             raise NotNormal(
                 f"{algebra.names[g]}*f is not a right f-multiple: f is not normal"
             )
-        if len(pivots) < n:
+        if sum(pc < n for pc in pivots) < n:
             raise Ambiguous(
                 f"normalizing image of {algebra.names[g]} is not unique "
                 "(f is not regular on this window)"
             )
-        solution = {basis[pc]: echelon[r][n] for r, pc in enumerate(pivots)}
-        images.append(NCPoly(algebra, solution))
+        # the f*m columns are the pivots 0..n-1, so row r solves for basis[r]
+        images.append(NCPoly(algebra, {m: echelon[r][col] for r, m in enumerate(basis)}))
     return GradedAutomorphism(algebra, images)
 
 

@@ -312,16 +312,22 @@ class Scalar:
         return _add(self, other)
 
     def __sub__(self, other: Scalar) -> Scalar:
-        if not other.n:
-            return self
+        try:
+            if not other.n:
+                return self
+        except AttributeError:
+            return NotImplemented
         return _add(self, -other)
 
     def __neg__(self) -> Scalar:
         return _make(self.v, tuple((e, -c) for e, c in self.n), self.d)
 
     def __mul__(self, other: Scalar) -> Scalar:
-        if not self.n or not other.n:
-            return ZERO
+        try:
+            if not other.n or not self.n:
+                return ZERO
+        except AttributeError:
+            return NotImplemented
         if self.d is D_ONE and other.d is D_ONE:
             # N1*N2 keeps a nonzero constant term, so the form stays canonical;
             # a unit factor returns the other one as it is
@@ -333,8 +339,11 @@ class Scalar:
         return _reduce(self.v + other.v, _smul(self.n, other.n), _smul(self.d, other.d))
 
     def __truediv__(self, other: Scalar) -> Scalar:
-        if not other.n:
-            raise ZeroDivisionError("division by zero in Q(i)(t)")
+        try:
+            if not other.n:
+                raise ZeroDivisionError("division by zero in Q(i)(t)")
+        except AttributeError:
+            return NotImplemented
         if not self.n:
             return ZERO
         return _reduce(self.v - other.v, _smul(self.n, other.d), _smul(self.d, other.n))
@@ -394,10 +403,13 @@ def _reduce(v: int, n: Terms, d: Terms) -> Scalar:
 
 
 def _add(a: Scalar, b: Scalar) -> Scalar:
+    try:
+        if not b.n:
+            return a
+    except AttributeError:
+        return NotImplemented
     if not a.n:
         return b
-    if not b.n:
-        return a
     if a.v == b.v and a.d is D_ONE and b.d is D_ONE and len(a.n) == 1 and len(b.n) == 1:
         # the monomial lane: c1*t^k + c2*t^k = (c1 + c2)*t^k
         c = a.n[0][1] + b.n[0][1]

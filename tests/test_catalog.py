@@ -310,14 +310,17 @@ def test_run_suite_builds_each_functor_output_once(monkeypatch):
     families = [entry.factorization(label) for label in entry.labels()]
     c_calls = counting(monkeypatch, "functor_C", [cover, catalog])
     h_calls = counting(monkeypatch, "functor_H", [cover, catalog])
+    blocks = counting(monkeypatch, "_cover_blocks", [cover])
     builds = counting(monkeypatch, "build", [catalog])
     assert run_suite(entry, seed=0, trials=8, deep=True).ok
     for t in families:
         assert sum(args[1] is t for args in c_calls) == 1
         assert sum(args[1] is t for args in h_calls) == 1
-    # the rest: C2 once per family (Lemma 5.13) and H once per Zhang family
-    assert len(c_calls) == 2 * len(families)
+    # the rest: H once per Zhang family, and C2 once per family, built
+    # unchecked by Lemma 5.13
+    assert len(c_calls) == len(families)
     assert len(h_calls) == 2 * len(families)
+    assert len(blocks) == len(c_calls) + len(h_calls) + len(families)
     assert builds == []
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from tmfkit import cover as cover_mod
 from tmfkit import gradedmod as gm
 from tmfkit import tmf as tm
 from tmfkit.cover import (
@@ -22,7 +23,7 @@ from tmfkit.cover import (
 )
 from tmfkit.gradedmod import FreeModule, GradedMatrix
 from tmfkit.ncalgebra import GradedAutomorphism, hilbert_series
-from tmfkit.scalars import Scalar
+from tmfkit.scalars import Scalar, parse_scalar
 from tmfkit.tmf import (
     TMF,
     NormalContext,
@@ -328,6 +329,54 @@ def test_lemma_5_13_irrelevant():
     t = irrelevant(ctx)
     report = check_lemma_5_13(sc, t, functor_C(sc.first, t), functor_H(sc.uv, t))
     assert report.ok
+
+
+def old_lemma_5_13_route(sc, t, c1, h, pattern):
+    """conjugation_exact as it was once computed: invert P over the algebra,
+    conjugate C2(c1) and compare with h + T h."""
+    mapped = tm.map_tmf(functor_C(sc.second, c1), sc.to_uv, sc.uv.context)
+    rF, rG = t.phi.source.rank, t.phi.target.rank
+    p_src = gm.block_scalar_matrix(mapped.phi.source, [rF, rG, rG, rF], pattern)
+    p_tgt = gm.block_scalar_matrix(mapped.phi.target, [rG, rF, rF, rG], pattern)
+    return tm.conjugate(mapped, p_src, p_tgt) == direct_sum_tmf(h, T_functor(h))
+
+
+def lemma_5_13_pattern_with_corner(value):
+    pattern = [row[:] for row in cover_mod.LEMMA_5_13_PATTERN]
+    pattern[0][3] = parse_scalar(value)
+    return pattern
+
+
+def test_lemma_5_13_bites_on_a_changed_pattern(monkeypatch):
+    t = case_c_tmf()
+    sc = second_cover(t.context)
+    c1, h = functor_C(sc.first, t), functor_H(sc.uv, t)
+    assert old_lemma_5_13_route(sc, t, c1, h, cover_mod.LEMMA_5_13_PATTERN)
+    # the corner i made 2i keeps P invertible over k, but P no longer
+    # carries C2(C1(t)) to H(t) + T H(t)
+    changed = lemma_5_13_pattern_with_corner("2*i")
+    monkeypatch.setattr(cover_mod, "LEMMA_5_13_PATTERN", changed)
+    report = check_lemma_5_13(sc, t, c1, h)
+    assert not report.conjugation_exact and report.restriction_exact
+    assert not old_lemma_5_13_route(sc, t, c1, h, changed)
+    # the corner i made -i makes P singular: the check refuses it
+    monkeypatch.setattr(cover_mod, "LEMMA_5_13_PATTERN", lemma_5_13_pattern_with_corner("-i"))
+    with pytest.raises(ValueError, match="not invertible over k"):
+        check_lemma_5_13(sc, t, c1, h)
+
+
+def test_lemma_5_13_forms_no_inverse(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("check_lemma_5_13 must not invert or conjugate")
+
+    cases = []
+    for t in (case_c_tmf(), case_g_tmf(2, 1)):
+        sc = second_cover(t.context)
+        cases.append((sc, t, functor_C(sc.first, t), functor_H(sc.uv, t)))
+    monkeypatch.setattr(gm, "is_invertible", refuse)
+    monkeypatch.setattr(tm, "conjugate", refuse)
+    for sc, t, c1, h in cases:
+        assert check_lemma_5_13(sc, t, c1, h).ok
 
 
 def test_c_image_is_symmetric_via_swap():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tmfkit import linalg
-from tmfkit.cover import LEMMA_5_13_MATRIX
+from tmfkit.cover import LEMMA_5_13_PATTERN
 from tmfkit.gradedmod import (
     DegreeMismatch,
     FreeModule,
@@ -302,6 +302,43 @@ def test_block_scalar_matrix_is_a_pattern_times_identities():
         block_scalar_matrix(module, [2, 2, 1], [[ONE, ZERO], [ZERO, ONE]])
 
 
+def test_block_scalar_matrix_skips_the_homogeneity_pass(monkeypatch):
+    A = case_h_algebra()
+    module = FreeModule(A, (0, 1, 0, 1, 2))
+    pattern = [[ONE, S("2"), ZERO], [S("i"), ZERO, ZERO], [ZERO, ZERO, -ONE]]
+    parts = [FreeModule(A, (0, 1)), FreeModule(A, (0, 1)), FreeModule(A, (2,))]
+    reference = block_matrix(
+        [
+            [identity_matrix(a).scale(c) if a == b else zero_matrix(a, b) for b, c in zip(parts, row)]
+            for a, row in zip(parts, pattern)
+        ]
+    )
+    checks = []
+    monkeypatch.setattr(GradedMatrix, "check_homogeneous", lambda self: checks.append(self))
+    assert block_scalar_matrix(module, [2, 2, 1], pattern) == reference
+    assert checks == []
+    monkeypatch.undo()
+    reference.check_homogeneous()
+    # the refusals come before any entry is built
+    with pytest.raises(ShapeMismatch, match="scalar block"):
+        block_scalar_matrix(module, [2, 2, 1], [[ONE, ZERO, ONE], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]])
+    with pytest.raises(ShapeMismatch, match="pattern shape"):
+        block_scalar_matrix(module, [2, 2, 1], [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]])
+    with pytest.raises(ShapeMismatch, match="do not add up"):
+        block_scalar_matrix(module, [2, 2], [[ONE, ZERO], [ZERO, ONE]])
+
+
+def test_matrix_foreign_operands_raise_type_error():
+    A = case_h_algebra()
+    m = identity_matrix(FreeModule(A, (0, 1)))
+    for other in (1, ONE, A.gen("a1"), None):
+        with pytest.raises(TypeError):
+            m + other
+        with pytest.raises(TypeError):
+            m - other
+    assert (m + m) - m == m
+
+
 def test_scalar_part_and_examples():
     A = case_h_algebra()
     F = FreeModule(A, (0, 1))
@@ -424,7 +461,7 @@ def test_is_invertible_over_k_composes_only_for_the_guard(monkeypatch):
     A = case_h_algebra()
     # summands F, G, G, F as in Lemma 5.13, with G's shifts above F's
     module = FreeModule(A, (0, 1, 2, 3, 2, 3, 0, 1))
-    pattern = [[S(x) for x in row] for row in LEMMA_5_13_MATRIX]
+    pattern = LEMMA_5_13_PATTERN
     m = block_scalar_matrix(module, [2, 2, 2, 2], pattern)
     composes = counting_compose(monkeypatch)
     ok, inv = is_invertible(m)

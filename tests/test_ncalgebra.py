@@ -1,12 +1,15 @@
+import operator
 import random
 import time
 
 import pytest
 
+from tmfkit import linalg
 from tmfkit import ncalgebra as nca
 from tmfkit.catalog import build
 from tmfkit.cover import make_cover
 from tmfkit.ncalgebra import (
+    Ambiguous,
     AlgebraMorphism,
     ConfluenceFailure,
     GradedAlgebra,
@@ -313,6 +316,156 @@ def test_normalizing_errors():
         normalizing_automorphism(A.gen("a2"))
     with pytest.raises(NotNormal):
         normalizing_automorphism(A.zero())
+
+
+def normalizing_reference(f):
+    """The per-generator solve: one rref of [f*m for m in A_deg | a*f] for
+    each generator a in turn, kept as the reference for the per-degree one."""
+    algebra = f.algebra
+    if f.is_zero():
+        raise NotNormal("zero element has no normalizing automorphism")
+    f.degree()
+    images = []
+    for g in range(algebra.ngens):
+        basis = algebra.monomials_of_degree(algebra.degrees[g])
+        n = len(basis)
+        columns = [[(0, f.terms, {m: ONE})] for m in basis]
+        columns.append([(0, {algebra._unit(g): ONE}, f.terms)])
+        echelon, pivots = linalg.rref(algebra.slice_matrix(columns))
+        if n in pivots:
+            raise NotNormal(
+                f"{algebra.names[g]}*f is not a right f-multiple: f is not normal"
+            )
+        if len(pivots) < n:
+            raise Ambiguous(
+                f"normalizing image of {algebra.names[g]} is not unique "
+                "(f is not regular on this window)"
+            )
+        images.append(nca.NCPoly(algebra, {basis[pc]: echelon[r][n] for r, pc in enumerate(pivots)}))
+    return GradedAutomorphism(algebra, images)
+
+
+def outcome(solve, f):
+    try:
+        return solve(f)
+    except (NotNormal, Ambiguous) as exc:
+        return type(exc), str(exc)
+
+
+def yxz_algebra():
+    """k<y,x,z>: y, x commute with each other and z commutes with y, but
+    z*x = 0.  Left multiplication by z kills x, and x*z is not a right
+    z-multiple, while y*z = z*y is."""
+    return GradedAlgebra(
+        [("y", 1), ("x", 1), ("z", 1)],
+        {(1, 0): [(ONE, (1, 1, 0))], (2, 0): [(ONE, (1, 0, 1))], (2, 1): []},
+    )
+
+
+def xyz_algebra():
+    """k<x,y,z>: x commutes with y and z, and z*y = -y*z.  For f = x + z,
+    x*f = f*x and z*f = f*z, but y*f is not a right f-multiple."""
+    return GradedAlgebra(
+        [("x", 1), ("y", 1), ("z", 1)],
+        {(1, 0): [(ONE, (1, 1, 0))], (2, 0): [(ONE, (1, 0, 1))], (2, 1): [(-ONE, (0, 1, 1))]},
+    )
+
+
+def test_per_degree_normalizing_solve_matches_the_per_generator_one():
+    from tmfkit.cover import second_cover
+
+    algebras = []
+    for case, n in [("b", 3), ("c", None), ("d-odd", 5), ("d-even", 4), ("e", 2),
+                    ("g", 3), ("h", None), ("commutative-A1", None)]:
+        ctx = build(case, n).context
+        sc = second_cover(ctx)
+        for c in (ctx, sc.first.context, sc.second.context, sc.uv.context):
+            algebras.append((c.algebra, c.f))
+    yx = GradedAlgebra([("x", 1), ("y", 1)], {(1, 0): []})
+    xyz = xyz_algebra()
+    algebras += [(yx, yx.gen("y") ** 2), (yxz_algebra(), yxz_algebra().gen("z")),
+                 (xyz, xyz.gen("x") + xyz.gen("z"))]
+    kinds = set()
+    for A, f in algebras:
+        for g in [f, A.zero()] + [A.gen(k) for k in range(A.ngens)]:
+            expected = outcome(normalizing_reference, g)
+            assert outcome(normalizing_automorphism, g) == expected, (A.names, str(g))
+            kinds.add(expected[0] if isinstance(expected, tuple) else "ok")
+    assert kinds == {"ok", NotNormal, Ambiguous}
+
+
+def test_not_normal_names_the_later_generator_of_a_shared_degree():
+    A = xyz_algebra()
+    f = A.gen("x") + A.gen("z")
+    with pytest.raises(NotNormal, match=r"^y\*f is not a right f-multiple"):
+        normalizing_automorphism(f)
+    # z*x = 0 kills x: y passes the solve and is the first not unique
+    B = yxz_algebra()
+    with pytest.raises(Ambiguous, match="normalizing image of y is not unique"):
+        normalizing_automorphism(B.gen("z"))
+
+
+def test_normalizing_automorphism_runs_one_rref_per_generator_degree(monkeypatch):
+    from tmfkit.cover import second_cover
+
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(1) or rref(rows))
+    for case, n in [("h", None), ("g", 3), ("c", None)]:
+        cover = second_cover(build(case, n).context).second
+        calls.clear()
+        normalizing_automorphism(cover.f_cover)
+        assert len(calls) == len(set(cover.algebra.degrees)) < cover.algebra.ngens
+
+
+def test_extension_checks_the_rules_it_adds():
+    # z*a -> -a*z over k[a]; z -> z + a breaks the new rule: (z + a)*a
+    # - (-a)*(z + a) = 2*a^2
+    A = commutative([("a", 1)])
+    a = A.gen("a")
+    E = ore_extension(A, "z", 1, GradedAutomorphism(A, [-a]))
+    ident = GradedAutomorphism.identity(A)
+    with pytest.raises(IllDefined, match=r"rule \(z, a\)"):
+        nca.extend_automorphism(ident, E, [E.gen("z") + E.gen("a")])
+    assert nca.extend_automorphism(ident, E, [-E.gen("z")])(E.gen("z")) == -E.gen("z")
+
+
+def test_extension_with_other_base_rules_gets_the_full_check(monkeypatch):
+    # x, y -> x, y + x is well defined on k[x, y], but not on the skew
+    # plane y*x = -x*y, whose base rule the extension changed
+    base = commutative([("x", 1), ("y", 1)])
+    auto = GradedAutomorphism(base, [base.gen("x"), base.gen("y") + base.gen("x")])
+    skew = GradedAlgebra(
+        [("x", 1), ("y", 1), ("z", 1)],
+        {(1, 0): [(-ONE, (1, 1, 0))], (2, 0): [(ONE, (1, 0, 1))], (2, 1): [(ONE, (0, 1, 1))]},
+    )
+    with pytest.raises(IllDefined, match=r"rule \(y, x\)"):
+        nca.extend_automorphism(auto, skew, [skew.gen("z")])
+    firsts = []
+    check = GradedAutomorphism.check_well_defined
+    monkeypatch.setattr(
+        GradedAutomorphism, "check_well_defined",
+        lambda self, first=0: firsts.append(first) or check(self, first),
+    )
+    lifted = ore_extension(base, "z", 1, GradedAutomorphism.identity(base))
+    firsts.clear()
+    nca.extend_automorphism(auto, lifted, [lifted.gen("z")])
+    assert firsts == [2]
+
+
+def test_poly_foreign_operands_raise_type_error():
+    A = case_h_algebra()
+    a1 = A.gen("a1")
+    for other in (1, ONE, None):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(a1, other)
+    with pytest.raises(TypeError):
+        a1 * 2
+    with pytest.raises(TypeError):
+        ONE * a1
+    # a Scalar on the right scales
+    assert a1 * S("3") == a1.scale(S("3"))
 
 
 def test_left_ranks_see_a_zero_divisor():

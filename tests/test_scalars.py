@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -125,6 +126,17 @@ def test_canonicalization_idempotent():
     # values come only from the canonical constructors and operations
     with pytest.raises(TypeError):
         Scalar()
+
+
+def test_foreign_operands_raise_type_error():
+    two = S("2")
+    for other in (1, 0.5, "t", None):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(two, other)
+            with pytest.raises(TypeError):
+                op(other, two)
+    assert two + two == S("4") and two / two == sc.ONE
 
 
 def test_parse_print_roundtrip():
