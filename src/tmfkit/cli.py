@@ -1,9 +1,9 @@
 """Command line interface: verify, catalog, functor, iso.
 
 Exit codes: 0 pass, 1 verification failure, 2 input error (a malformed
-option, an option over MAX_DEGREE_WINDOW or MAX_TRIALS, an unwritable output
-and an exhausted rewrite budget included), 3
-probabilistic negative; ``main`` alone maps typed errors to 1 and 2.  All
+option, an option over MAX_DEGREE_WINDOW, MAX_TRIALS or MAX_CATALOG_N, an
+unwritable output and an exhausted rewrite budget included), 3 probabilistic
+negative; ``main`` alone maps typed errors to 1 and 2.  All
 randomized procedures take an explicit seed (flag --seed, falling back to the
 TMFKIT_SEED environment variable, then 0), so reports are reproducible.
 """
@@ -40,6 +40,10 @@ CONVENTION = (
 # Largest --max-degree window: the (h) suite takes about 20 s at 20, and its
 # cost grows faster than the fourth power of the window.
 MAX_DEGREE_WINDOW = 20
+
+# Largest catalog --n: `catalog verify g --n 128` takes about 6 s and the
+# (g) presentations grow with n until a far larger n ends in deep recursion.
+MAX_CATALOG_N = 128
 
 # Largest --trials: iso runs every trial on a non-isomorphic pair whose Hom
 # space is nonzero.
@@ -469,6 +473,9 @@ def _check_limits(args) -> None:
         raise InputError(
             f"--max-degree {args.max_degree} exceeds MAX_DEGREE_WINDOW = {MAX_DEGREE_WINDOW}"
         )
+    n = getattr(args, "n", None)
+    if n is not None and n > MAX_CATALOG_N:
+        raise InputError(f"--n {n} exceeds MAX_CATALOG_N = {MAX_CATALOG_N}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -256,6 +256,20 @@ def test_trials_at_and_over_the_cap(tmp_path, capsys):
     )
 
 
+def test_catalog_n_at_and_over_the_cap(tmp_path, capsys):
+    from tmfkit.cli import MAX_CATALOG_N
+
+    cap = str(MAX_CATALOG_N)
+    assert main(["catalog", "export", "g", "--n", cap, "--j", "1", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.strip().endswith(f"g-n{cap}-j1.json")
+    # 600 used to end only through a RecursionError
+    for over in (str(MAX_CATALOG_N + 1), "600"):
+        assert main(["catalog", "verify", "g", "--n", over]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: --n {over} exceeds MAX_CATALOG_N = {cap}\n"
+        )
+
+
 def test_functor_T_twice_is_identity_bytewise(tmp_path, capsys):
     main(["catalog", "export", "h", "--out", str(tmp_path)])
     path = capsys.readouterr().out.strip().splitlines()[-1]

@@ -16,14 +16,20 @@ from tmfkit.cover import (
     functor_B,
     functor_C,
     functor_H,
-    functor_Res,
     make_cover,
+    restrict_tmf,
     second_cover,
     symmetric_split,
 )
 from tmfkit.gradedmod import FreeModule, GradedMatrix
-from tmfkit.ncalgebra import GradedAutomorphism, hilbert_series
-from tmfkit.scalars import Scalar, parse_scalar
+from tmfkit.ncalgebra import (
+    GradedAlgebra,
+    GradedAutomorphism,
+    extend_automorphism,
+    hilbert_series,
+    parse_poly,
+)
+from tmfkit.scalars import I as IMAG, ONE, Scalar, parse_scalar
 from tmfkit.tmf import (
     TMF,
     NormalContext,
@@ -55,7 +61,17 @@ def test_make_cover_case_c():
     assert cover.ell == 3
     # f + z^2 is central here (sigma extended is the identity)
     assert cover.sigma.is_identity()
-    assert cover.zeta(cover.x()) == -cover.x()
+    assert zeta(cover)(cover.x()) == -cover.x()
+
+
+def zeta(cover):
+    """The automorphism of the cover that fixes the base and negates every
+    new variable."""
+    return extend_automorphism(
+        GradedAutomorphism.identity(cover.base.algebra),
+        cover.algebra,
+        [-cover.algebra.gen(name) for name in cover.names],
+    )
 
 
 def test_make_cover_case_g_normality():
@@ -77,6 +93,58 @@ def test_make_cover_rejects_wrong_tau():
     bad_ctx = NormalContext(A, ctx.f, ctx.sigma, tau_bad, check=False)
     with pytest.raises(HypothesisViolation):
         make_cover(bad_ctx)
+
+
+def commutative_context(f_text, tau_images=None, check=True):
+    """k[x, y] with sigma = id and f parsed from f_text; tau_images maps
+    the generators x, y to their images under tau (no tau when None)."""
+    A = GradedAlgebra([("x", 1), ("y", 1)], {(1, 0): [(ONE, (1, 1))]})
+    identity = GradedAutomorphism.identity(A)
+    tau = None if tau_images is None else GradedAutomorphism(A, tau_images(A.gen("x"), A.gen("y")))
+    return NormalContext(A, parse_poly(f_text, A), identity, tau, check=check)
+
+
+@pytest.mark.parametrize(
+    "f_text, tau_images, message",
+    [
+        ("x*y", None, "no square root of sigma"),
+        ("x^3", lambda x, y: [x, y], "square root context needs even deg f"),
+        ("x^2 + y^2", lambda x, y: [x.scale(IMAG), y], r"tau\*tau != sigma"),
+        ("x*y", lambda x, y: [-x, y], "tau does not fix f"),
+    ],
+)
+def test_make_cover_refuses_each_bad_base(f_text, tau_images, message):
+    ctx = commutative_context(f_text, tau_images, check=False)
+    with pytest.raises(HypothesisViolation, match=message):
+        make_cover(ctx)
+
+
+def test_make_cover_refuses_a_used_name():
+    ctx = commutative_context("x*y", lambda x, y: [x, y])
+    with pytest.raises(HypothesisViolation, match="generator name 'y' already used"):
+        make_cover(ctx, ("u", "y"))
+
+
+def test_covers_build_without_solving_for_sigma(monkeypatch):
+    # NormalContext.check proves a*F = F*sigma(a) on every generator, so no
+    # cover build solves for the normalizing automorphism
+    import sys
+
+    from tmfkit.catalog import build
+
+    def refuse(*args):
+        raise AssertionError("a cover build must not solve for sigma")
+
+    entries = [build(case, n) for case, n in (
+        ("b", 3), ("c", None), ("d-odd", 3), ("d-even", 2), ("e", 1),
+        ("g", 3), ("h", None), ("commutative-A1", None),
+    )]
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tmfkit") and hasattr(module, "normalizing_automorphism"):
+            monkeypatch.setattr(module, "normalizing_automorphism", refuse)
+    for entry in entries:
+        assert make_cover(entry.context).context.algebra.names[-1] == "z"
+        assert second_cover(entry.context).second.context.algebra.names[-2:] == ("z", "w")
 
 
 def test_functor_C_verifies_on_catalog():
@@ -117,11 +185,65 @@ def test_res_after_C_is_lemma_5_5():
         assert check_lemma_5_5(cover, t, functor_C(cover, t))
 
 
+def with_entry_negated_where_restriction_sees_it(t, base):
+    """t with its first phi entry negated whose restriction to base is
+    nonzero (so the change survives setting the cover variables to zero)."""
+    rows = [list(row) for row in t.phi.entries]
+    i, j = next(
+        (i, j)
+        for i, row in enumerate(rows)
+        for j, e in enumerate(row)
+        if not e.restrict(base.algebra).is_zero()
+    )
+    rows[i][j] = -rows[i][j]
+    return TMF(t.context, GradedMatrix(t.phi.source, t.phi.target, rows), t.psi)
+
+
+def test_lemma_5_5_bites_without_a_verify():
+    t = case_g_tmf(2, 1)
+    cover = make_cover(t.context)
+    c = functor_C(cover, t)
+    assert not check_lemma_5_5(cover, t, with_entry_negated_where_restriction_sees_it(c, cover.base))
+    with pytest.raises(HypothesisViolation, match="does not live over the cover"):
+        check_lemma_5_5(cover, t, t)
+
+
+def counting_verify(monkeypatch):
+    """Count the calls to verify through every module that binds it."""
+    calls = [0]
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(tm, "verify", wrapper)
+    monkeypatch.setattr(cover_mod, "verify", wrapper)
+    return calls
+
+
+def test_lemma_checks_call_no_verify(monkeypatch):
+    t = case_c_tmf()
+    sc = second_cover(t.context)
+    c1, h = functor_C(sc.first, t), functor_H(sc.uv, t)
+    calls = counting_verify(monkeypatch)
+    assert check_lemma_5_5(sc.first, t, c1)
+    assert check_lemma_5_13(sc, t, c1, h).ok
+    assert calls == [0]
+
+
+def test_lemma_5_13_restriction_bites_without_a_verify():
+    t = case_c_tmf()
+    sc = second_cover(t.context)
+    c1 = functor_C(sc.first, t)
+    h = with_entry_negated_where_restriction_sees_it(functor_H(sc.uv, t), sc.base)
+    assert not check_lemma_5_13(sc, t, c1, h).restriction_exact
+
+
 def test_res_of_trivial():
     ctx = case_c_context()
     cover = make_cover(ctx)
     t = trivial(cover.context, FreeModule(cover.algebra, (0, 2)), "unit-first")
-    out = functor_Res(cover, t)
+    out = restrict_tmf(t, ctx)
     assert verify(out).ok
     assert out.phi.entries == trivial(ctx, FreeModule(ctx.algebra, (0, 2)), "unit-first").phi.entries
 
@@ -437,8 +559,8 @@ def test_zeta_conjugates_C_output():
     c = functor_C(cover, t)
     zeta_c = tm.TMF(
         cover.context,
-        c.phi.map_entries(cover.zeta, cover.algebra),
-        c.psi.map_entries(cover.zeta, cover.algebra),
+        c.phi.map_entries(zeta(cover), cover.algebra),
+        c.psi.map_entries(zeta(cover), cover.algebra),
     )
     assert verify(zeta_c).ok
     r = t.rank
