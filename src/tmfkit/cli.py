@@ -1,11 +1,12 @@
 """Command line interface: verify, catalog, functor, iso.
 
 Exit codes: 0 pass, 1 verification failure, 2 input error (a malformed
-option, an option over MAX_DEGREE_WINDOW, MAX_TRIALS or MAX_CATALOG_N, an
-unwritable output and an exhausted rewrite budget included), 3 probabilistic
-negative; ``main`` alone maps typed errors to 1 and 2.  All
-randomized procedures take an explicit seed (flag --seed, falling back to the
-TMFKIT_SEED environment variable, then 0), so reports are reproducible.
+option or TMFKIT_SEED, an option over MAX_DEGREE_WINDOW, MAX_TRIALS or
+MAX_CATALOG_N, an unwritable output and an exhausted rewrite budget
+included), 3 probabilistic negative; ``main`` alone maps typed errors to 1
+and 2.  All randomized procedures take an explicit seed (flag --seed, falling
+back to the TMFKIT_SEED environment variable, an integer, then 0), so
+reports are reproducible.
 """
 
 from __future__ import annotations
@@ -384,10 +385,11 @@ def cmd_iso(args) -> int:
 
 
 def default_seed() -> int:
+    text = os.environ.get("TMFKIT_SEED", "0")
     try:
-        return int(os.environ.get("TMFKIT_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise InputError(f"TMFKIT_SEED must be an integer, got {text!r}") from None
 
 
 def _at_least(low: int):
@@ -479,7 +481,6 @@ def _check_limits(args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     commands = {
         "verify": cmd_verify,
         "catalog": cmd_catalog,
@@ -487,6 +488,8 @@ def main(argv: list[str] | None = None) -> int:
         "iso": cmd_iso,
     }
     try:
+        # the parser's --seed default reads TMFKIT_SEED, so it is built here
+        args = build_parser().parse_args(argv)
         _check_limits(args)
         return commands[args.command](args)
     except tuple(t for types, _, _ in EXITS for t in types) as exc:

@@ -292,7 +292,7 @@ def functor_A(cover: CoverContext, m: EquivariantModule) -> TMF:
 def delta_sigma(cover: CoverContext, m: EquivariantModule) -> TMF:
     """Factorization (z*I - Z, tau-twist of (z*I + Z)) of f + z^2 over the
     cover, whose cokernel is the module itself (checked at Hilbert level by
-    the suite)."""
+    tests/test_cover.py::test_delta_sigma_of_B_module)."""
     E = cover.algebra
     ctx = cover.base
     ell, d = cover.ell, ctx.d

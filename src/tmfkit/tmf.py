@@ -379,100 +379,55 @@ def _find_unit(mat: GradedMatrix) -> tuple[int, int] | None:
     return None
 
 
-def _clearing_pair(
-    mat: GradedMatrix, i: int, j: int
-) -> tuple[GradedMatrix, GradedMatrix]:
-    """Unipotent (row_ops, col_ops) with row_ops*MAT*col_ops having the pivot
-    as the only nonzero entry in its row and column."""
-    algebra = mat.algebra
-    c_inv = mat.entries[i][j].constant_term().inverse()
-    n, m = mat.source.rank, mat.target.rank
-    row_ops = gm.identity_matrix(mat.source)
-    rows = [list(r) for r in row_ops.entries]
-    for i2 in range(n):
-        if i2 != i and not mat.entries[i2][j].is_zero():
-            rows[i2][i] = -(mat.entries[i2][j].scale(c_inv))
-    row_ops = GradedMatrix(mat.source, mat.source, rows)
-    col_ops = gm.identity_matrix(mat.target)
-    cols = [list(r) for r in col_ops.entries]
-    for j2 in range(m):
-        if j2 != j and not mat.entries[i][j2].is_zero():
-            cols[j][j2] = -(mat.entries[i][j2].scale(c_inv))
-    col_ops = GradedMatrix(mat.target, mat.target, cols)
-    return row_ops, col_ops
-
-
 class ReduceResult(NamedTuple):
     reduced: TMF
     unit_first: int
     f_first: int
 
 
-def _slice_tmf(t: TMF, drop_f: int, drop_g: int) -> TMF:
-    keep_f = [i for i in range(t.phi.source.rank) if i != drop_f]
-    keep_g = [j for j in range(t.phi.target.rank) if j != drop_g]
-    phi = gm.submatrix(t.phi, keep_f, keep_g)
-    psi = gm.submatrix(t.psi, keep_g, keep_f)
-    return TMF(t.context, phi, psi)
+def _split_off(
+    mat: GradedMatrix, i: int, j: int, other: GradedMatrix
+) -> tuple[GradedMatrix, GradedMatrix]:
+    """Split off the trivial summand spanned by the degree-0 unit u = mat[i][j].
 
-
-def _require_zero(*entries: NCPoly) -> None:
-    if not all(e.is_zero() for e in entries):
-        raise OracleMismatch("reduce: a cleared pivot still shares its row or column")
+    MAT becomes its Schur complement D - C*u^{-1}*B: D is MAT outside row i
+    and column j, C the rest of column j and B the rest of row i.  OTHER,
+    the matrix running back, loses row j and column i."""
+    rows = [r for r in range(mat.source.rank) if r != i]
+    cols = [c for c in range(mat.target.rank) if c != j]
+    u_inv = mat.entries[i][j].constant_term().inverse()
+    column = gm.submatrix(mat, rows, [j]).scale(u_inv)
+    schur = gm.submatrix(mat, rows, cols) - gm.compose(column, gm.submatrix(mat, [i], cols))
+    return schur, gm.submatrix(other, cols, rows)
 
 
 def reduce(t: TMF) -> ReduceResult:
-    """Split off trivial summands by pivoting on invertible degree-0 entries.
+    """Split off trivial summands, one Schur complement per unit entry.
 
-    The output has no nonzero degree-0 entries in phi or psi; every step is
-    checked, and a failed check raises OracleMismatch.
-    """
+    A unit of phi spans a unit-first summand (1, f), a unit of psi an
+    f-first one (f, 1).  `_split_off` is conjugation by unipotent clearing
+    matrices written out in closed form, so no inverse is formed.  The
+    matrix it slices is a block of that conjugate only when t verifies, so t
+    must verify (ValueError otherwise); the result is verified again, and a
+    failure raises OracleMismatch.  When nothing splits, t is returned."""
+    if not verify(t).ok:
+        raise ValueError("reduce needs a verified factorization")
     current = t
     unit_first = 0
     f_first = 0
     while True:
         pivot = _find_unit(current.phi)
         if pivot is not None:
-            i, j = pivot
-            row_ops, col_ops = _clearing_pair(current.phi, i, j)
-            ok, row_inv = gm.is_invertible(row_ops)
-            if not ok:
-                raise OracleMismatch("reduce: a clearing matrix is not invertible")
-            current = conjugate(current, row_inv, col_ops)
-            # the cleared pivot spans a unit-first trivial summand
-            for j2 in range(current.phi.target.rank):
-                if j2 != j:
-                    _require_zero(current.phi.entries[i][j2], current.psi.entries[j2][i])
-            for i2 in range(current.phi.source.rank):
-                if i2 != i:
-                    _require_zero(current.phi.entries[i2][j], current.psi.entries[j][i2])
-            current = _slice_tmf(current, i, j)
+            phi, psi = _split_off(current.phi, *pivot, current.psi)
             unit_first += 1
-            continue
-        pivot = _find_unit(current.psi)
-        if pivot is not None:
-            k, i0 = pivot  # psi: twG (index k) -> F (index i0)
-            row_ops, col_ops = _clearing_pair(current.psi, k, i0)
-            # a basis change of twG comes from one of G via the inverse twist
-            sigma = current.context.sigma
-            d = current.context.d
-            ok, row_inv = gm.is_invertible(row_ops)
-            if not ok:
-                raise OracleMismatch("reduce: a clearing matrix is not invertible")
-            beta = gm.twist_matrix(row_inv, sigma.inverse(), -d)
-            current = conjugate(current, col_ops, beta)
-            for j2 in range(current.phi.target.rank):
-                if j2 != k:
-                    _require_zero(current.phi.entries[i0][j2])
-            for i2 in range(current.phi.source.rank):
-                if i2 != i0:
-                    _require_zero(current.phi.entries[i2][k])
-            current = _slice_tmf(current, i0, k)
+        else:
+            pivot = _find_unit(current.psi)
+            if pivot is None:
+                break
+            psi, phi = _split_off(current.psi, *pivot, current.phi)
             f_first += 1
-            continue
-        break
-    report = verify(current)
-    if not report.ok:
+        current = TMF(current.context, phi, psi)
+    if current is not t and not verify(current).ok:
         raise OracleMismatch("reduce broke the factorization identities")
     return ReduceResult(current, unit_first, f_first)
 

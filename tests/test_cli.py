@@ -393,6 +393,15 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     assert args.seed == 99
 
 
+@pytest.mark.parametrize("value", ["abc", "", "1.5"])
+def test_malformed_seed_env_exits_2(value, capsys, monkeypatch):
+    monkeypatch.setenv("TMFKIT_SEED", value)
+    assert main(["catalog", "list"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: TMFKIT_SEED must be an integer, got {value!r}\n"
+
+
 def test_functor_res_off_a_cover_exits_1(tmp_path, capsys):
     # the (h) file does not live over a cover, so truncating its context
     # breaks sigma: a verification failure, not a traceback

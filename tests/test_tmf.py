@@ -305,14 +305,6 @@ def test_reduce_examples():
     assert again.reduced == result.reduced
 
 
-def test_reduce_raises_when_a_clearing_matrix_is_not_invertible(monkeypatch):
-    ctx = case_c_context()
-    t = direct_sum_tmf(case_c_tmf(), trivial(ctx, FreeModule(ctx.algebra, (2,)), "unit-first"))
-    monkeypatch.setattr(gm, "is_invertible", lambda mat: (False, None))
-    with pytest.raises(tm.OracleMismatch):
-        reduce(t)
-
-
 def test_library_has_no_assert_statements():
     # checks must survive python -O, so they raise typed errors instead
     package = Path(tm.__file__).parent
@@ -322,23 +314,224 @@ def test_library_has_no_assert_statements():
         assert not asserts, f"{path.name}: assert on lines {asserts}"
 
 
-def test_reduce_interleaved_units():
-    # a trivial summand hidden by a change of basis is still split off
+def interleaved_input():
+    """(c) plus a unit-first summand, its unit row mixed into another row by
+    a unipotent conjugation."""
     ctx = case_c_context()
     A = ctx.algebra
-    c = case_c_tmf()
-    mixed = direct_sum_tmf(c, trivial(ctx, FreeModule(A, (3,)), "unit-first"))
-    # mix the unit row into another row via a unipotent conjugation
-    n = mixed.phi.source.rank
+    mixed = direct_sum_tmf(case_c_tmf(), trivial(ctx, FreeModule(A, (3,)), "unit-first"))
+    # shifts (4, 3, 3): adding row 2 to row 1 is a degree-0 change of basis
     alpha_entries = [list(r) for r in gm.identity_matrix(mixed.phi.source).entries]
-    alpha_entries[1][2] = A.gen("a1")  # degree 3 - 2 hmm shifts (4,3,3): 3->3 deg 0
     alpha_entries[1][2] = A.one()
     alpha = GradedMatrix(mixed.phi.source, mixed.phi.source, alpha_entries)
-    twisted = conjugate(mixed, alpha, gm.identity_matrix(mixed.phi.target))
+    return conjugate(mixed, alpha, gm.identity_matrix(mixed.phi.target))
+
+
+def mixed_sum():
+    """(c) with a unit-first and an f-first trivial summand."""
+    ctx = case_c_context()
+    A = ctx.algebra
+    return direct_sum_tmf(
+        direct_sum_tmf(case_c_tmf(), trivial(ctx, FreeModule(A, (2,)), "unit-first")),
+        trivial(ctx, FreeModule(A, (1,)), "f-first"),
+    )
+
+
+def test_reduce_interleaved_units():
+    # a trivial summand hidden by a change of basis is still split off
+    twisted = interleaved_input()
     assert verify(twisted).ok
     result = reduce(twisted)
     assert result.unit_first == 1
     assert result.reduced.rank == 2
+
+
+def test_reduce_forms_no_inverse_and_no_conjugate(monkeypatch):
+    twisted = interleaved_input()
+    mixed = mixed_sum()
+
+    def refuse(*args):
+        raise AssertionError("reduce must not invert or conjugate")
+
+    monkeypatch.setattr(gm, "is_invertible", refuse)
+    monkeypatch.setattr(tm, "conjugate", refuse)
+    result = reduce(twisted)
+    assert (result.unit_first, result.f_first, result.reduced.rank) == (1, 0, 2)
+    result = reduce(mixed)
+    assert (result.unit_first, result.f_first) == (1, 1)
+    assert result.reduced == case_c_tmf()
+
+
+def test_reduce_raises_when_a_schur_entry_is_wrong(monkeypatch):
+    split_off = tm._split_off
+
+    def perturbed(mat, i, j, other):
+        schur, rest = split_off(mat, i, j, other)
+        rows = [list(row) for row in schur.entries]
+        rows[0][0] = rows[0][0] + rows[0][0]
+        return GradedMatrix(schur.source, schur.target, rows), rest
+
+    monkeypatch.setattr(tm, "_split_off", perturbed)
+    with pytest.raises(tm.OracleMismatch, match="broke the factorization identities"):
+        reduce(mixed_sum())
+
+
+def test_reduce_refuses_a_factorization_that_fails_to_verify():
+    t = case_c_tmf()
+    rows = [list(row) for row in t.psi.entries]
+    rows[0][0] = -rows[0][0]
+    bad = TMF(t.context, t.phi, GradedMatrix(t.psi.source, t.psi.target, rows))
+    assert not verify(bad).ok
+    with pytest.raises(ValueError, match="verified"):
+        reduce(bad)
+
+
+def _clearing_pair(mat, i, j):
+    """Unipotent (row_ops, col_ops) with row_ops*MAT*col_ops having the pivot
+    as the only nonzero entry in its row and column."""
+    c_inv = mat.entries[i][j].constant_term().inverse()
+    rows = [list(r) for r in gm.identity_matrix(mat.source).entries]
+    for i2 in range(mat.source.rank):
+        if i2 != i and not mat.entries[i2][j].is_zero():
+            rows[i2][i] = -(mat.entries[i2][j].scale(c_inv))
+    cols = [list(r) for r in gm.identity_matrix(mat.target).entries]
+    for j2 in range(mat.target.rank):
+        if j2 != j and not mat.entries[i][j2].is_zero():
+            cols[j][j2] = -(mat.entries[i][j2].scale(c_inv))
+    return (
+        GradedMatrix(mat.source, mat.source, rows),
+        GradedMatrix(mat.target, mat.target, cols),
+    )
+
+
+def _slice_tmf(t, drop_f, drop_g):
+    keep_f = [i for i in range(t.phi.source.rank) if i != drop_f]
+    keep_g = [j for j in range(t.phi.target.rank) if j != drop_g]
+    phi = gm.submatrix(t.phi, keep_f, keep_g)
+    psi = gm.submatrix(t.psi, keep_g, keep_f)
+    return TMF(t.context, phi, psi)
+
+
+def _assert_cleared(mat, i, j):
+    """Row i and column j of MAT vanish outside (i, j)."""
+    assert all(mat.entries[i][c].is_zero() for c in range(mat.target.rank) if c != j)
+    assert all(mat.entries[r][j].is_zero() for r in range(mat.source.rank) if r != i)
+
+
+def reduce_reference(t):
+    """The conjugation-based reduction: clear a unit's row and column with
+    unipotent matrices, conjugate by them (inverting each), check the zero
+    blocks and slice the trivial summand off."""
+    current = t
+    unit_first = 0
+    f_first = 0
+    while True:
+        pivot = tm._find_unit(current.phi)
+        if pivot is not None:
+            i, j = pivot
+            row_ops, col_ops = _clearing_pair(current.phi, i, j)
+            ok, row_inv = gm.is_invertible(row_ops)
+            assert ok
+            current = conjugate(current, row_inv, col_ops)
+            _assert_cleared(current.phi, i, j)
+            _assert_cleared(current.psi, j, i)
+            current = _slice_tmf(current, i, j)
+            unit_first += 1
+            continue
+        pivot = tm._find_unit(current.psi)
+        if pivot is not None:
+            k, i0 = pivot  # psi: twG (index k) -> F (index i0)
+            row_ops, col_ops = _clearing_pair(current.psi, k, i0)
+            ok, row_inv = gm.is_invertible(row_ops)
+            assert ok
+            # a basis change of twG comes from one of G via the inverse twist
+            ctx = current.context
+            beta = gm.twist_matrix(row_inv, ctx.sigma.inverse(), -ctx.d)
+            current = conjugate(current, col_ops, beta)
+            _assert_cleared(current.phi, i0, k)
+            current = _slice_tmf(current, i0, k)
+            f_first += 1
+            continue
+        break
+    assert verify(current).ok
+    return tm.ReduceResult(current, unit_first, f_first)
+
+
+DIFFERENTIAL_CASES = (
+    ("c", None), ("h", None), ("g", 2), ("g", 3), ("d-odd", 3), ("d-odd", 5),
+    ("b", 3), ("commutative-A1", None),
+)
+
+
+def _unipotent(module, rng, marked):
+    """A product of up to three elementary matrices I + p*E_ab on MODULE,
+    each pairing a MARKED index with another, and p a random monomial term
+    of degree shift_a - shift_b >= 0."""
+    A = module.algebra
+    out = gm.identity_matrix(module)
+    for _ in range(3):
+        a = rng.choice(marked)
+        b = rng.choice([x for x in range(module.rank) if x != a])
+        if module.shifts[a] < module.shifts[b]:
+            a, b = b, a
+        monos = A.monomials_of_degree(module.shifts[a] - module.shifts[b])
+        if not monos:
+            continue
+        rows = [list(r) for r in gm.identity_matrix(module).entries]
+        rows[a][b] = A.monomial(rng.choice(monos), Scalar.from_int(rng.choice((-2, -1, 1, 3))))
+        out = gm.compose(out, GradedMatrix(module, module, rows))
+    return out
+
+
+def differential_input(entries, rng):
+    """A catalog family summed, in random order, with 1-3 trivial summands of
+    random kinds and shifts; half the time conjugated on both sides by
+    unipotent matrices that mix the trivial summands' rows and columns with
+    the others, so their units share a row or column with other entries."""
+    entry = rng.choice(entries)
+    family = entry.factorization(rng.choice(entry.labels()))
+    ctx = family.context
+    kinds = ("unit-first", "f-first")
+    pieces = [family] + [
+        trivial(ctx, FreeModule(ctx.algebra, (rng.randrange(-2, 7),)), rng.choice(kinds))
+        for _ in range(rng.randrange(1, 4))
+    ]
+    rng.shuffle(pieces)
+    t = pieces[0]
+    marked = [0] if t is not family else []
+    for piece in pieces[1:]:
+        if piece is not family:
+            marked.append(t.rank)
+        t = direct_sum_tmf(t, piece)
+    hidden = rng.random() < 0.5
+    if hidden:
+        alpha = _unipotent(t.phi.source, rng, marked)
+        t = conjugate(t, alpha, _unipotent(t.phi.target, rng, marked))
+    return t, hidden
+
+
+def test_reduce_matches_the_conjugation_reference():
+    from tmfkit.catalog import build
+
+    entries = [build(case, n) for case, n in DIFFERENTIAL_CASES]
+    rng = random.Random(20)
+    pivots = set()
+    hidden_splits = 0
+    for _ in range(220):
+        t, hidden = differential_input(entries, rng)
+        assert verify(t).ok
+        got = reduce(t)
+        want = reduce_reference(t)
+        assert got == want
+        assert tmf_to_json(got.reduced, "A") == tmf_to_json(want.reduced, "A")
+        if got.unit_first:
+            pivots.add("phi")
+        if got.f_first:
+            pivots.add("psi")
+        if hidden and got.unit_first + got.f_first:
+            hidden_splits += 1
+    assert pivots == {"phi", "psi"}
+    assert hidden_splits > 0
 
 
 def test_conjugate_roundtrip():
