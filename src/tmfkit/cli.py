@@ -22,16 +22,16 @@ from typing import NamedTuple
 from . import catalog as cat
 from . import cover as cov
 from . import tmf as tm
-from .gradedmod import FreeModule
+from .gradedmod import FreeModule, GradedMatrix
 from .ncalgebra import (
+    GradedAlgebra,
+    GradedAutomorphism,
     RewriteLimitExceeded,
-    algebra_from_json,
-    algebra_to_json,
     format_poly,
-    json_int,
     parse_poly,
 )
-from .tmf import NormalContext, TMF, matrix_from_json, matrix_to_json, verify
+from .scalars import format_scalar, parse_scalar
+from .tmf import NormalContext, TMF, verify
 
 CONVENTION = (
     "row-index-equals-source; composite of (phi then psi) is PHI*PSI with "
@@ -68,7 +68,6 @@ class Report(NamedTuple):
     elapsed: float
     checks: Sequence[tm.Check]
     artifacts: dict
-    convention: str = CONVENTION
 
     def to_json(self) -> dict:
         return {
@@ -76,7 +75,7 @@ class Report(NamedTuple):
             "status": self.status,
             "seed": self.seed,
             "elapsed": round(self.elapsed, 6),
-            "convention": self.convention,
+            "convention": CONVENTION,
             "checks": [check._asdict() for check in self.checks],
             "artifacts": self.artifacts,
         }
@@ -103,11 +102,15 @@ def _print(text: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def emit(report: Report, fmt: str) -> None:
-    if fmt == "json":
-        _print(json.dumps(report.to_json(), indent=2))
-    else:
-        _print(report.render_text())
+def _report(args, start: float, command: str, ok: bool, checks: Sequence[tm.Check],
+            artifacts: dict, statuses=("pass", "fail"), fail_code: int = 1) -> int:
+    """Print a command's report, timed from start; return its exit code, 0
+    when ok and fail_code otherwise."""
+    status = statuses[0] if ok else statuses[1]
+    report = Report(command, status, args.seed, time.perf_counter() - start, checks, artifacts)
+    _print(json.dumps(report.to_json(), indent=2) if args.format == "json"
+           else report.render_text())
+    return 0 if ok else fail_code
 
 
 # ---------------------------------------------------------------------------
@@ -119,39 +122,20 @@ def emit(report: Report, fmt: str) -> None:
 _MALFORMED = (KeyError, ValueError, ZeroDivisionError, TypeError)
 
 
+def json_int(value, what: str) -> int:
+    """An integer field of a JSON file; a float or a bool is refused, not
+    truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-
-
-def _context_from_json(obj: dict, base_dir: str) -> NormalContext:
-    algebra_ref = obj["algebra"]
-    if isinstance(algebra_ref, str):
-        algebra_obj = _load_json(os.path.join(base_dir, algebra_ref))
-    else:
-        algebra_obj = algebra_ref
-    try:
-        algebra, autos = algebra_from_json(algebra_obj)
-        f = parse_poly(obj["f"], algebra)
-        sigma = autos[obj.get("sigma", "sigma")]
-        tau = autos[obj["tau"]] if "tau" in obj else None
-        return NormalContext(algebra, f, sigma, tau)
-    except _MALFORMED as exc:
-        raise InputError(f"bad context: {exc}") from exc
-
-
-def load_tmf(path: str) -> TMF:
-    obj = _load_json(path)
-    try:
-        ctx = _context_from_json(obj["context"], os.path.dirname(path))
-        phi = matrix_from_json(obj["phi"], ctx.algebra)
-        psi = matrix_from_json(obj["psi"], ctx.algebra)
-    except _MALFORMED as exc:
-        raise InputError(f"bad factorization file {path}: {exc}") from exc
-    return TMF(ctx, phi, psi, strict=False)
 
 
 def _write_json(obj: dict, path: str) -> None:
@@ -163,22 +147,103 @@ def _write_json(obj: dict, path: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _algebra_json(ctx: NormalContext) -> dict:
-    """The algebra of a context, with its sigma and tau (when there is one)."""
-    autos = {"sigma": ctx.sigma}
+def _literals(mat: GradedMatrix) -> list[list[str]]:
+    return [[format_poly(e) for e in row] for row in mat.entries]
+
+
+def context_to_json(ctx: NormalContext) -> dict:
+    """The context block: the algebra inline with the automorphisms "sigma"
+    and "tau" (when there is a tau), and f."""
+    A = ctx.algebra
+    rules = [
+        {"lhs": [b, a], "rhs": [{"coeff": format_scalar(c), "monomial": list(e)} for c, e in rhs]}
+        for (b, a), rhs in sorted(A.rules.items())
+    ]
+    algebra = {
+        "generators": [{"name": n, "degree": d} for n, d in zip(A.names, A.degrees)],
+        "rules": rules,
+        "automorphisms": {
+            name: dict(zip(A.names, map(format_poly, auto.images)))
+            for name, auto in (("sigma", ctx.sigma), ("tau", ctx.tau)) if auto is not None
+        },
+    }
+    obj = {"algebra": algebra, "f": format_poly(ctx.f), "sigma": "sigma"}
     if ctx.tau is not None:
-        autos["tau"] = ctx.tau
-    return algebra_to_json(ctx.algebra, autos)
+        obj["tau"] = "tau"
+    return obj
+
+
+def context_from_json(obj: dict, base_dir: str) -> NormalContext:
+    """The context block; an algebra given as a string names a file relative
+    to base_dir."""
+    algebra_obj = obj["algebra"]
+    if isinstance(algebra_obj, str):
+        algebra_obj = _load_json(os.path.join(base_dir, algebra_obj))
+    try:
+        gens = [(g["name"], json_int(g["degree"], "generator degree"))
+                for g in algebra_obj["generators"]]
+        rules = {}
+        for rule in algebra_obj["rules"]:
+            b, a = (json_int(x, "rule lhs index") for x in rule["lhs"])
+            rules[(b, a)] = [
+                (parse_scalar(term["coeff"]),
+                 tuple(json_int(x, "rule monomial exponent") for x in term["monomial"]))
+                for term in rule["rhs"]
+            ]
+        A = GradedAlgebra(gens, rules)
+        autos = {
+            name: GradedAutomorphism(A, [parse_poly(images[g], A) for g in A.names])
+            for name, images in algebra_obj.get("automorphisms", {}).items()
+        }
+        f = parse_poly(obj["f"], A)
+        sigma = autos[obj.get("sigma", "sigma")]
+        tau = autos[obj["tau"]] if "tau" in obj else None
+        return NormalContext(A, f, sigma, tau)
+    except _MALFORMED as exc:
+        raise InputError(f"bad context: {exc}") from exc
+
+
+def matrix_to_json(mat: GradedMatrix) -> dict:
+    return {
+        "source": list(mat.source.shifts),
+        "target": list(mat.target.shifts),
+        "entries": _literals(mat),
+    }
+
+
+def matrix_from_json(obj: dict, A: GradedAlgebra) -> GradedMatrix:
+    source = FreeModule(A, tuple(json_int(x, "source shift") for x in obj["source"]))
+    target = FreeModule(A, tuple(json_int(x, "target shift") for x in obj["target"]))
+    entries = [[parse_poly(text, A) for text in row] for row in obj["entries"]]
+    return GradedMatrix(source, target, entries, check=False)
+
+
+def tmf_to_json(t: TMF) -> dict:
+    return {
+        "context": context_to_json(t.context),
+        "phi": matrix_to_json(t.phi),
+        "psi": matrix_to_json(t.psi),
+    }
+
+
+def load_tmf(path: str) -> TMF:
+    obj = _load_json(path)
+    try:
+        ctx = context_from_json(obj["context"], os.path.dirname(path))
+        phi = matrix_from_json(obj["phi"], ctx.algebra)
+        psi = matrix_from_json(obj["psi"], ctx.algebra)
+    except _MALFORMED as exc:
+        raise InputError(f"bad factorization file {path}: {exc}") from exc
+    return TMF(ctx, phi, psi, strict=False)
 
 
 def dump_tmf(t: TMF, path: str) -> None:
-    _write_json(tm.tmf_to_json(t, _algebra_json(t.context)), path)
+    _write_json(tmf_to_json(t), path)
 
 
 def module_to_json(m: cov.EquivariantModule) -> dict:
-    ctx = m.cover.base
     return {
-        "context": tm.context_to_json(ctx, _algebra_json(ctx)),
+        "context": context_to_json(m.cover.base),
         "module": {
             "shifts": list(m.module.shifts),
             "theta": list(m.theta),
@@ -190,7 +255,7 @@ def module_to_json(m: cov.EquivariantModule) -> dict:
 def load_module(path: str) -> cov.EquivariantModule:
     obj = _load_json(path)
     try:
-        ctx = _context_from_json(obj["context"], os.path.dirname(path))
+        ctx = context_from_json(obj["context"], os.path.dirname(path))
         cover = cov.make_cover(ctx)
         data = obj["module"]
         shifts = tuple(json_int(x, "module shift") for x in data["shifts"])
@@ -210,24 +275,15 @@ def _residual_artifacts(report: tm.VerifyReport) -> dict:
     artifacts = {}
     for key, mat in (("residual_one", report.residual_one), ("residual_two", report.residual_two)):
         if mat is not None and not mat.is_zero():
-            artifacts[key] = [[format_poly(e) for e in row] for row in mat.entries]
+            artifacts[key] = _literals(mat)
     return artifacts
 
 
 def cmd_verify(args) -> int:
     start = time.perf_counter()
-    t = load_tmf(args.path)
-    report = verify(t)
-    out = Report(
-        command=f"verify {args.path}",
-        status="pass" if report.ok else "fail",
-        seed=args.seed,
-        elapsed=time.perf_counter() - start,
-        checks=report.checks,
-        artifacts=_residual_artifacts(report),
-    )
-    emit(out, args.format)
-    return 0 if report.ok else 1
+    report = verify(load_tmf(args.path))
+    return _report(args, start, f"verify {args.path}", report.ok, report.checks,
+                   _residual_artifacts(report))
 
 
 def cmd_catalog(args) -> int:
@@ -246,17 +302,9 @@ def cmd_catalog(args) -> int:
             deep=args.deep,
             max_degree=args.max_degree,
         )
-        out = Report(
-            command=f"catalog verify {args.case}"
-            + (f" --n {args.n}" if args.n else ""),
-            status="pass" if suite.ok else "fail",
-            seed=args.seed,
-            elapsed=time.perf_counter() - start,
-            checks=suite.checks,
-            artifacts={"notes": "; ".join(suite.notes)} if suite.notes else {},
-        )
-        emit(out, args.format)
-        return 0 if suite.ok else 1
+        command = f"catalog verify {args.case}" + (f" --n {args.n}" if args.n else "")
+        notes = {"notes": "; ".join(suite.notes)} if suite.notes else {}
+        return _report(args, start, command, suite.ok, suite.checks, notes)
     labels = entry.labels()
     if args.j is not None:
         labels = [f"j={args.j}"]
@@ -311,9 +359,7 @@ def _functor_B(t: TMF, path: str) -> tuple[bool, Sequence[tm.Check], dict]:
 
 def _functor_split(t: TMF, path: str) -> tuple[bool, Sequence[tm.Check], dict]:
     t1, t2 = cov.symmetric_split(cov.make_cover(t.context), t)
-    algebra = _algebra_json(t1.context)
-    pair = {"first": tm.tmf_to_json(t1, algebra), "second": tm.tmf_to_json(t2, algebra)}
-    _write_json(pair, path)
+    _write_json({"first": tmf_to_json(t1), "second": tmf_to_json(t2)}, path)
     ok = verify(t1).ok and verify(t2).ok
     return ok, [tm.Check("summands-verify", ok)], {}
 
@@ -341,16 +387,7 @@ def cmd_functor(args) -> int:
     start = time.perf_counter()
     read, step = FUNCTORS[args.name]
     ok, checks, artifacts = step(read(args.input), args.output)
-    out = Report(
-        command=f"functor {args.name}",
-        status="pass" if ok else "fail",
-        seed=args.seed,
-        elapsed=time.perf_counter() - start,
-        checks=checks,
-        artifacts=artifacts,
-    )
-    emit(out, args.format)
-    return 0 if ok else 1
+    return _report(args, start, f"functor {args.name}", ok, checks, artifacts)
 
 
 def cmd_iso(args) -> int:
@@ -358,30 +395,11 @@ def cmd_iso(args) -> int:
     t1 = load_tmf(args.path1)
     t2 = load_tmf(args.path2)
     verdict = tm.probably_isomorphic_tmf(t1, t2, trials=args.trials, seed=args.seed)
-    artifacts = {}
-    if verdict.isomorphic:
-        artifacts["alpha"] = [
-            [format_poly(e) for e in row] for row in verdict.alpha.entries
-        ]
-        artifacts["beta"] = [
-            [format_poly(e) for e in row] for row in verdict.beta.entries
-        ]
-    out = Report(
-        command=f"iso {args.path1} {args.path2}",
-        status="iso" if verdict.isomorphic else "probably-not",
-        seed=args.seed,
-        elapsed=time.perf_counter() - start,
-        checks=[
-            tm.Check(
-                "isomorphic",
-                verdict.isomorphic,
-                f"failures={verdict.failures} trials={args.trials}",
-            )
-        ],
-        artifacts=artifacts,
-    )
-    emit(out, args.format)
-    return 0 if verdict.isomorphic else 3
+    ok = verdict.isomorphic
+    artifacts = {"alpha": _literals(verdict.alpha), "beta": _literals(verdict.beta)} if ok else {}
+    check = tm.Check("isomorphic", ok, f"failures={verdict.failures} trials={args.trials}")
+    return _report(args, start, f"iso {args.path1} {args.path2}", ok, [check], artifacts,
+                   ("iso", "probably-not"), 3)
 
 
 def default_seed() -> int:

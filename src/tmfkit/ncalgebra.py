@@ -24,7 +24,6 @@ from .scalars import (
     _power,
     _scalar_atom,
     format_scalar,
-    parse_scalar,
 )
 
 Exps = tuple  # tuple[int, ...], one exponent per generator
@@ -895,69 +894,3 @@ def format_poly(p: NCPoly) -> str:
             parts.append(f" + {term}")
     return "".join(parts)
 
-
-# ---------------------------------------------------------------------------
-# JSON form of a presentation (External Interfaces)
-# ---------------------------------------------------------------------------
-
-
-def algebra_to_json(
-    algebra: GradedAlgebra,
-    automorphisms: dict[str, GradedAutomorphism] | None = None,
-) -> dict:
-    rules_json = []
-    for (b, a), rhs in sorted(algebra.rules.items()):
-        rules_json.append(
-            {
-                "lhs": [b, a],
-                "rhs": [
-                    {"coeff": format_scalar(c), "monomial": list(e)} for c, e in rhs
-                ],
-            }
-        )
-    obj = {
-        "generators": [
-            {"name": n, "degree": d} for n, d in zip(algebra.names, algebra.degrees)
-        ],
-        "rules": rules_json,
-    }
-    if automorphisms:
-        obj["automorphisms"] = {
-            name: {
-                algebra.names[g]: format_poly(auto.images[g])
-                for g in range(algebra.ngens)
-            }
-            for name, auto in automorphisms.items()
-        }
-    return obj
-
-
-def json_int(value, what: str) -> int:
-    """An integer field of a JSON file; a float or a bool is refused, not
-    truncated."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def algebra_from_json(obj: dict) -> tuple[GradedAlgebra, dict[str, GradedAutomorphism]]:
-    gens = [(g["name"], json_int(g["degree"], "generator degree")) for g in obj["generators"]]
-    rules: dict[tuple[int, int], list[tuple[Scalar, Exps]]] = {}
-    for rule in obj["rules"]:
-        b, a = (json_int(x, "rule lhs index") for x in rule["lhs"])
-        rhs = [
-            (
-                parse_scalar(term["coeff"]),
-                tuple(json_int(x, "rule monomial exponent") for x in term["monomial"]),
-            )
-            for term in rule["rhs"]
-        ]
-        rules[(b, a)] = rhs
-    algebra = GradedAlgebra(gens, rules)
-    autos: dict[str, GradedAutomorphism] = {}
-    for name, images in obj.get("automorphisms", {}).items():
-        autos[name] = GradedAutomorphism(
-            algebra,
-            [parse_poly(images[gname], algebra) for gname in algebra.names],
-        )
-    return algebra, autos

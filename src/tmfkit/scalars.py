@@ -30,10 +30,6 @@ class NoSquareRoot(ValueError):
     """The element has no square root inside Q(i)(t)."""
 
 
-class PoleAtPoint(ZeroDivisionError):
-    """Evaluation point is a pole (denominator vanishes)."""
-
-
 class ScalarParseError(ValueError):
     """Malformed scalar literal; carries a position attribute."""
 
@@ -251,7 +247,7 @@ def _ssqrt(p: Terms) -> Terms | None:
 
 def _power(x, k: int, one):
     """x^k for k >= 0 (x^0 = one), by repeated squaring: the one power
-    routine of every ring here (GaussRational, Scalar, NCPoly)."""
+    routine of every ring here (Scalar, NCPoly)."""
     acc = one
     while k:
         if k & 1:
@@ -259,14 +255,6 @@ def _power(x, k: int, one):
         k >>= 1
         if k:
             x = x * x
-    return acc
-
-
-def _seval(p: Terms, shift: int, t0: GaussRational) -> GaussRational:
-    """(t^shift * p)(t0) for shift >= 0."""
-    acc = GR_ZERO
-    for e, c in p:
-        acc = acc + c * _power(t0, e + shift, GR_ONE)
     return acc
 
 
@@ -441,19 +429,6 @@ def try_sqrt(a: Scalar) -> Scalar:
     if root is None:
         raise NoSquareRoot(f"no square root in Q(i)(t): {format_scalar(a)}")
     return _reduce(a.v // 2, root, a.d)
-
-
-def evaluate(a: Scalar, t0: GaussRational | Fraction | int) -> GaussRational:
-    """Substitution homomorphism t -> t0; raises PoleAtPoint on a pole.
-
-    t^v * N/D is the reduced fraction t^max(v, 0) * N over t^max(-v, 0) * D,
-    so t0 is a pole exactly when that denominator vanishes there."""
-    if not isinstance(t0, GaussRational):
-        t0 = GaussRational(t0)
-    d = _seval(a.d, max(-a.v, 0), t0)
-    if d.is_zero():
-        raise PoleAtPoint(f"pole at t = {t0.re}+{t0.im}i")
-    return _seval(a.n, max(a.v, 0), t0) * d.inverse()
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,6 @@ from .ncalgebra import (
     GradedAutomorphism,
     NCPoly,
     format_poly,
-    json_int,
-    parse_poly,
 )
 from .scalars import ONE, Scalar, try_sqrt
 
@@ -54,9 +52,10 @@ class NotSymmetricForm(ValueError):
 
 
 class NormalContext:
-    """Normal element f with its twist data: (algebra, f, d, sigma[, tau])."""
+    """Normal element f with its twist data: (algebra, f, d, sigma[, tau]);
+    check records a pass and returns at once on later calls."""
 
-    __slots__ = ("algebra", "f", "d", "sigma", "tau", "ell")
+    __slots__ = ("algebra", "f", "d", "sigma", "tau", "ell", "_checked")
 
     def __init__(
         self,
@@ -72,10 +71,18 @@ class NormalContext:
         self.sigma = sigma
         self.tau = tau
         self.ell = self.d // 2 if (tau is not None and self.d) else None
+        self._checked = False
         if check:
             self.check()
 
     def check(self) -> None:
+        if not self._checked:
+            self._prove()
+            self._checked = True
+
+    def _prove(self) -> None:
+        """f is homogeneous of positive degree, sigma normalizes it, and tau
+        (when there is one) is a square root of sigma that fixes f."""
         if self.f.is_zero() or self.d is None or self.d <= 0:
             raise ValueError("f must be homogeneous of positive degree")
         for g in range(self.algebra.ngens):
@@ -582,41 +589,3 @@ def coker_hilbert(t: TMF, max_degree: int) -> list[int]:
         )
     return series_a
 
-
-# ---------------------------------------------------------------------------
-# JSON forms
-# ---------------------------------------------------------------------------
-
-
-def matrix_to_json(mat: GradedMatrix) -> dict:
-    return {
-        "source": list(mat.source.shifts),
-        "target": list(mat.target.shifts),
-        "entries": [[format_poly(e) for e in row] for row in mat.entries],
-    }
-
-
-def matrix_from_json(obj: dict, algebra: GradedAlgebra) -> GradedMatrix:
-    source = FreeModule(algebra, tuple(json_int(x, "source shift") for x in obj["source"]))
-    target = FreeModule(algebra, tuple(json_int(x, "target shift") for x in obj["target"]))
-    entries = [
-        [parse_poly(text, algebra) for text in row] for row in obj["entries"]
-    ]
-    return GradedMatrix(source, target, entries, check=False)
-
-
-def context_to_json(ctx: NormalContext, algebra_json: dict | str) -> dict:
-    """Context block naming the automorphisms "sigma" and "tau" (when there
-    is a tau) of the algebra block."""
-    obj = {"algebra": algebra_json, "f": format_poly(ctx.f), "sigma": "sigma"}
-    if ctx.tau is not None:
-        obj["tau"] = "tau"
-    return obj
-
-
-def tmf_to_json(t: TMF, algebra_json: dict | str) -> dict:
-    return {
-        "context": context_to_json(t.context, algebra_json),
-        "phi": matrix_to_json(t.phi),
-        "psi": matrix_to_json(t.psi),
-    }

@@ -206,6 +206,21 @@ def test_iso_of_files_differing_in_tau_exits_2(tmp_path, capsys):
     assert captured.err == "input error: factorizations live in different contexts\n"
 
 
+def test_functor_tw_writes_a_context_without_tau(tmp_path, capsys):
+    from tmfkit import tmf as tm
+    from tmfkit.cli import load_tmf
+
+    _, no_tau = exported_c_with_context(tmp_path, capsys, lambda ctx: ctx.pop("tau"))
+    out = tmp_path / "tw.json"
+    assert main(["functor", "tw", "--input", no_tau, "--output", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
+    capsys.readouterr()
+    context = json.loads(out.read_text())["context"]
+    assert "tau" not in context
+    assert list(context["algebra"]["automorphisms"]) == ["sigma"]
+    assert load_tmf(str(out)) == tm.tw_functor(load_tmf(no_tau))
+
+
 def test_catalog_verify_g3(capsys):
     code = main(["--trials", "8", "--seed", "7", "catalog", "verify", "g", "--n", "3"])
     assert code == 0

@@ -147,6 +147,29 @@ def test_covers_build_without_solving_for_sigma(monkeypatch):
         assert second_cover(entry.context).second.context.algebra.names[-2:] == ("z", "w")
 
 
+def test_second_cover_checks_each_context_once(monkeypatch):
+    # a context records a passed check: the catalog's base context and the z
+    # cover's context, the base of the w cover, are not checked again
+    from tmfkit.catalog import build
+
+    base = build("g", 3).context
+    ran = []
+    prove = NormalContext._prove
+
+    def counting(ctx):
+        ran.append(ctx)
+        prove(ctx)
+
+    monkeypatch.setattr(NormalContext, "_prove", counting)
+    cover = second_cover(base)
+    assert ran == [cover.uv.context, cover.first.context, cover.second.context]
+    # a failed check is not recorded, so it fails again
+    bad = commutative_context("x*y", lambda x, y: [-x, y], check=False)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="tau does not fix f"):
+            bad.check()
+
+
 def test_functor_C_verifies_on_catalog():
     for t in [case_c_tmf(), case_h_tmf(), case_g_tmf(2, 1), case_d_rank2(3)]:
         cover = make_cover(t.context)

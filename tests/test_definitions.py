@@ -14,7 +14,6 @@ _PAPER_NOTION = (
 )
 
 KEPT = {
-    "evaluate": "certified F_p slices (ROADMAP item 6) evaluate scalars at t0",
     "is_symmetric": "ROADMAP items 7 and 10 decide whether the suite checks it",
     "symmetric_root": "ROADMAP items 7 and 10 decide whether the suite checks it",
     "c_image_symmetry_witness": (

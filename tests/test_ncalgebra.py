@@ -7,6 +7,7 @@ import pytest
 from tmfkit import linalg
 from tmfkit import ncalgebra as nca
 from tmfkit.catalog import build
+from tmfkit.cli import context_from_json, context_to_json
 from tmfkit.cover import make_cover
 from tmfkit.ncalgebra import (
     Ambiguous,
@@ -18,8 +19,6 @@ from tmfkit.ncalgebra import (
     NotNormal,
     PolyParseError,
     RewriteLimitExceeded,
-    algebra_from_json,
-    algebra_to_json,
     format_poly,
     hilbert_series,
     left_ranks,
@@ -37,6 +36,7 @@ from tmfkit.scalars import (
     Scalar,
     parse_scalar,
 )
+from tmfkit.tmf import NormalContext
 
 S = parse_scalar
 
@@ -758,10 +758,11 @@ def test_algebra_json_roundtrip():
             parse_poly("2*a1 + 2*a2 + a3", A),
         ],
     )
-    obj = algebra_to_json(A, {"tau": tau})
-    B, autos = algebra_from_json(obj)
-    assert B == A
-    assert autos["tau"] == tau
+    # the algebra block of a file sits in a context block, with sigma and tau
+    f = parse_poly("a2^2 - a1*a2 - a1*a3", A)
+    back = context_from_json(context_to_json(NormalContext(A, f, tau.compose(tau), tau)), ".")
+    assert back.algebra == A
+    assert back.tau == tau
 
 
 def test_lift_restrict():

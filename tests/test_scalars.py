@@ -16,10 +16,8 @@ from tmfkit.scalars import (
     GR_ZERO,
     GaussRational,
     NoSquareRoot,
-    PoleAtPoint,
     Scalar,
     ScalarParseError,
-    evaluate,
     format_scalar,
     parse_scalar,
     try_sqrt,
@@ -73,27 +71,6 @@ def test_sqrt_general():
     for text in ["t^3", "2", "i", "t^2+1"]:
         with pytest.raises(NoSquareRoot):
             try_sqrt(S(text))
-
-
-def test_evaluate_examples():
-    assert evaluate(S("t^2+1"), 1) == GaussRational(2)
-    with pytest.raises(PoleAtPoint):
-        evaluate(S("1/(t-1)"), 1)
-    assert evaluate(S("i*t"), 2) == GaussRational(0, 2)
-
-
-def test_evaluate_is_homomorphism():
-    rng = random.Random(7)
-    elems = [S(x) for x in ["t+1", "(t^2-i)/(t+2)", "3/5*t^3-i*t", "1/(t^2+3)"]]
-    for _ in range(25):
-        a, b = rng.choice(elems), rng.choice(elems)
-        t0 = GaussRational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
-        try:
-            lhs = evaluate(a * b, t0)
-            rhs = evaluate(a, t0) * evaluate(b, t0)
-        except PoleAtPoint:
-            continue
-        assert lhs == rhs
 
 
 def test_field_axioms_randomized():
@@ -351,41 +328,6 @@ def test_sqrt_and_printing_round_trip(a):
     root = try_sqrt(square)
     assert root * root == square
     assert parse_scalar(format_scalar(a)) == a
-
-
-POINTS = (GaussRational(0), GaussRational(1), GaussRational(2), GR_I)
-
-
-def assert_evaluate_matches_subs(a):
-    """evaluate(a, t0) against sympy's reduced fraction at each point;
-    returns the (sign of v, pole or value) kinds it met."""
-    num, den = sp.fraction(sp.cancel(to_sympy(a)))
-    kinds = set()
-    for t0 in POINTS:
-        at = {t_sym: sympy_gauss(t0)}
-        sign = (a.v > 0) - (a.v < 0)
-        if sp.expand(den.subs(at)) == 0:
-            with pytest.raises(PoleAtPoint):
-                evaluate(a, t0)
-            kinds.add((sign, "pole"))
-        else:
-            assert sp.simplify(sympy_gauss(evaluate(a, t0)) - num.subs(at) / den.subs(at)) == 0
-            kinds.add((sign, "value"))
-    return kinds
-
-
-def test_evaluate_agrees_with_sympy_subs():
-    kinds = set()
-    for text in ["1/t", "(t+2)/(t^3 - t^2)", "t^-2*(t^2+1)", "(t^2-4)/(t-1)", "i/(t^2+1)",
-                 "3/5", "t^3", "t^2/(t-2)", "t*(t+i)/(t^2+1)"]:
-        kinds |= assert_evaluate_matches_subs(S(text))
-    assert kinds == {(s, k) for s in (-1, 0, 1) for k in ("pole", "value")}
-
-
-@ORACLE
-@hypothesis.given(scalars())
-def test_evaluate_agrees_with_sympy_subs_random(a):
-    assert_evaluate_matches_subs(a)
 
 
 # -- the integer printer and square root against Fraction references ---------
