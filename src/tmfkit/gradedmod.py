@@ -261,12 +261,18 @@ def compose(
 def twist_matrix(
     mat: GradedMatrix, auto: GradedAutomorphism, shift: int
 ) -> GradedMatrix:
-    """Matrix of the twisted map: entries auto^{-1}(entry), degrees + shift."""
-    inv = auto.inverse()
+    """Matrix of the twisted map: entries auto^{-1}(entry), degrees + shift.
+    The identity leaves the entries as they are."""
+    if auto.algebra != mat.algebra:
+        raise AlgebraMismatch("element lives over a different algebra")
+    entries = mat.entries
+    if not auto.is_identity():
+        inv = auto.inverse()
+        entries = [[inv(e) for e in row] for row in entries]
     return GradedMatrix(
         mat.source.twisted(shift),
         mat.target.twisted(shift),
-        [[inv(e) for e in row] for row in mat.entries],
+        entries,
         check=False,
     )
 

@@ -6,6 +6,11 @@ on sparse rows, ``{column: nonzero Scalar}`` dicts, and visits only the
 nonzeros of each pivot row: forward-only for ``rank``, Gauss-Jordan for
 ``rref``, ``nullspace``, ``solve`` and ``invert``.  The reduced row echelon
 form is unique, so the results do not depend on the pivot order.
+
+``rank`` first peels singletons (LaMacchia and Odlyzko, 1990): a row or a
+column with one nonzero left is zero off that entry, so over any field it
+adds exactly one to the rank and goes with the other line through the entry.
+Only the core left is eliminated.
 """
 
 from __future__ import annotations
@@ -13,23 +18,27 @@ from __future__ import annotations
 from .scalars import ONE, ZERO, Scalar
 
 
-def _eliminate(rows: list[list[Scalar]], jordan: bool) -> list[tuple[int, dict]]:
-    """Pivot rows of the matrix, as (pivot column, rest of the row) pairs in
-    ascending pivot order.  Each pivot entry is one and is left out of the
-    rest, a ``{column: nonzero Scalar}`` dict.
+def _sparse(rows: list[list[Scalar]]) -> list[dict]:
+    """The nonzero rows as ``{column: nonzero Scalar}`` dicts; the shared ZERO
+    that fills absent slice coordinates is skipped without a call."""
+    sparse = (
+        {j: x for j, x in enumerate(r) if x is not ZERO and not x.is_zero()} for r in rows
+    )
+    return [row for row in sparse if row]
+
+
+def _eliminate(pending: list[dict], jordan: bool) -> list[tuple[int, dict]]:
+    """Pivot rows of the sparse rows ``pending`` (consumed), as (pivot column,
+    rest of the row) pairs in ascending pivot order; each pivot entry is one
+    and is left out of the rest.
 
     Column by column, the first pending row with a nonzero in the column
     becomes the pivot row and the column is cleared from the pending rows
     below it; with ``jordan`` it is cleared from the earlier pivot rows too,
-    which gives the reduced row echelon form."""
-    pending = []
-    for r in rows:
-        row = {j: x for j, x in enumerate(r) if not x.is_zero()}
-        if row:
-            pending.append(row)
+    which gives the reduced row echelon form.  Fill-in stays in columns that
+    hold a nonzero, so only those are visited."""
     done: list[tuple[int, dict]] = []
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
+    for c in sorted({j for row in pending for j in row}):
         k = next((k for k, row in enumerate(pending) if c in row), None)
         if k is None:
             continue
@@ -62,7 +71,7 @@ def _eliminate(rows: list[list[Scalar]], jordan: bool) -> list[tuple[int, dict]]
 def rref(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
     """Reduced row echelon form (copy) and pivot column indices."""
     ncols = len(rows[0]) if rows else 0
-    done = _eliminate(rows, jordan=True)
+    done = _eliminate(_sparse(rows), jordan=True)
     m = [[ZERO] * ncols for _ in rows]
     for row, (c, rest) in zip(m, done):
         row[c] = ONE
@@ -72,12 +81,39 @@ def rref(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
 
 
 def rank(rows: list[list[Scalar]]) -> int:
-    return len(_eliminate(rows, jordan=False))
+    """Rank of the matrix.  While a row or a column has one nonzero left, at
+    (r, c), the rank goes up by one and row r and column c go: that line is
+    zero off (r, c), so rank M = 1 + rank(M without row r and column c) over
+    any field, and no entry is read or changed.  Only the core left, a
+    submatrix of original entries, is eliminated."""
+    sparse = _sparse(rows)
+    row_cols = {i: set(row) for i, row in enumerate(sparse)}
+    col_rows: dict[int, set[int]] = {}
+    for i, row in enumerate(sparse):
+        for j in row:
+            col_rows.setdefault(j, set()).add(i)
+    # (lines, crossing lines, line) for each row with one column left and each
+    # column with one row left; peeling it removes both lines through its entry
+    todo = [(row_cols, col_rows, i) for i, cols in row_cols.items() if len(cols) == 1]
+    todo += [(col_rows, row_cols, j) for j, rs in col_rows.items() if len(rs) == 1]
+    peeled = 0
+    while todo:
+        lines, crossing, k = todo.pop()
+        if len(lines.get(k, ())) != 1:
+            continue
+        (x,) = lines.pop(k)
+        peeled += 1
+        for other in crossing.pop(x) - {k}:
+            lines[other].discard(x)
+            if len(lines[other]) == 1:
+                todo.append((lines, crossing, other))
+    core = [{j: sparse[i][j] for j in cols} for i, cols in row_cols.items() if cols]
+    return peeled + (len(_eliminate(core, jordan=False)) if core else 0)
 
 
 def nullspace(rows: list[list[Scalar]], ncols: int) -> list[list[Scalar]]:
     """Basis of the right nullspace of the matrix (rows of length ncols)."""
-    done = _eliminate(rows, jordan=True)
+    done = _eliminate(_sparse(rows), jordan=True)
     pivots = {c for c, _ in done}
     basis = []
     for fc in range(ncols):
@@ -95,7 +131,7 @@ def nullspace(rows: list[list[Scalar]], ncols: int) -> list[list[Scalar]]:
 def solve(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar] | None:
     """One solution of A x = rhs, or None when inconsistent."""
     ncols = len(rows[0]) if rows else 0
-    done = _eliminate([row + [b] for row, b in zip(rows, rhs)], jordan=True)
+    done = _eliminate(_sparse([row + [b] for row, b in zip(rows, rhs)]), jordan=True)
     if done and done[-1][0] == ncols:
         return None
     x = [ZERO] * ncols
@@ -108,7 +144,7 @@ def invert(rows: list[list[Scalar]]) -> list[list[Scalar]] | None:
     """Inverse of a square matrix over the field, or None when singular."""
     n = len(rows)
     aug = [rows[i][:] + [ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-    done = _eliminate(aug, jordan=True)
+    done = _eliminate(_sparse(aug), jordan=True)
     if [c for c, _ in done] != list(range(n)):
         return None
     return [[rest.get(n + j, ZERO) for j in range(n)] for _, rest in done]

@@ -113,6 +113,29 @@ def test_d_sign_erratum_n3():
     assert finding.printed_residual_13 == "8*a2^3"
 
 
+def test_d_sign_check_verifies_each_sign_once(monkeypatch):
+    entry = build("d-odd", 9)
+    verified = counting(monkeypatch, "_verify", [tm])
+    for j in range(1, 5):
+        verified.clear()
+        assert case_d_sign_check(entry, j).dichotomy
+        # the printed sign; the corrected one is the family build verified
+        assert len(verified) == 1
+
+
+def test_verify_twists_by_the_identity_without_applying_it(monkeypatch):
+    entry = build("d-odd", 5)
+    calls = []
+    apply = GradedAutomorphism.__call__
+    monkeypatch.setattr(
+        GradedAutomorphism, "__call__", lambda auto, p: calls.append(p) or apply(auto, p)
+    )
+    for t in entry.families.values():
+        # a fresh factorization, so verify runs instead of answering from t
+        assert verify(tm.TMF(t.context, t.phi, t.psi)).ok
+    assert calls == []
+
+
 def test_d_sign_erratum_n5_n7():
     for n in (5, 7):
         entry = build("d-odd", n)

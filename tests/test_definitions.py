@@ -28,7 +28,6 @@ KEPT = {
     "irrelevant": _PAPER_NOTION,
     "shift_tmf": _PAPER_NOTION,
     "is_reduced": _PAPER_NOTION,
-    "is_identity": _PAPER_NOTION,
 }
 
 

@@ -23,7 +23,12 @@ from tmfkit.gradedmod import (
     twist_matrix,
     zero_matrix,
 )
-from tmfkit.ncalgebra import GradedAutomorphism, RewriteLimitExceeded, parse_poly
+from tmfkit.ncalgebra import (
+    AlgebraMismatch,
+    GradedAutomorphism,
+    RewriteLimitExceeded,
+    parse_poly,
+)
 from tmfkit.scalars import ONE, ZERO, Scalar, parse_scalar
 
 from test_ncalgebra import case_g_algebra, case_h_algebra
@@ -221,6 +226,16 @@ def test_twist_matrix_shift_bookkeeping():
     # inverse twist undoes it
     back = twist_matrix(tw, ident.inverse(), -4)
     assert back == phi
+
+
+def test_twist_matrix_by_an_automorphism_over_another_algebra():
+    A, phi, _ = case_g_phi_psi()
+    other = case_g_algebra(3)
+    scaled = [other.gen(0).scale(Scalar.t_power(2)), other.gen(1), other.gen(2)]
+    # the identity is not applied, yet it must act on the entries' algebra
+    for auto in (GradedAutomorphism.identity(other), GradedAutomorphism(other, scaled)):
+        with pytest.raises(AlgebraMismatch):
+            twist_matrix(phi, auto, 4)
 
 
 def test_shift_matrix_realizes_categorical_shift():

@@ -3,9 +3,12 @@ import random
 import pytest
 
 from tmfkit import linalg
+from tmfkit.catalog import build, run_suite
+from tmfkit.cover import CoverContext
 from tmfkit.linalg import rank
-from tmfkit.ncalgebra import GradedAlgebra
+from tmfkit.ncalgebra import GradedAlgebra, left_ranks
 from tmfkit.scalars import MINUS_ONE, ONE, ZERO, Scalar, parse_scalar
+from tmfkit.tmf import coker_hilbert
 
 
 def n(k):
@@ -236,3 +239,126 @@ def test_degenerate_shapes():
     assert linalg.solve([], []) == []
     assert linalg.invert([]) == []
     assert linalg.invert([[ZERO]]) is None
+
+
+# -- singleton peeling -----------------------------------------------------------
+
+
+def ranked_matrices(monkeypatch, compute):
+    """The matrices that linalg.rank is asked about while compute() runs."""
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "rank", lambda rows: seen.append(rows) or rank(rows))
+        compute()
+    return seen
+
+
+def rank_cores(monkeypatch):
+    """The cores that rank hands to the elimination, copied before it
+    consumes them; the other linear algebra runs with jordan=True."""
+    cores = []
+    eliminate = linalg._eliminate
+
+    def wrapper(rows, jordan):
+        if not jordan:
+            cores.append([dict(row) for row in rows])
+        return eliminate(rows, jordan)
+
+    monkeypatch.setattr(linalg, "_eliminate", wrapper)
+    return cores
+
+
+@pytest.mark.parametrize(
+    "case, n, window",
+    [
+        ("c", None, None),
+        ("h", None, 12),
+        ("d-odd", 5, None),
+        ("d-odd", 9, None),
+        ("g", 3, None),
+        ("g", 5, None),
+        ("b", 3, None),
+    ],
+)
+def test_rank_matches_dense_reference_on_slice_matrices(monkeypatch, case, n, window):
+    entry = build(case, n)
+    D = window if window is not None else 2 * entry.context.d
+
+    def slices():
+        left_ranks(entry.context.f, D)
+        for t in entry.families.values():
+            coker_hilbert(t, D)
+
+    seen = ranked_matrices(monkeypatch, slices)
+    assert len(seen) >= D + 1
+    for rows in seen:
+        assert rank(rows) == len(dense_rref(rows)[1])
+
+
+@pytest.mark.parametrize("names", [("z",), ("u", "v")])
+@pytest.mark.parametrize("case, n", [("c", None), ("h", None), ("d-odd", 5), ("g", 3), ("b", 3)])
+def test_rank_matches_dense_reference_on_cover_slices(monkeypatch, case, n, names):
+    cover = CoverContext(build(case, n).context, names)
+    D = 2 * cover.context.d
+    seen = ranked_matrices(monkeypatch, lambda: left_ranks(cover.f_cover, D))
+    assert len(seen) == D + 1
+    for rows in seen:
+        assert rank(rows) == len(dense_rref(rows)[1])
+
+
+def has_singleton(rows):
+    """Some row or column holds exactly one nonzero."""
+    lines = rows + [list(col) for col in zip(*rows)]
+    return any(sum(not x.is_zero() for x in line) == 1 for line in lines)
+
+
+def sparse_entry(rng, density):
+    """0, or c*t^k with a small integer c and |k| <= 1: entries whose dense
+    elimination stays small up to 10 x 10."""
+    if rng.random() > density:
+        return ZERO
+    return n(rng.choice([-2, -1, 1, 2, 3])) * Scalar.t_power(rng.randint(-1, 1))
+
+
+def test_rank_peels_random_sparse_matrices(monkeypatch):
+    cores = rank_cores(monkeypatch)
+    kinds = set()
+    for seed in range(200):
+        rng = random.Random(seed)
+        density = rng.uniform(0.1, 0.5)
+        nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
+        m = [[sparse_entry(rng, density) for _ in range(ncols)] for _ in range(nrows)]
+        cores.clear()
+        assert rank(m) == len(dense_rref(m)[1])
+        nonzero_rows = sum(any(not x.is_zero() for x in row) for row in m)
+        if not has_singleton(m):
+            # nothing to peel: the whole matrix is the core
+            assert [len(core) for core in cores] == ([nonzero_rows] if nonzero_rows else [])
+            kinds.add("no singleton" if nonzero_rows else "zero")
+        else:
+            # a singleton goes, and its row with it
+            assert all(len(core) < nonzero_rows for core in cores)
+            kinds.add("core left" if cores else "peeled")
+    assert {"no singleton", "core left", "peeled"} <= kinds
+
+
+def test_rank_eliminates_a_rank_deficient_core(monkeypatch):
+    cores = rank_cores(monkeypatch)
+    t = Scalar.t_power(1)
+    m = [
+        # column 2 holds one nonzero, in row 0, and row 3 one, in column 3
+        [ONE, ONE, n(5), ZERO],
+        [ONE, ONE, ZERO, ZERO],
+        [ONE, ONE, ZERO, n(2)],
+        [ZERO, ZERO, ZERO, t],
+    ]
+    assert rank(m) == 3 == len(dense_rref(m)[1])
+    # the core left is the all-ones block of rows 1, 2 and columns 0, 1
+    assert cores == [[{0: ONE, 1: ONE}, {0: ONE, 1: ONE}]]
+
+
+def test_rank_needs_no_elimination_in_a_suite(monkeypatch):
+    entry = build("d-odd", 9)
+    cores = rank_cores(monkeypatch)
+    assert ranked_matrices(monkeypatch, lambda: run_suite(entry))
+    assert cores == []
