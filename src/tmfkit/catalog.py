@@ -10,7 +10,6 @@ sources; unit-multiple variants are kept as aliases.
 
 from __future__ import annotations
 
-import time
 from typing import NamedTuple
 
 from . import gradedmod as gm
@@ -44,18 +43,11 @@ class BadParams(ValueError):
 
 
 class VerificationFailure(ValueError):
-    """A stored factorization failed its identities; carries residuals."""
-
-    def __init__(self, message: str, report: tm.VerifyReport | None = None) -> None:
-        super().__init__(message)
-        self.report = report
+    """A stored factorization failed its identities."""
 
 
 class ConventionResolutionFailure(VerificationFailure):
     """Neither matrix orientation satisfies the identities."""
-
-
-CASES = ("b", "c", "d-odd", "d-even", "e", "g", "h", "commutative-A1")
 
 
 class CatalogEntry(NamedTuple):
@@ -88,16 +80,12 @@ def _resolve_orientation(
 ) -> tuple[TMF, bool]:
     """Store the orientation in which the printed pair verifies."""
     as_printed = TMF(ctx, phi, psi, strict=False)
-    report = verify(as_printed)
-    if report.ok:
+    if verify(as_printed).ok:
         return as_printed, False
     swapped = TMF(ctx, psi, gm.shift_matrix(phi, -ctx.d), strict=False)
-    report2 = verify(swapped)
-    if report2.ok:
+    if verify(swapped).ok:
         return swapped, True
-    raise ConventionResolutionFailure(
-        "neither orientation verifies", report
-    )
+    raise ConventionResolutionFailure("neither orientation verifies")
 
 
 def _commutative_rules(gens):
@@ -384,42 +372,38 @@ def _build_a1() -> CatalogEntry:
     return entry
 
 
-# builders of the cases with a parameter n, and of the cases without one
-_BUILDERS_N = {
-    "b": lambda n: _build_gb("b", n),
-    "g": lambda n: _build_gb("g", n),
-    "d": lambda n: _build_d_odd(n) if n % 2 == 1 else _build_d_even(n),
-    "d-odd": _build_d_odd,
-    "d-even": _build_d_even,
-    "e": _build_e,
+# case -> (constructor, whether it takes n, parameter ranges); the alias "d",
+# which has no ranges of its own, picks the case of its n's parity
+_CASES = {
+    "b": (lambda n: _build_gb("b", n), True, "n >= 2 (q = -1); families j = 1..n-1"),
+    "c": (_build_c, False, "no parameters; one rank-2 family"),
+    "d-odd": (_build_d_odd, True, "odd n >= 3; rank-2 plus rank-4 families j = 1..(n-1)/2"),
+    "d-even": (_build_d_even, True, "even n >= 2; no stored families"),
+    "e": (_build_e, True, "n >= 1; no stored families"),
+    "g": (lambda n: _build_gb("g", n), True, "n >= 2 (q = t^2); families j = 1..n-1"),
+    "h": (_build_h, False, "no parameters; one rank-2 family"),
+    "commutative-A1": (_build_a1, False, "no parameters; classical rank-1 pair"),
+    "d": (lambda n: _build_d_odd(n) if n % 2 == 1 else _build_d_even(n), True, None),
 }
-_BUILDERS = {"c": _build_c, "h": _build_h, "commutative-A1": _build_a1}
+CASES = tuple(case for case, (_, _, ranges) in _CASES.items() if ranges)
 
 
 def build(case: str, n: int | None = None) -> CatalogEntry:
     """Construct a catalog entry with all invariants machine-verified."""
-    if case in _BUILDERS:
+    if case not in _CASES:
+        raise BadParams(f"unknown case {case!r}; valid: {', '.join(CASES)}")
+    construct, takes_n, _ = _CASES[case]
+    if not takes_n:
         if n is not None:
             raise BadParams(f"case ({case}) takes no n")
-        return _BUILDERS[case]()
-    if case not in _BUILDERS_N:
-        raise BadParams(f"unknown case {case!r}; valid: {', '.join(CASES)}")
+        return construct()
     if n is None:
         raise BadParams(f"case ({case}) needs n")
-    return _BUILDERS_N[case](n)
+    return construct(n)
 
 
 def parameter_ranges() -> dict[str, str]:
-    return {
-        "b": "n >= 2 (q = -1); families j = 1..n-1",
-        "c": "no parameters; one rank-2 family",
-        "d-odd": "odd n >= 3; rank-2 plus rank-4 families j = 1..(n-1)/2",
-        "d-even": "even n >= 2; no stored families",
-        "e": "n >= 1; no stored families",
-        "g": "n >= 2 (q = t^2); families j = 1..n-1",
-        "h": "no parameters; one rank-2 family",
-        "commutative-A1": "no parameters; classical rank-1 pair",
-    }
+    return {case: _CASES[case][2] for case in CASES}
 
 
 # ---------------------------------------------------------------------------
@@ -593,11 +577,7 @@ def zhang_crosscheck(entry: CatalogEntry, trials: int = 32, seed: int = 0) -> li
 
 
 class SuiteReport(NamedTuple):
-    case: str
-    n: int | None
     checks: list[Check]
-    seed: int
-    elapsed: float
     notes: list[str]
 
     @property
@@ -625,7 +605,6 @@ def run_suite(
     max_degree: int | None = None,
 ) -> SuiteReport:
     """Run the entry's mechanized checks and return a machine-readable report."""
-    start = time.perf_counter()
     checks: list[Check] = []
     ctx = entry.context
     A = entry.algebra
@@ -762,5 +741,4 @@ def run_suite(
                 f"exact={res.exact_match}",
             )
 
-    elapsed = time.perf_counter() - start
-    return SuiteReport(entry.case, entry.n, checks, seed, elapsed, entry.notes)
+    return SuiteReport(checks, entry.notes)

@@ -158,14 +158,14 @@ def restrict_tmf(t: TMF, base: NormalContext) -> TMF:
     return tm.map_tmf(t, lambda e: e.restrict(base.algebra), base)
 
 
-def truncate_context(ctx: NormalContext, count: int = 1) -> NormalContext:
-    """Drop the last cover variables from a context (z = 0, then w = 0).
+def truncate_context(ctx: NormalContext) -> NormalContext:
+    """Drop the last generator, the cover variable, from a context (z = 0).
 
     The remaining presentation must be closed under the first generators
     (always true for Ore extensions) and f, sigma, tau must restrict;
     HypothesisViolation otherwise."""
     A = ctx.algebra
-    keep = A.ngens - count
+    keep = A.ngens - 1
     if keep <= 0:
         raise HypothesisViolation("nothing left after truncation")
     gens = list(zip(A.names[:keep], A.degrees[:keep]))

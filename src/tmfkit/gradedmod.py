@@ -391,8 +391,6 @@ def is_invertible(mat: GradedMatrix) -> tuple[bool, GradedMatrix | None]:
     degrees).  A matrix over k (N = 0) inverts as S^{-1} alone.  Either
     way both composites with the candidate must be identities.
     """
-    if mat.source.rank != mat.target.rank:
-        return False, None
     if sorted(mat.source.shifts) != sorted(mat.target.shifts):
         return False, None
     s = scalar_part(mat)
@@ -438,77 +436,51 @@ def is_invertible(mat: GradedMatrix) -> tuple[bool, GradedMatrix | None]:
 # ---------------------------------------------------------------------------
 
 
-class IntertwinerSpace(NamedTuple):
-    """k-basis of pairs (alpha, beta) with alpha*PHI' = PHI*beta."""
-
-    basis: list[tuple[GradedMatrix, GradedMatrix]]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
-
 def solve_intertwiners(
     phi: GradedMatrix, phi_prime: GradedMatrix
-) -> IntertwinerSpace:
+) -> list[tuple[GradedMatrix, GradedMatrix]]:
     """All (alpha: F -> F', beta: G -> G') with compose(alpha, phi') =
-    compose(phi, beta), as a k-basis.
+    compose(phi, beta), as a k-basis of (alpha, beta) pairs.
 
     Unknown entries are expanded over the monomial basis of their forced
-    degree and the homogeneous linear system is solved exactly over k.
+    degree, all of alpha's before all of beta's, and the homogeneous linear
+    system is solved exactly over k.
     """
     if phi.algebra != phi_prime.algebra:
         raise AlgebraMismatch("factorizations over different algebras")
     algebra = phi.algebra
     F, G = phi.source, phi.target
-    Fp, Gp = phi_prime.source, phi_prime.target
+    Gp = phi_prime.target
+    # the column of an unknown mono at entry (i, j) of a block holds its
+    # coefficients in alpha*phi' - phi*beta, keyed by residual entry
 
-    unknowns: list[tuple[str, int, int, tuple]] = []
-    for i in range(F.rank):
-        for j in range(Fp.rank):
-            for mono in algebra.monomials_of_degree(F.shifts[i] - Fp.shifts[j]):
-                unknowns.append(("a", i, j, mono))
-    for i in range(G.rank):
-        for j in range(Gp.rank):
-            for mono in algebra.monomials_of_degree(G.shifts[i] - Gp.shifts[j]):
-                unknowns.append(("b", i, j, mono))
+    def alpha_column(i, j, mono):
+        # + mono * phi'[j][k] at residual (i, k)
+        return [((i, k), {mono: ONE}, phi_prime.entries[j][k].terms) for k in range(Gp.rank)]
 
-    # column u: coefficients of unknown u in alpha*phi' - phi*beta, keyed by
-    # (residual entry, PBW monomial)
+    def beta_column(i, j, mono):
+        # - phi[i0][i] * mono at residual (i0, j)
+        return [((i0, j), phi.entries[i0][i].terms, {mono: MINUS_ONE}) for i0 in range(F.rank)]
+
+    blocks = ((F, phi_prime.source, alpha_column), (G, Gp, beta_column))
+    unknowns: list[tuple[int, int, int, tuple]] = []  # (block, i, j, mono)
     columns = []
-    for kind, i, j, mono in unknowns:
-        if kind == "a":
-            # contributes + mono * phi'[j][k] at residual (i, k)
-            columns.append(
-                [((i, k), {mono: ONE}, phi_prime.entries[j][k].terms) for k in range(Gp.rank)]
-            )
-        else:
-            # contributes - phi[i0][i] * mono at residual (i0, j)
-            columns.append(
-                [((i0, j), phi.entries[i0][i].terms, {mono: MINUS_ONE}) for i0 in range(F.rank)]
-            )
+    for b, (source, target, column) in enumerate(blocks):
+        for i in range(source.rank):
+            for j in range(target.rank):
+                for mono in algebra.monomials_of_degree(source.shifts[i] - target.shifts[j]):
+                    unknowns.append((b, i, j, mono))
+                    columns.append(column(i, j, mono))
 
-    null = linalg.nullspace(algebra.slice_matrix(columns), len(unknowns))
-    basis: list[tuple[GradedMatrix, GradedMatrix]] = []
-    for vec in null:
-        a_entries = [[algebra.zero() for _ in range(Fp.rank)] for _ in range(F.rank)]
-        b_entries = [[algebra.zero() for _ in range(Gp.rank)] for _ in range(G.rank)]
-        for u, (kind, i, j, mono) in enumerate(unknowns):
-            c = vec[u]
-            if c.is_zero():
-                continue
-            term = algebra.monomial(mono, c)
-            if kind == "a":
-                a_entries[i][j] = a_entries[i][j] + term
-            else:
-                b_entries[i][j] = b_entries[i][j] + term
-        basis.append(
-            (
-                GradedMatrix(F, Fp, a_entries),
-                GradedMatrix(G, Gp, b_entries),
-            )
-        )
-    return IntertwinerSpace(basis)
+    basis = []
+    for vec in linalg.nullspace(algebra.slice_matrix(columns), len(unknowns)):
+        entries = [[[algebra.zero()] * t.rank for _ in range(s.rank)] for s, t, _ in blocks]
+        for c, (b, i, j, mono) in zip(vec, unknowns):
+            if not c.is_zero():
+                entries[b][i][j] = entries[b][i][j] + algebra.monomial(mono, c)
+        alpha, beta = (GradedMatrix(s, t, e) for (s, t, _), e in zip(blocks, entries))
+        basis.append((alpha, beta))
+    return basis
 
 
 class IsoVerdict(NamedTuple):
@@ -535,15 +507,15 @@ def probably_isomorphic(
         phi.target.shifts
     ) != sorted(phi_prime.target.shifts):
         return IsoVerdict(False, failures=0)
-    space = solve_intertwiners(phi, phi_prime)
-    if not space.basis:
+    basis = solve_intertwiners(phi, phi_prime)
+    if not basis:
         return IsoVerdict(False, failures=0)
     rng = random.Random(seed)
     failures = 0
     for _ in range(trials):
         alpha = zero_matrix(phi.source, phi_prime.source)
         beta = zero_matrix(phi.target, phi_prime.target)
-        for a_b, b_b in space.basis:
+        for a_b, b_b in basis:
             c = Scalar.from_int(rng.randint(-1_000_000, 1_000_000))
             alpha = alpha + a_b.scale(c)
             beta = beta + b_b.scale(c)

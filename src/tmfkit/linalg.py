@@ -2,10 +2,10 @@
 
 Matrices come in as lists of row lists of Scalar; ``GradedAlgebra.slice_matrix``
 builds the matrix of a map on a graded slice.  One private elimination works
-on sparse rows, ``{column: nonzero Scalar}`` dicts, and visits only the
-nonzeros of each pivot row: forward-only for ``rank``, Gauss-Jordan for
-``rref``, ``nullspace``, ``solve`` and ``invert``.  The reduced row echelon
-form is unique, so the results do not depend on the pivot order.
+on sparse rows, ``{column: nonzero Scalar}`` dicts, visits only the nonzeros
+of each pivot row and always runs Gauss-Jordan; ``rref``, ``nullspace``,
+``solve``, ``invert`` and ``rank`` all read its pivot rows.  The reduced row
+echelon form is unique, so the results do not depend on the pivot order.
 
 ``rank`` first peels singletons (LaMacchia and Odlyzko, 1990): a row or a
 column with one nonzero left is zero off that entry, so over any field it
@@ -27,16 +27,16 @@ def _sparse(rows: list[list[Scalar]]) -> list[dict]:
     return [row for row in sparse if row]
 
 
-def _eliminate(pending: list[dict], jordan: bool) -> list[tuple[int, dict]]:
+def _eliminate(pending: list[dict]) -> list[tuple[int, dict]]:
     """Pivot rows of the sparse rows ``pending`` (consumed), as (pivot column,
     rest of the row) pairs in ascending pivot order; each pivot entry is one
     and is left out of the rest.
 
     Column by column, the first pending row with a nonzero in the column
-    becomes the pivot row and the column is cleared from the pending rows
-    below it; with ``jordan`` it is cleared from the earlier pivot rows too,
-    which gives the reduced row echelon form.  Fill-in stays in columns that
-    hold a nonzero, so only those are visited."""
+    becomes the pivot row and the column is cleared from the other pending
+    rows and from the earlier pivot rows, which gives the reduced row echelon
+    form.  Fill-in stays in columns that hold a nonzero, so only those are
+    visited."""
     done: list[tuple[int, dict]] = []
     for c in sorted({j for row in pending for j in row}):
         k = next((k for k, row in enumerate(pending) if c in row), None)
@@ -46,7 +46,7 @@ def _eliminate(pending: list[dict], jordan: bool) -> list[tuple[int, dict]]:
         inv = rest.pop(c).inverse()
         if inv != ONE:
             rest = {j: x * inv for j, x in rest.items()}
-        for other in (pending + [r for _, r in done]) if jordan else pending:
+        for other in pending + [r for _, r in done]:
             factor = other.pop(c, None)
             if factor is None:
                 continue
@@ -71,7 +71,7 @@ def _eliminate(pending: list[dict], jordan: bool) -> list[tuple[int, dict]]:
 def rref(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
     """Reduced row echelon form (copy) and pivot column indices."""
     ncols = len(rows[0]) if rows else 0
-    done = _eliminate(_sparse(rows), jordan=True)
+    done = _eliminate(_sparse(rows))
     m = [[ZERO] * ncols for _ in rows]
     for row, (c, rest) in zip(m, done):
         row[c] = ONE
@@ -108,12 +108,12 @@ def rank(rows: list[list[Scalar]]) -> int:
             if len(lines[other]) == 1:
                 todo.append((lines, crossing, other))
     core = [{j: sparse[i][j] for j in cols} for i, cols in row_cols.items() if cols]
-    return peeled + (len(_eliminate(core, jordan=False)) if core else 0)
+    return peeled + (len(_eliminate(core)) if core else 0)
 
 
 def nullspace(rows: list[list[Scalar]], ncols: int) -> list[list[Scalar]]:
     """Basis of the right nullspace of the matrix (rows of length ncols)."""
-    done = _eliminate(_sparse(rows), jordan=True)
+    done = _eliminate(_sparse(rows))
     pivots = {c for c, _ in done}
     basis = []
     for fc in range(ncols):
@@ -131,7 +131,7 @@ def nullspace(rows: list[list[Scalar]], ncols: int) -> list[list[Scalar]]:
 def solve(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar] | None:
     """One solution of A x = rhs, or None when inconsistent."""
     ncols = len(rows[0]) if rows else 0
-    done = _eliminate(_sparse([row + [b] for row, b in zip(rows, rhs)]), jordan=True)
+    done = _eliminate(_sparse([row + [b] for row, b in zip(rows, rhs)]))
     if done and done[-1][0] == ncols:
         return None
     x = [ZERO] * ncols
@@ -144,7 +144,7 @@ def invert(rows: list[list[Scalar]]) -> list[list[Scalar]] | None:
     """Inverse of a square matrix over the field, or None when singular."""
     n = len(rows)
     aug = [rows[i][:] + [ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-    done = _eliminate(_sparse(aug), jordan=True)
+    done = _eliminate(_sparse(aug))
     if [c for c, _ in done] != list(range(n)):
         return None
     return [[rest.get(n + j, ZERO) for j in range(n)] for _, rest in done]

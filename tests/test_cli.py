@@ -244,6 +244,45 @@ def test_catalog_bad_params_exit_2(capsys):
     assert capsys.readouterr().err == "input error: case (c) takes no n\n"
 
 
+CATALOG_LIST = """\
+b                n >= 2 (q = -1); families j = 1..n-1
+c                no parameters; one rank-2 family
+d-odd            odd n >= 3; rank-2 plus rank-4 families j = 1..(n-1)/2
+d-even           even n >= 2; no stored families
+e                n >= 1; no stored families
+g                n >= 2 (q = t^2); families j = 1..n-1
+h                no parameters; one rank-2 family
+commutative-A1   no parameters; classical rank-1 pair
+"""
+
+
+def test_catalog_list_output(capsys):
+    assert main(["catalog", "list"]) == 0
+    assert capsys.readouterr() == (CATALOG_LIST, "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "case (d) needs n"),
+        (["--n", "1"], "case (d-odd) needs odd n >= 3"),
+        (["--n", "0"], "case (d-even) needs even n >= 2"),
+    ],
+)
+def test_catalog_d_alias_errors(capsys, argv, message):
+    # "d" is no listed case: it picks (d-odd) or (d-even) by the parity of n
+    assert main(["catalog", "verify", "d", *argv]) == 2
+    assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+
+def test_catalog_unknown_case_lists_the_cases(capsys):
+    assert main(["catalog", "verify", "nope"]) == 2
+    assert capsys.readouterr().err == (
+        "input error: unknown case 'nope'; "
+        "valid: b, c, d-odd, d-even, e, g, h, commutative-A1\n"
+    )
+
+
 def test_max_degree_window_at_and_over_the_cap(capsys):
     from tmfkit.cli import MAX_DEGREE_WINDOW
 

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -255,14 +256,15 @@ def ranked_matrices(monkeypatch, compute):
 
 def rank_cores(monkeypatch):
     """The cores that rank hands to the elimination, copied before it
-    consumes them; the other linear algebra runs with jordan=True."""
+    consumes them: the elimination calls whose caller is rank's code, so
+    calls through ``from tmfkit.linalg import rank`` count too."""
     cores = []
     eliminate = linalg._eliminate
 
-    def wrapper(rows, jordan):
-        if not jordan:
+    def wrapper(rows):
+        if sys._getframe(1).f_code is rank.__code__:
             cores.append([dict(row) for row in rows])
-        return eliminate(rows, jordan)
+        return eliminate(rows)
 
     monkeypatch.setattr(linalg, "_eliminate", wrapper)
     return cores
