@@ -17,7 +17,6 @@ import os
 import sys
 import time
 from collections.abc import Sequence
-from typing import NamedTuple
 
 from . import catalog as cat
 from . import cover as cov
@@ -59,39 +58,6 @@ class InputFailsVerification(ValueError):
     """A functor's input factorization does not verify (exit code 1)."""
 
 
-class Report(NamedTuple):
-    """Serializable check report: deterministic for a fixed seed."""
-
-    command: str
-    status: str
-    seed: int
-    elapsed: float
-    checks: Sequence[tm.Check]
-    artifacts: dict
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "status": self.status,
-            "seed": self.seed,
-            "elapsed": round(self.elapsed, 6),
-            "convention": CONVENTION,
-            "checks": [check._asdict() for check in self.checks],
-            "artifacts": self.artifacts,
-        }
-
-    def render_text(self) -> str:
-        lines = [f"[{self.status}] {self.command} (seed={self.seed})"]
-        for check in self.checks:
-            mark = "PASS" if check.ok else "FAIL"
-            detail = f" -- {check.detail}" if check.detail else ""
-            lines.append(f"  {mark} {check.name}{detail}")
-        for key, value in self.artifacts.items():
-            if isinstance(value, str):
-                lines.append(f"  {key}: {value}")
-        return "\n".join(lines)
-
-
 def _print(text: str) -> None:
     try:
         print(text)
@@ -104,12 +70,27 @@ def _print(text: str) -> None:
 
 def _report(args, start: float, command: str, ok: bool, checks: Sequence[tm.Check],
             artifacts: dict, statuses=("pass", "fail"), fail_code: int = 1) -> int:
-    """Print a command's report, timed from start; return its exit code, 0
-    when ok and fail_code otherwise."""
+    """Print a command's report, timed from start, as JSON or as text lines
+    (deterministic for a fixed seed but for the elapsed time); return its
+    exit code, 0 when ok and fail_code otherwise."""
     status = statuses[0] if ok else statuses[1]
-    report = Report(command, status, args.seed, time.perf_counter() - start, checks, artifacts)
-    _print(json.dumps(report.to_json(), indent=2) if args.format == "json"
-           else report.render_text())
+    if args.format == "json":
+        _print(json.dumps({
+            "command": command,
+            "status": status,
+            "seed": args.seed,
+            "elapsed": round(time.perf_counter() - start, 6),
+            "convention": CONVENTION,
+            "checks": [check._asdict() for check in checks],
+            "artifacts": artifacts,
+        }, indent=2))
+    else:
+        lines = [f"[{status}] {command} (seed={args.seed})"]
+        for check in checks:
+            detail = f" -- {check.detail}" if check.detail else ""
+            lines.append(f"  {'PASS' if check.ok else 'FAIL'} {check.name}{detail}")
+        lines += [f"  {k}: {v}" for k, v in artifacts.items() if isinstance(v, str)]
+        _print("\n".join(lines))
     return 0 if ok else fail_code
 
 

@@ -385,7 +385,8 @@ def check_lemma_5_13(sc: SecondCover, t: TMF, c1: TMF, h: TMF) -> Lemma513Report
     also that killing u and v from h gives tw(t) + tw(T t) blockwise, an
     entrywise comparison with a sum built from t (no verify of its own).
     c1 = C1(t) over the first cover of sc and h = H(t)."""
-    if linalg.invert(LEMMA_5_13_PATTERN) is None:
+    p_rows = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in LEMMA_5_13_PATTERN]
+    if linalg.invert(p_rows) is None:
         raise ValueError("the Lemma 5.13 pattern is not invertible over k")
     # unchecked: the identity below and the verified h make C2(c1) verify
     mapped = tm.map_tmf(_cover_blocks(sc.second, c1), sc.to_uv, sc.uv.context)

@@ -361,8 +361,9 @@ def submatrix(
     )
 
 
-def scalar_part(mat: GradedMatrix) -> list[list[Scalar]]:
-    """Degree-0 entries as Scalars; positive-degree entries become 0.
+def scalar_part(mat: GradedMatrix) -> list[dict[int, Scalar]]:
+    """Degree-0 entries as sparse rows of nonzero Scalars; positive-degree
+    entries are left out.
 
     Requires equal shift multisets so the notion of an endomorphism-shaped
     matrix makes sense.
@@ -370,14 +371,9 @@ def scalar_part(mat: GradedMatrix) -> list[list[Scalar]]:
     if sorted(mat.source.shifts) != sorted(mat.target.shifts):
         raise ShapeMismatch("scalar part needs equal shift multisets")
     out = []
-    for i in range(mat.source.rank):
-        row = []
-        for j in range(mat.target.rank):
-            if mat.source.shifts[i] == mat.target.shifts[j]:
-                row.append(mat.entries[i][j].constant_term())
-            else:
-                row.append(ZERO)
-        out.append(row)
+    for s, row in zip(mat.source.shifts, mat.entries):
+        cells = {j: x.constant_term() for j, x in enumerate(row) if mat.target.shifts[j] == s}
+        out.append({j: c for j, c in cells.items() if not c.is_zero()})
     return out
 
 
@@ -402,12 +398,12 @@ def is_invertible(mat: GradedMatrix) -> tuple[bool, GradedMatrix | None]:
     s_mat = GradedMatrix(
         mat.source,
         mat.target,
-        [[algebra.scalar(s[i][j]) for j in range(n)] for i in range(n)],
+        [[algebra.scalar(row.get(j, ZERO)) for j in range(n)] for row in s],
     )
     s_inv_mat = GradedMatrix(
         mat.target,
         mat.source,
-        [[algebra.scalar(s_inv[i][j]) for j in range(n)] for i in range(n)],
+        [[algebra.scalar(row.get(j, ZERO)) for j in range(n)] for row in s_inv],
     )
     if mat == s_mat:
         # N = 0: the matrix lives over k, and S^{-1} is its inverse
@@ -475,9 +471,9 @@ def solve_intertwiners(
     basis = []
     for vec in linalg.nullspace(algebra.slice_matrix(columns), len(unknowns)):
         entries = [[[algebra.zero()] * t.rank for _ in range(s.rank)] for s, t, _ in blocks]
-        for c, (b, i, j, mono) in zip(vec, unknowns):
-            if not c.is_zero():
-                entries[b][i][j] = entries[b][i][j] + algebra.monomial(mono, c)
+        for col, c in vec.items():
+            b, i, j, mono = unknowns[col]
+            entries[b][i][j] = entries[b][i][j] + algebra.monomial(mono, c)
         alpha, beta = (GradedMatrix(s, t, e) for (s, t, _), e in zip(blocks, entries))
         basis.append((alpha, beta))
     return basis

@@ -1,11 +1,12 @@
 """Sparse exact Gauss-Jordan elimination over the scalar field Q(i)(t).
 
-Matrices come in as lists of row lists of Scalar; ``GradedAlgebra.slice_matrix``
-builds the matrix of a map on a graded slice.  One private elimination works
-on sparse rows, ``{column: nonzero Scalar}`` dicts, visits only the nonzeros
-of each pivot row and always runs Gauss-Jordan; ``rref``, ``nullspace``,
-``solve``, ``invert`` and ``rank`` all read its pivot rows.  The reduced row
-echelon form is unique, so the results do not depend on the pivot order.
+A matrix is a list of sparse rows, ``{column: nonzero Scalar}`` dicts; an
+entry that a row does not hold is 0.  ``GradedAlgebra.slice_matrix`` builds
+the matrix of a map on a graded slice.  One private elimination visits only
+the nonzeros of each pivot row and always runs Gauss-Jordan; ``rref``,
+``nullspace``, ``solve``, ``invert`` and ``rank`` all read its pivot rows, and
+none of them changes the rows it is given.  The reduced row echelon form is
+unique, so the results do not depend on the pivot order.
 
 ``rank`` first peels singletons (LaMacchia and Odlyzko, 1990): a row or a
 column with one nonzero left is zero off that entry, so over any field it
@@ -15,19 +16,12 @@ Only the core left is eliminated.
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, Scalar
+
+Rows = list[dict[int, Scalar]]
 
 
-def _sparse(rows: list[list[Scalar]]) -> list[dict]:
-    """The nonzero rows as ``{column: nonzero Scalar}`` dicts; the shared ZERO
-    that fills absent slice coordinates is skipped without a call."""
-    sparse = (
-        {j: x for j, x in enumerate(r) if x is not ZERO and not x.is_zero()} for r in rows
-    )
-    return [row for row in sparse if row]
-
-
-def _eliminate(pending: list[dict]) -> list[tuple[int, dict]]:
+def _eliminate(pending: Rows) -> list[tuple[int, dict]]:
     """Pivot rows of the sparse rows ``pending`` (consumed), as (pivot column,
     rest of the row) pairs in ascending pivot order; each pivot entry is one
     and is left out of the rest.
@@ -68,29 +62,22 @@ def _eliminate(pending: list[dict]) -> list[tuple[int, dict]]:
     return done
 
 
-def rref(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced row echelon form (copy) and pivot column indices."""
-    ncols = len(rows[0]) if rows else 0
-    done = _eliminate(_sparse(rows))
-    m = [[ZERO] * ncols for _ in rows]
-    for row, (c, rest) in zip(m, done):
-        row[c] = ONE
-        for j, x in rest.items():
-            row[j] = x
-    return m, [c for c, _ in done]
+def rref(rows: Rows) -> list[tuple[int, dict]]:
+    """The nonzero rows of the reduced row echelon form, as (pivot column,
+    row) pairs in ascending pivot order; each row holds its pivot entry one."""
+    return [(c, {c: ONE, **rest}) for c, rest in _eliminate([dict(row) for row in rows])]
 
 
-def rank(rows: list[list[Scalar]]) -> int:
+def rank(rows: Rows) -> int:
     """Rank of the matrix.  While a row or a column has one nonzero left, at
     (r, c), the rank goes up by one and row r and column c go: that line is
     zero off (r, c), so rank M = 1 + rank(M without row r and column c) over
     any field, and no entry is read or changed.  Only the core left, a
     submatrix of original entries, is eliminated."""
-    sparse = _sparse(rows)
-    row_cols = {i: set(row) for i, row in enumerate(sparse)}
+    row_cols = {i: set(row) for i, row in enumerate(rows) if row}
     col_rows: dict[int, set[int]] = {}
-    for i, row in enumerate(sparse):
-        for j in row:
+    for i, cols in row_cols.items():
+        for j in cols:
             col_rows.setdefault(j, set()).add(i)
     # (lines, crossing lines, line) for each row with one column left and each
     # column with one row left; peeling it removes both lines through its entry
@@ -107,44 +94,38 @@ def rank(rows: list[list[Scalar]]) -> int:
             lines[other].discard(x)
             if len(lines[other]) == 1:
                 todo.append((lines, crossing, other))
-    core = [{j: sparse[i][j] for j in cols} for i, cols in row_cols.items() if cols]
+    core = [{j: rows[i][j] for j in cols} for i, cols in row_cols.items() if cols]
     return peeled + (len(_eliminate(core)) if core else 0)
 
 
-def nullspace(rows: list[list[Scalar]], ncols: int) -> list[list[Scalar]]:
-    """Basis of the right nullspace of the matrix (rows of length ncols)."""
-    done = _eliminate(_sparse(rows))
+def nullspace(rows: Rows, ncols: int) -> Rows:
+    """Basis of the right nullspace of the matrix on ncols columns, as sparse
+    vectors: one per non-pivot column, which holds one there.  A pivot row
+    holds no column left of its pivot, so each vector's columns ascend."""
+    done = _eliminate([dict(row) for row in rows])
     pivots = {c for c, _ in done}
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [ZERO] * ncols
-        vec[fc] = ONE
-        for pc, rest in done:
-            if fc in rest:
-                vec[pc] = -rest[fc]
-        basis.append(vec)
-    return basis
+    return [
+        {pc: -rest[fc] for pc, rest in done if fc in rest} | {fc: ONE}
+        for fc in range(ncols)
+        if fc not in pivots
+    ]
 
 
-def solve(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar] | None:
-    """One solution of A x = rhs, or None when inconsistent."""
-    ncols = len(rows[0]) if rows else 0
-    done = _eliminate(_sparse([row + [b] for row, b in zip(rows, rhs)]))
+def solve(rows: Rows, rhs: list[Scalar], ncols: int) -> dict[int, Scalar] | None:
+    """One solution of A x = rhs for A on ncols columns, as a sparse vector,
+    or None when inconsistent."""
+    aug = [{**row, ncols: b} if not b.is_zero() else dict(row) for row, b in zip(rows, rhs)]
+    done = _eliminate(aug)
     if done and done[-1][0] == ncols:
         return None
-    x = [ZERO] * ncols
-    for pc, rest in done:
-        x[pc] = rest.get(ncols, ZERO)
-    return x
+    return {pc: rest[ncols] for pc, rest in done if ncols in rest}
 
 
-def invert(rows: list[list[Scalar]]) -> list[list[Scalar]] | None:
+def invert(rows: Rows) -> Rows | None:
     """Inverse of a square matrix over the field, or None when singular."""
     n = len(rows)
-    aug = [rows[i][:] + [ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-    done = _eliminate(_sparse(aug))
+    done = _eliminate([{**row, n + i: ONE} for i, row in enumerate(rows)])
     if [c for c, _ in done] != list(range(n)):
         return None
-    return [[rest.get(n + j, ZERO) for j in range(n)] for _, rest in done]
+    # every column below n is a pivot, so each rest lies in the right half
+    return [{j - n: x for j, x in rest.items()} for _, rest in done]

@@ -231,30 +231,25 @@ class GradedAlgebra:
                     raise self._rewrite_failure(word, exc) from None
                 _acc_into(out, part, c1 * c2)
 
-    def slice_matrix(self, columns: list[list[tuple]]) -> list[list[Scalar]]:
-        """Matrix of a k-linear map on a graded slice, one column per image.
+    def slice_matrix(self, columns: list[list[tuple]]) -> list[dict[int, Scalar]]:
+        """Matrix of a k-linear map on a graded slice, one column per image,
+        as sparse rows ``{column: nonzero Scalar}``.
 
         Each column is a list of (key, terms_a, terms_b) products, each with
         its own rewrite budget; row (key, exps) holds the coefficient of exps
         in the sum of the column's products under key.  Rows come in
-        first-seen order, and absent coordinates read as 0.
+        first-seen order.
         """
-        index: dict = {}
-        images = []
-        for products in columns:
+        rows: dict = {}
+        for j, products in enumerate(columns):
             parts: dict = {}
             for key, terms_a, terms_b in products:
                 if terms_a and terms_b:
                     self._mul_into(parts.setdefault(key, {}), terms_a, terms_b, [REWRITE_FUEL])
-            image = {(key, e): c for key, part in parts.items() for e, c in part.items()}
-            for row in image:
-                index.setdefault(row, len(index))
-            images.append(image)
-        rows = [[ZERO] * len(columns) for _ in index]
-        for j, image in enumerate(images):
-            for row, c in image.items():
-                rows[index[row]][j] = c
-        return rows
+            for key, part in parts.items():
+                for e, c in part.items():
+                    rows.setdefault((key, e), {})[j] = c
+        return list(rows.values())
 
     def normal_form(self, word: list[int] | tuple[int, ...]) -> NCPoly:
         """Normal form of a word of generator indices as an element."""
@@ -590,10 +585,10 @@ class GradedAutomorphism(AlgebraMorphism):
             self.images[g] == self.algebra.gen(g) for g in range(self.algebra.ngens)
         )
 
-    def linear_matrix(self) -> list[list[Scalar]]:
-        """Coefficient matrix M with image(x_g) = sum_h M[g][h] x_h."""
-        n = self.algebra.ngens
-        mat = [[ZERO] * n for _ in range(n)]
+    def linear_matrix(self) -> list[dict[int, Scalar]]:
+        """Coefficient matrix M with image(x_g) = sum_h M[g][h] x_h, as sparse
+        rows."""
+        mat: list[dict[int, Scalar]] = [{} for _ in self.images]
         for g, img in enumerate(self.images):
             for e, c in img.terms.items():
                 if sum(e) != 1:
@@ -610,7 +605,9 @@ class GradedAutomorphism(AlgebraMorphism):
         if inv is None:
             raise Singular("generator coefficient matrix is singular")
         units = [self.algebra._unit(h) for h in range(self.algebra.ngens)]
-        images = [NCPoly(self.algebra, dict(zip(units, row))) for row in inv]
+        # terms in generator order: an Ore cover stores its rules, and writes
+        # them to JSON, in the term order of these images
+        images = [NCPoly(self.algebra, {units[h]: row[h] for h in sorted(row)}) for row in inv]
         result = GradedAutomorphism(self.algebra, images, check=False)
         for g in range(self.algebra.ngens):
             if result(self.images[g]) != self.algebra.gen(g) or self(
@@ -702,10 +699,11 @@ def normalizing_automorphism(f: NCPoly) -> GradedAutomorphism:
             basis = algebra.monomials_of_degree(degree)
             columns = [[(0, f.terms, {m: ONE})] for m in basis]
             columns += [[(0, {algebra._unit(h): ONE}, f.terms)] for h in gens]
-            solved[degree] = (gens, basis, *linalg.rref(algebra.slice_matrix(columns)))
-        gens, basis, echelon, pivots = solved[degree]
+            solved[degree] = (gens, basis, linalg.rref(algebra.slice_matrix(columns)))
+        gens, basis, echelon = solved[degree]
         n = len(basis)
         col = n + gens.index(g)
+        pivots = [pc for pc, _ in echelon]
         if col in pivots:
             raise NotNormal(
                 f"{algebra.names[g]}*f is not a right f-multiple: f is not normal"
@@ -716,7 +714,8 @@ def normalizing_automorphism(f: NCPoly) -> GradedAutomorphism:
                 "(f is not regular on this window)"
             )
         # the f*m columns are the pivots 0..n-1, so row r solves for basis[r]
-        images.append(NCPoly(algebra, {m: echelon[r][col] for r, m in enumerate(basis)}))
+        image = {m: row[col] for m, (_, row) in zip(basis, echelon) if col in row}
+        images.append(NCPoly(algebra, image))
     return GradedAutomorphism(algebra, images)
 
 

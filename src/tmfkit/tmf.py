@@ -27,7 +27,7 @@ from .ncalgebra import (
     NCPoly,
     format_poly,
 )
-from .scalars import ONE, Scalar, try_sqrt
+from .scalars import ONE, ZERO, Scalar, try_sqrt
 
 
 class ContextMismatch(ValueError):
@@ -482,10 +482,12 @@ def _single_eigenvalue(mat: GradedMatrix) -> Scalar:
     n = len(s)
     if n == 0:
         return ONE
-    c = sum((s[i][i] for i in range(1, n)), s[0][0]) / Scalar.from_int(n)
+    c = sum((row.get(i, ZERO) for i, row in enumerate(s)), ZERO) / Scalar.from_int(n)
     # (S - cI)^n must vanish
     scalar = mat.algebra.scalar
-    m = GradedMatrix(mat.source, mat.target, [[scalar(x) for x in row] for row in s])
+    m = GradedMatrix(
+        mat.source, mat.target, [[scalar(row.get(j, ZERO)) for j in range(n)] for row in s]
+    )
     m = m - gm.identity_matrix(mat.source).scale(c)
     power = m
     for _ in range(n - 1):

@@ -1,3 +1,4 @@
+import copy
 import random
 import sys
 
@@ -16,6 +17,19 @@ def n(k):
     return Scalar.from_int(k)
 
 
+def sparse(rows):
+    """The sparse rows, {column: nonzero Scalar}, of a dense matrix."""
+    return [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in rows]
+
+
+def dense(rows, ncols=None):
+    """The dense matrix of sparse rows on ncols columns, by default up to the
+    last column that a row holds."""
+    if ncols is None:
+        ncols = 1 + max((j for row in rows for j in row), default=-1)
+    return [[row.get(j, ZERO) for j in range(ncols)] for row in rows]
+
+
 # the commutative polynomial ring k[x, y]: y*x rewrites to x*y
 XY = GradedAlgebra([("x", 1), ("y", 1)], {(1, 0): [(ONE, (1, 1))]})
 ONE_EXPS, X, Y = (0, 0), (1, 0), (0, 1)
@@ -28,17 +42,17 @@ def test_slice_matrix_first_seen_rows():
     ]
     # rows (b, y), (a, x), (c, x): the order in which the coordinates first occur
     assert XY.slice_matrix(columns) == [
-        [n(2), ZERO],
-        [n(1), n(4)],
-        [ZERO, n(3)],
+        {0: n(2)},
+        {0: n(1), 1: n(4)},
+        {1: n(3)},
     ]
 
 
 def test_slice_matrix_absent_coordinates_are_zero():
     columns = [[(0, {X: n(5)}, {X: ONE})], [(1, {ONE_EXPS: ONE}, {Y: n(7)})], []]
     rows = XY.slice_matrix(columns)
-    # rows (0, x^2) and (1, y)
-    assert rows == [[n(5), ZERO, ZERO], [ZERO, n(7), ZERO]]
+    # rows (0, x^2) and (1, y); the empty third column holds no entry
+    assert rows == [{0: n(5)}, {1: n(7)}]
     assert rank(rows) == 2
 
 
@@ -178,17 +192,20 @@ SEEDS = range(32)
 def test_rref_and_rank_match_dense_reference(seed):
     m = random_case(seed)
     want = dense_rref(m)
-    assert linalg.rref(m) == want
-    assert linalg.rank(m) == len(want[1])
+    pairs = linalg.rref(sparse(m))
+    # the pivot rows, then the zero rows that rref leaves out
+    rows = [row for _, row in pairs] + [{}] * (len(m) - len(pairs))
+    assert (dense(rows, len(m[0])), [c for c, _ in pairs]) == want
+    assert linalg.rank(sparse(m)) == len(want[1])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_nullspace_matches_dense_reference(seed):
     m = random_case(seed)
     ncols = len(m[0])
-    basis = linalg.nullspace(m, ncols)
+    basis = dense(linalg.nullspace(sparse(m), ncols), ncols)
     assert basis == dense_nullspace(m, ncols)
-    assert len(basis) == ncols - linalg.rank(m)
+    assert len(basis) == ncols - linalg.rank(sparse(m))
     for vec in basis:
         assert matmul(m, [[x] for x in vec]) == [[ZERO]] * len(m)
 
@@ -199,47 +216,54 @@ def test_solve_matches_dense_reference(seed):
     rng = random.Random(1000 + seed)
     x0 = [random_entry(rng, 0.7, fractions=False) for _ in m[0]]
     consistent = [row[0] for row in matmul(m, [[x] for x in x0])]
-    x = linalg.solve(m, consistent)
+    (x,) = dense([linalg.solve(sparse(m), consistent, len(m[0]))], len(m[0]))
     assert x == dense_solve(m, consistent)
     assert [row[0] for row in matmul(m, [[c] for c in x])] == consistent
-    if linalg.rank(m) == len(m):
+    if linalg.rank(sparse(m)) == len(m):
         return
     # a generic right-hand side of a rank-deficient system is inconsistent
     rhs = [random_entry(rng, 1.0, fractions=False) for _ in m]
-    assert linalg.solve(m, rhs) is None
+    assert linalg.solve(sparse(m), rhs, len(m[0])) is None
     assert dense_solve(m, rhs) is None
 
 
 def test_solve_inconsistent_system():
-    m = [[ONE, n(2)], [n(2), n(4)], [ZERO, ZERO]]
-    assert linalg.solve(m, [ONE, ONE, ZERO]) is None
-    assert linalg.solve(m, [ZERO, ZERO, ONE]) is None
-    assert linalg.solve(m, [ONE, n(2), ZERO]) == [ONE, ZERO]
+    m = sparse([[ONE, n(2)], [n(2), n(4)], [ZERO, ZERO]])
+    assert linalg.solve(m, [ONE, ONE, ZERO], 2) is None
+    assert linalg.solve(m, [ZERO, ZERO, ONE], 2) is None
+    # x = (1, 0): the sparse solution holds no zero
+    assert linalg.solve(m, [ONE, n(2), ZERO], 2) == {0: ONE}
+
+
+def square_case(seed):
+    """random_case(seed) cut or padded with zeros to a square of side 1-5."""
+    size = random.Random(seed).randint(1, 5)
+    m = random_case(seed)
+    return [(row + [ZERO] * size)[:size] for row in (m + [[ZERO] * size] * size)[:size]]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_invert_matches_dense_reference(seed):
-    rng = random.Random(seed)
-    size = rng.randint(1, 5)
-    m = random_case(seed)
-    m = [(row + [ZERO] * size)[:size] for row in (m + [[ZERO] * size] * size)[:size]]
-    inv = linalg.invert(m)
+    m = square_case(seed)
+    size = len(m)
+    inv = linalg.invert(sparse(m))
+    inv = inv if inv is None else dense(inv, size)
     assert inv == dense_invert(m)
     identity = [[ONE if i == j else ZERO for j in range(size)] for i in range(size)]
     if inv is None:
-        assert linalg.rank(m) < size
+        assert linalg.rank(sparse(m)) < size
     else:
         assert matmul(m, inv) == identity
 
 
 def test_degenerate_shapes():
-    assert linalg.rref([]) == ([], [])
-    assert linalg.rref([[]]) == ([[]], [])
-    assert linalg.rank([[ZERO, ZERO], [ZERO, ZERO]]) == 0
-    assert linalg.nullspace([], 2) == [[ONE, ZERO], [ZERO, ONE]]
-    assert linalg.solve([], []) == []
+    assert linalg.rref([]) == []
+    assert linalg.rref([{}]) == []
+    assert linalg.rank([{}, {}]) == 0
+    assert linalg.nullspace([], 2) == [{0: ONE}, {1: ONE}]
+    assert linalg.solve([], [], 0) == {}
     assert linalg.invert([]) == []
-    assert linalg.invert([[ZERO]]) is None
+    assert linalg.invert([{}]) is None
 
 
 # -- singleton peeling -----------------------------------------------------------
@@ -294,7 +318,7 @@ def test_rank_matches_dense_reference_on_slice_matrices(monkeypatch, case, n, wi
     seen = ranked_matrices(monkeypatch, slices)
     assert len(seen) >= D + 1
     for rows in seen:
-        assert rank(rows) == len(dense_rref(rows)[1])
+        assert rank(rows) == len(dense_rref(dense(rows))[1])
 
 
 @pytest.mark.parametrize("names", [("z",), ("u", "v")])
@@ -305,7 +329,7 @@ def test_rank_matches_dense_reference_on_cover_slices(monkeypatch, case, n, name
     seen = ranked_matrices(monkeypatch, lambda: left_ranks(cover.f_cover, D))
     assert len(seen) == D + 1
     for rows in seen:
-        assert rank(rows) == len(dense_rref(rows)[1])
+        assert rank(rows) == len(dense_rref(dense(rows))[1])
 
 
 def has_singleton(rows):
@@ -331,7 +355,7 @@ def test_rank_peels_random_sparse_matrices(monkeypatch):
         nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
         m = [[sparse_entry(rng, density) for _ in range(ncols)] for _ in range(nrows)]
         cores.clear()
-        assert rank(m) == len(dense_rref(m)[1])
+        assert rank(sparse(m)) == len(dense_rref(m)[1])
         nonzero_rows = sum(any(not x.is_zero() for x in row) for row in m)
         if not has_singleton(m):
             # nothing to peel: the whole matrix is the core
@@ -354,7 +378,7 @@ def test_rank_eliminates_a_rank_deficient_core(monkeypatch):
         [ONE, ONE, ZERO, n(2)],
         [ZERO, ZERO, ZERO, t],
     ]
-    assert rank(m) == 3 == len(dense_rref(m)[1])
+    assert rank(sparse(m)) == 3 == len(dense_rref(m)[1])
     # the core left is the all-ones block of rows 1, 2 and columns 0, 1
     assert cores == [[{0: ONE, 1: ONE}, {0: ONE, 1: ONE}]]
 
@@ -364,3 +388,46 @@ def test_rank_needs_no_elimination_in_a_suite(monkeypatch):
     cores = rank_cores(monkeypatch)
     assert ranked_matrices(monkeypatch, lambda: run_suite(entry))
     assert cores == []
+
+
+# -- the sparse contract ---------------------------------------------------------
+
+
+def test_slice_matrix_rows_hold_no_zero_in_first_seen_order(monkeypatch):
+    seen = []
+    slice_matrix = GradedAlgebra.slice_matrix
+
+    def wrapper(self, columns):
+        rows = slice_matrix(self, columns)
+        seen.append((len(columns), rows))
+        return rows
+
+    monkeypatch.setattr(GradedAlgebra, "slice_matrix", wrapper)
+    for case, n in [("c", None), ("g", 3), ("b", 3)]:
+        run_suite(build(case, n), deep=True)
+    assert len(seen) > 100
+    for ncols, rows in seen:
+        assert all(row for row in rows)
+        assert all(0 <= j < ncols and not x.is_zero() for row in rows for j, x in row.items())
+        # a row first seen in column j comes after every row seen before j
+        firsts = [min(row) for row in rows]
+        assert firsts == sorted(firsts)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_routines_leave_the_callers_rows_unchanged(seed):
+    m = random_case(seed)
+    ncols = len(m[0])
+    rhs = [random_entry(random.Random(seed), 0.7, fractions=False) for _ in m]
+    calls = [
+        ("rank", m, linalg.rank),
+        ("rref", m, linalg.rref),
+        ("nullspace", m, lambda rows: linalg.nullspace(rows, ncols)),
+        ("solve", m, lambda rows: linalg.solve(rows, rhs, ncols)),
+        ("invert", square_case(seed), linalg.invert),
+    ]
+    for name, matrix, call in calls:
+        rows = sparse(matrix)
+        before = copy.deepcopy(rows)
+        call(rows)
+        assert rows == before, name
