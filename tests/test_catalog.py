@@ -2,6 +2,7 @@ import gc
 
 import pytest
 
+from tmfkit import gradedmod as gm
 from tmfkit import tmf as tm
 from tmfkit.catalog import (
     BadParams,
@@ -18,7 +19,7 @@ from tmfkit.ncalgebra import (
     normalizing_automorphism,
     parse_poly,
 )
-from tmfkit.scalars import Scalar
+from tmfkit.scalars import ONE, ZERO, Scalar
 from tmfkit.tmf import verify
 
 
@@ -219,14 +220,17 @@ def test_run_suite_makes_one_rank_pass_and_no_trivial_factorization(monkeypatch)
     assert trivials == []
 
 
-def _h_entry_over_identity():
-    """An (h) entry whose context has sigma = tau = id (unchecked) but which
-    holds the catalog's rank-2 family, built over the true context."""
-    entry = build("h")
-    A = entry.algebra
-    identity = GradedAutomorphism.identity(A)
-    ctx = tm.NormalContext(A, entry.context.f, identity, identity, check=False)
-    broken = CatalogEntry.new("h", None, ctx)
+def _identity_context(entry):
+    """The entry's algebra and f with sigma = tau = id, unchecked."""
+    identity = GradedAutomorphism.identity(entry.algebra)
+    return tm.NormalContext(entry.algebra, entry.context.f, identity, identity, check=False)
+
+
+def _entry_over_identity(case, n=None):
+    """An entry whose context has sigma = tau = id (unchecked) but which
+    holds the catalog's families, built over the true context."""
+    entry = build(case, n)
+    broken = CatalogEntry.new(case, n, _identity_context(entry))
     broken.families.update(entry.families)
     return broken
 
@@ -234,7 +238,7 @@ def _h_entry_over_identity():
 def test_run_suite_reports_a_cover_that_fails_to_build():
     # sigma = id is not the normalizing automorphism of (h), so the cover's
     # check of its base context raises; the suite records it and goes on
-    broken = _h_entry_over_identity()
+    broken = _entry_over_identity("h")
     for deep in (False, True):
         report = run_suite(broken, seed=2, trials=8, deep=deep)
         checks = {c.name: c for c in report.checks}
@@ -248,11 +252,36 @@ def test_run_suite_reports_a_cover_that_fails_to_build():
 
 
 def test_run_suite_fails_a_family_over_another_context():
-    checks = {c.name: c for c in run_suite(_h_entry_over_identity(), seed=2, trials=8).checks}
+    checks = {c.name: c for c in run_suite(_entry_over_identity("h"), seed=2, trials=8).checks}
     assert not checks["verify:rank2"].ok
     assert checks["verify:rank2"].detail == "family context differs from the entry's context"
     # the catalog entry itself still verifies its family
     assert {c.name: c for c in run_suite(build("h"), seed=2, trials=8).checks}["verify:rank2"].ok
+
+
+def test_run_suite_records_a_zhang_crosscheck_over_another_context():
+    # the transports land in the entry's identity context, the printed
+    # families live in the true one: every Zhang check fails, none aborts
+    names = [c.name for c in run_suite(build("g", 3), seed=0, trials=8, deep=True).checks]
+    report = run_suite(_entry_over_identity("g", 3), seed=0, trials=8, deep=True)
+    assert [c.name for c in report.checks] == names
+    checks = {c.name: c for c in report.checks}
+    for name in ("zhang-crosscheck:j=1", "zhang-crosscheck:j=2"):
+        assert not checks[name].ok
+        assert checks[name].detail == "factorizations live in different contexts"
+
+
+def test_run_suite_records_a_non_isomorphism_check_across_contexts():
+    names = [c.name for c in run_suite(build("g", 3), seed=0, trials=8).checks]
+    entry = build("g", 3)
+    t = entry.factorization("j=2")
+    entry.families["j=2"] = tm.TMF(_identity_context(entry), t.phi, t.psi)
+    report = run_suite(entry, seed=0, trials=8)
+    assert [c.name for c in report.checks] == names
+    checks = {c.name: c for c in report.checks}
+    pair = checks["non-isomorphic:j=1|j=2"]
+    assert not pair.ok and pair.detail == "factorizations live in different contexts"
+    assert checks["verify:j=1"].ok and not checks["verify:j=2"].ok
 
 
 def test_run_suite_records_a_failed_normalizing_automorphism():
@@ -272,13 +301,13 @@ def test_run_suite_records_a_failed_normalizing_automorphism():
 def test_run_suite_records_reduce_and_endomorphism_failures(monkeypatch):
     names = [c.name for c in run_suite(build("c"), seed=2, trials=8).checks]
 
-    def broken_reduce(t):
+    def broken_is_reduced(t):
         raise tm.OracleMismatch("reduce broke the factorization identities")
 
     def broken_dimension(t):
         raise tm.MultiEigenvalue("scalar part has several eigenvalues")
 
-    monkeypatch.setattr(tm, "reduce", broken_reduce)
+    monkeypatch.setattr(tm, "is_reduced", broken_is_reduced)
     monkeypatch.setattr(tm, "endomorphism_dimension", broken_dimension)
     report = run_suite(build("c"), seed=2, trials=8)
     assert [c.name for c in report.checks] == names
@@ -313,13 +342,14 @@ def test_run_suite_records_failed_functor_outputs(monkeypatch):
 
 def counting(monkeypatch, name, modules):
     """Replace every binding of the function name in modules by a wrapper
-    that records the arguments of each call; returns the list of calls."""
+    that records the positional arguments of each call; returns the list of
+    calls."""
     calls = []
     original = getattr(modules[0], name)
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     for module in modules:
         monkeypatch.setattr(module, name, wrapper)
@@ -411,16 +441,63 @@ def test_run_suite_d3_emits_erratum():
 def test_zhang_crosscheck_g2():
     entry = build("g", 2)
     results = zhang_crosscheck(entry, trials=8, seed=0)
-    assert len(results) == 1
+    assert [r.name for r in results] == ["zhang-crosscheck:j=1"]
     assert results[0].ok
-    assert results[0].exact_match  # transported matrices equal the printed ones
+    assert results[0].detail == "exact=True"  # transported matrices equal the printed ones
 
 
 def test_zhang_crosscheck_g3():
     entry = build("g", 3)
     results = zhang_crosscheck(entry, trials=8, seed=0)
     assert all(r.ok for r in results)
-    assert all(r.exact_match for r in results)
+    assert all(r.detail == "exact=True" for r in results)
+
+
+def test_zhang_crosscheck_takes_the_identity_as_witness_when_the_transport_is_exact(
+    monkeypatch,
+):
+    from tmfkit import catalog
+
+    entries = [build(case, n) for case in ("g", "b") for n in (2, 3, 5)]
+    verifies = counting(monkeypatch, "verify", [catalog])
+    searches = counting(monkeypatch, "probably_isomorphic_tmf", [tm])
+    for entry in entries:
+        checks = zhang_crosscheck(entry, trials=8, seed=0)
+        assert [c.name for c in checks] == [f"zhang-crosscheck:{la}" for la in entry.labels()]
+        assert all(c.ok and c.detail == "exact=True" for c in checks)
+    assert verifies == [] and searches == []
+
+
+def test_zhang_crosscheck_finds_a_witness_for_a_conjugate_family(monkeypatch):
+    entry = build("g", 3)
+    t = entry.factorization("j=1")
+    two = Scalar.from_int(2)
+    alpha = gm.block_scalar_matrix(t.phi.source, [1, 1], [[two, ZERO], [ZERO, ONE]])
+    beta = gm.block_scalar_matrix(t.phi.target, [1, 1], [[ONE, ZERO], [ZERO, two]])
+    entry.families["j=1"] = tm.conjugate(t, alpha, beta)
+    assert entry.factorization("j=1") != t
+    searches = counting(monkeypatch, "probably_isomorphic_tmf", [tm])
+    checks = zhang_crosscheck(entry, trials=8, seed=0)
+    assert [(c.ok, c.detail) for c in checks] == [(True, "exact=False"), (True, "exact=True")]
+    assert [args[1] for args in searches] == [entry.factorization("j=1")]
+
+
+def test_zhang_crosscheck_fails_a_transport_that_does_not_verify(monkeypatch):
+    from tmfkit import catalog
+
+    transport = catalog.zhang_untransport_tmf
+
+    def broken(tw, t_xi, target_ctx):
+        # zero phi's (1,2) entry: the identities fail and no isomorphism exists
+        t = transport(tw, t_xi, target_ctx)
+        rows = [list(row) for row in t.phi.entries]
+        rows[0][1] = t.context.algebra.zero()
+        return tm.TMF(t.context, gm.GradedMatrix(t.phi.source, t.phi.target, rows), t.psi)
+
+    monkeypatch.setattr(catalog, "zhang_untransport_tmf", broken)
+    checks = zhang_crosscheck(build("g", 3), trials=8, seed=0)
+    expected = "transport does not verify; no isomorphism found; exact=False"
+    assert [(c.ok, c.detail) for c in checks] == [(False, expected)] * 2
 
 
 def test_printed_shift_vectors():

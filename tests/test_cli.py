@@ -426,6 +426,17 @@ def test_iso_against_shift_is_probably_not(tmp_path, capsys):
     assert main(["--trials", "4", "iso", path, shifted]) == 3
 
 
+def test_iso_of_a_sampled_negative_reports_every_failed_trial(tmp_path, capsys):
+    from tmfkit.cli import dump_tmf
+    from test_tmf import a1_sums
+
+    paths = [str(tmp_path / f"sum{k}.json") for k in (1, 2)]
+    for t, path in zip(a1_sums(), paths):
+        dump_tmf(t, path)
+    assert main(["--trials", "8", "--seed", "0", "iso", *paths]) == 3
+    assert "FAIL isomorphic -- failures=8 trials=8" in capsys.readouterr().out
+
+
 def test_algebra_path_reference(tmp_path, capsys):
     main(["catalog", "export", "c", "--out", str(tmp_path)])
     path = capsys.readouterr().out.strip().splitlines()[-1]

@@ -27,7 +27,6 @@ KEPT = {
     "solve": "the oracle that the inverse test of test_gradedmod solves with",
     "irrelevant": _PAPER_NOTION,
     "shift_tmf": _PAPER_NOTION,
-    "is_reduced": _PAPER_NOTION,
 }
 
 

@@ -668,6 +668,37 @@ def test_g_distinct_j_not_isomorphic():
     assert not verdict.isomorphic
 
 
+def a1_sums() -> tuple[TMF, TMF]:
+    """Over commutative-A1 (f = xy): (x, y) + (y, x) and (x, y) + (x, y).
+    They have the same shifts and a 2-dimensional Hom space, and they are
+    not isomorphic: row 2 of every alpha in that space is zero."""
+    from tmfkit.catalog import build
+
+    ctx = build("commutative-A1").context
+    A = ctx.algebra
+    x, y = A.gen("x"), A.gen("y")
+    F = FreeModule(A, (1,))
+
+    def pair(a, b):
+        return TMF(
+            ctx,
+            GradedMatrix(F, FreeModule(A, (0,)), [[a]]),
+            GradedMatrix(FreeModule(A, (2,)), F, [[b]]),
+        )
+
+    return direct_sum_tmf(pair(x, y), pair(y, x)), direct_sum_tmf(pair(x, y), pair(x, y))
+
+
+def test_probably_isomorphic_tmf_exhausts_its_trials_on_a_sampled_negative():
+    t1, t2 = a1_sums()
+    assert verify(t1).ok and verify(t2).ok
+    assert t1.phi.source == t2.phi.source and t1.phi.target == t2.phi.target
+    assert len(tm.hom_space(t1, t2)) == 2
+    verdict = probably_isomorphic_tmf(t1, t2, trials=8, seed=0)
+    assert not verdict.isomorphic
+    assert verdict.failures == 8 and verdict.alpha is None
+
+
 def test_probably_isomorphic_tmf_rejects_different_contexts():
     # same algebra, f and sigma, but one context has tau and one has not:
     # the factorizations are incomparable, so there is no verdict to give
