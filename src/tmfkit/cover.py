@@ -1,10 +1,11 @@
 """Double branched covers and the functors between factorization levels.
 
 One cover construction serves f + z^2 and f + uv.  The cover of a context
-(A, f, sigma, tau) by new variables x, ..., y is the iterated Ore extension
-E = A[x]...[y] with a*x = x*tau(a) (rewrite rule x*a -> tau^{-1}(a)*x),
-carrying the element f + x*y whose normalizing automorphism is sigma
-extended by fixing the new variables.  The functor C is one block
+(A, f, sigma, tau) by new variables x, ..., y is itself a NormalContext: the
+iterated Ore extension E = A[x]...[y] with a*x = x*tau(a) (rewrite rule
+x*a -> tau^{-1}(a)*x), the element f + x*y, and sigma and tau extended by
+fixing the new variables (sigma so extended normalizes f + x*y); it keeps
+its base and the names of its new variables.  The functor C is one block
 construction over the z cover; H is the same construction over the u, v
 cover, applied to tw(t).  The blocks were fixed by requiring the two
 factorization identities to hold exactly on the rank-one trivial input and
@@ -12,8 +13,6 @@ are verified mechanically on every call.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from . import gradedmod as gm
 from . import linalg
@@ -27,8 +26,8 @@ from .ncalgebra import (
     extend_automorphism,
     ore_extension,
 )
-from .scalars import HALF, I as IMAG, MINUS_ONE, ONE, parse_scalar
-from .tmf import NormalContext, TMF, T_functor, direct_sum_tmf, twist_tmf, verify
+from .scalars import HALF, I as IMAG, MINUS_ONE, ONE
+from .tmf import Check, NormalContext, TMF, T_functor, direct_sum_tmf, twist_tmf, verify
 
 
 class HypothesisViolation(ValueError):
@@ -43,16 +42,17 @@ class InvariantViolation(ValueError):
     """Equivariant module data violates z^2 = -f or theta compatibility."""
 
 
-class CoverContext:
-    """Extension algebra, cover element f + x*y, and its twist data.
+class CoverContext(NormalContext):
+    """The cover's own NormalContext (extension algebra, f + x*y and its twist
+    data), with the base it covers and the names of its new variables.
 
     names lists the new variables: ("z",) gives f + z^2, ("u", "v") gives
     f + uv.  Each is Ore-adjoined in turn with tau^{-1}, and sigma and tau
     are extended to fix it.  NormalContext.check proves the hypotheses, of
-    the base and of the cover's own context; a failure is a
-    HypothesisViolation carrying the check's message."""
+    the base and of the cover itself; a failure is a HypothesisViolation
+    carrying the check's message."""
 
-    __slots__ = ("base", "algebra", "names", "f_cover", "sigma", "tau", "context")
+    __slots__ = ("base", "names")
 
     def __init__(self, base: NormalContext, names: tuple[str, ...] = ("z",)) -> None:
         if base.tau is None:
@@ -60,30 +60,20 @@ class CoverContext:
         for name in names:
             if name in base.algebra.names:
                 raise HypothesisViolation(f"generator name {name!r} already used")
-        ell = base.d // 2
+        self.base = base
+        self.names = tuple(names)
         extended, sigma, tau = base.algebra, base.sigma, base.tau
         for name in names:
-            extended = ore_extension(extended, name, ell, tau.inverse())
+            extended = ore_extension(extended, name, base.d // 2, tau.inverse())
             new = extended.gen(name)
             sigma = extend_automorphism(sigma, extended, [new])
             tau = extend_automorphism(tau, extended, [new])
-        x, y = extended.gen(names[0]), extended.gen(names[-1])
-        f_cover = base.f.lift(extended) + x * y
+        f = base.f.lift(extended) + extended.gen(names[0]) * extended.gen(names[-1])
         try:
             base.check()
-            self.context = NormalContext(extended, f_cover, sigma, tau)
+            super().__init__(extended, f, sigma, tau)
         except ValueError as exc:
             raise HypothesisViolation(str(exc)) from exc
-        self.base = base
-        self.algebra = extended
-        self.names = tuple(names)
-        self.f_cover = f_cover
-        self.sigma = sigma
-        self.tau = tau
-
-    @property
-    def ell(self) -> int:
-        return self.base.d // 2
 
     def x(self) -> NCPoly:
         """The first new variable (z, or u)."""
@@ -145,7 +135,7 @@ def _cover_blocks(cover: CoverContext, t: TMF) -> TMF:
             [-lam(G.twisted(d), x), gm.twist_matrix(psi, cover.tau, ell)],
         ]
     )
-    return TMF(cover.context, phi_c, psi_c)
+    return TMF(cover, phi_c, psi_c)
 
 
 def functor_C(cover: CoverContext, t: TMF) -> TMF:
@@ -197,7 +187,7 @@ def check_lemma_5_5(cover: CoverContext, t: TMF, c: TMF) -> bool:
     Setting the cover variables to zero is a ring map, so Res(c) of a
     verified c needs no verify of its own: the entrywise comparison with
     the right-hand side decides."""
-    if c.context != cover.context:
+    if c.context != cover:
         raise HypothesisViolation("factorization does not live over the cover")
     tau, ell = cover.base.tau, cover.ell
     rhs = direct_sum_tmf(
@@ -303,7 +293,7 @@ def delta_sigma(cover: CoverContext, m: EquivariantModule) -> TMF:
     delta = lam1 - z_lifted
     lam2 = gm.left_multiplication(F.twisted(ell), z, ell)
     sigma_mat = lam2 + gm.twist_matrix(z_lifted, cover.tau, ell)
-    return _checked(TMF(cover.context, delta, sigma_mat), "delta/sigma output")
+    return _checked(TMF(cover, delta, sigma_mat), "delta/sigma output")
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +314,7 @@ class SecondCover:
         self.base = base
         self.uv = CoverContext(base, ("u", "v"))
         self.first = make_cover(base, ("z",))
-        self.second = make_cover(self.first.context, ("w",))
+        self.second = make_cover(self.first, ("w",))
         ev = self.uv.algebra
         u, v = ev.gen("u"), ev.gen("v")
         zw = self.second.algebra
@@ -346,7 +336,7 @@ class SecondCover:
         for g in range(ev.ngens):
             if self.to_uv(self.from_uv(ev.gen(g))) != ev.gen(g):
                 raise HypothesisViolation("u,v change of variables is not invertible")
-        if self.from_uv(self.uv.f_cover) != self.second.f_cover:
+        if self.from_uv(self.uv.f) != self.second.f:
             raise HypothesisViolation("change of variables does not match f + z^2 + w^2")
 
 
@@ -363,49 +353,45 @@ def functor_H(uv: CoverContext, t: TMF) -> TMF:
     return _checked(_cover_blocks(uv, tm.tw_functor(t)), "functor H output")
 
 
+# the printed 4x4 matrix P over k, as sparse rows
 LEMMA_5_13_PATTERN = [
-    [parse_scalar(x) for x in row.split()]
-    for row in ("1 0 0 i", "0 -1 -i 0", "0 -i -1 0", "i 0 0 1")
+    {0: ONE, 3: IMAG},
+    {1: MINUS_ONE, 2: -IMAG},
+    {1: -IMAG, 2: MINUS_ONE},
+    {0: IMAG, 3: ONE},
 ]
 
 
-class Lemma513Report(NamedTuple):
-    conjugation_exact: bool
-    restriction_exact: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.conjugation_exact and self.restriction_exact
-
-
-def check_lemma_5_13(sc: SecondCover, t: TMF, c1: TMF, h: TMF) -> Lemma513Report:
+def check_lemma_5_13(sc: SecondCover, t: TMF, c1: TMF, h: TMF) -> Check:
     """Check that the printed 4x4 matrix P (invertible over k, or ValueError)
     is a morphism from C2(c1), after the u, v change of variables, to h + T h
     on phi and psi, which is P^{-1} C2(c1) P = h + T h with no inverse formed;
     also that killing u and v from h gives tw(t) + tw(T t) blockwise, an
     entrywise comparison with a sum built from t (no verify of its own).
-    c1 = C1(t) over the first cover of sc and h = H(t)."""
-    p_rows = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in LEMMA_5_13_PATTERN]
-    if linalg.invert(p_rows) is None:
+    c1 = C1(t) over the first cover of sc and h = H(t).  The detail names
+    each half that fails."""
+    if linalg.invert(LEMMA_5_13_PATTERN) is None:
         raise ValueError("the Lemma 5.13 pattern is not invertible over k")
     # unchecked: the identity below and the verified h make C2(c1) verify
-    mapped = tm.map_tmf(_cover_blocks(sc.second, c1), sc.to_uv, sc.uv.context)
+    mapped = tm.map_tmf(_cover_blocks(sc.second, c1), sc.to_uv, sc.uv)
     rF, rG = t.phi.source.rank, t.phi.target.rank
     p_src = gm.block_scalar_matrix(mapped.phi.source, [rF, rG, rG, rF], LEMMA_5_13_PATTERN)
     p_tgt = gm.block_scalar_matrix(mapped.phi.target, [rG, rF, rF, rG], LEMMA_5_13_PATTERN)
     rhs = direct_sum_tmf(h, T_functor(h))
     shapes = [(x.context, x.phi.source, x.phi.target) for x in (mapped, rhs)]
-    conjugation_exact = shapes[0] == shapes[1] and (
-        tm.is_morphism(mapped, rhs, p_src, p_tgt) and tm.psi_compatible(mapped, rhs, p_src, p_tgt)
-    )
+    failed = []
+    if not (shapes[0] == shapes[1] and tm.is_morphism(mapped, rhs, p_src, p_tgt)
+            and tm.psi_compatible(mapped, rhs, p_src, p_tgt)):
+        failed.append("conjugation is not exact")
 
     killed = restrict_tmf(h, sc.base)
     sigma, d = sc.base.sigma, sc.base.d
     rhs2 = direct_sum_tmf(
         twist_tmf(t, sigma, d), twist_tmf(T_functor(t), sigma, d)
     )
-    restriction_exact = killed == rhs2
-    return Lemma513Report(conjugation_exact, restriction_exact)
+    if killed != rhs2:
+        failed.append("restriction is not exact")
+    return Check("lemma-5-13", not failed, "; ".join(failed))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +435,7 @@ def symmetric_split(cover: CoverContext, t: TMF) -> tuple[TMF, TMF]:
         raise tm.NotSymmetricForm("input is not of the form (phi0, tau-twist phi0)")
     c = functor_C(cover, t)
     r = t.phi.source.rank
-    pattern = [[ONE, IMAG], [IMAG, ONE]]
+    pattern = [{0: ONE, 1: IMAG}, {0: IMAG, 1: ONE}]
     k_src = gm.block_scalar_matrix(c.phi.source, [r, r], pattern)
     k_tgt = gm.block_scalar_matrix(c.phi.target, [r, r], pattern)
     conj = tm.conjugate(c, k_src, k_tgt)
@@ -459,15 +445,9 @@ def symmetric_split(cover: CoverContext, t: TMF) -> tuple[TMF, TMF]:
         for j in bottom:
             if not conj.phi.entries[i][j].is_zero() or not conj.phi.entries[j][i].is_zero():
                 raise InvariantViolation("conjugation did not block-diagonalize")
-    t1 = TMF(
-        cover.context,
-        gm.submatrix(conj.phi, top, top),
-        gm.submatrix(conj.psi, top, top),
-    )
-    t2 = TMF(
-        cover.context,
-        gm.submatrix(conj.phi, bottom, bottom),
-        gm.submatrix(conj.psi, bottom, bottom),
+    t1, t2 = (
+        TMF(cover, gm.submatrix(conj.phi, part, part), gm.submatrix(conj.psi, part, part))
+        for part in (top, bottom)
     )
     for part in (t1, t2):
         _checked(part, "symmetric split summand")

@@ -27,7 +27,7 @@ from .ncalgebra import (
     GradedAutomorphism,
     NCPoly,
 )
-from .scalars import MINUS_ONE, ONE, ZERO, Scalar
+from .scalars import MINUS_ONE, ONE, Scalar
 
 
 class ShapeMismatch(ValueError):
@@ -323,23 +323,24 @@ def summands(module: FreeModule, sizes: list[int]) -> list[FreeModule]:
 
 
 def block_scalar_matrix(
-    module: FreeModule, sizes: list[int], pattern: list[list[Scalar]]
+    module: FreeModule, sizes: list[int], pattern: list[dict[int, Scalar]]
 ) -> GradedMatrix:
     """Endomorphism of `module`, split into summands of the given ranks, whose
-    block (a, b) is pattern[a][b] times the identity; ShapeMismatch when a
-    nonzero entry joins summands with different shifts (so no entry needs a
-    homogeneity check)."""
+    block (a, b) is pattern[a][b] times the identity; the pattern is sparse
+    rows {b: nonzero Scalar}.  ShapeMismatch when the pattern does not match
+    the summands or a nonzero entry joins summands with different shifts (so
+    no entry needs a homogeneity check)."""
     parts = summands(module, sizes)
-    if len(pattern) != len(parts) or any(len(row) != len(parts) for row in pattern):
+    if len(pattern) != len(parts) or any(not 0 <= b < len(parts) for row in pattern for b in row):
         raise ShapeMismatch(f"pattern shape does not match {len(parts)} summands")
     for a, row in zip(parts, pattern):
-        for b, c in zip(parts, row):
-            if not c.is_zero() and a != b:
-                raise ShapeMismatch(f"scalar block between summands {a} and {b}")
-    zero, scalar = module.algebra.zero(), module.algebra.scalar
-    place = [(a, k) for a, size in enumerate(sizes) for k in range(size)]  # (summand, index)
-    rows = [[scalar(pattern[a][b]) if k == m else zero for b, m in place] for a, k in place]
-    return GradedMatrix(module, module, rows, check=False)
+        for b in row:
+            if a != parts[b]:
+                raise ShapeMismatch(f"scalar block between summands {a} and {parts[b]}")
+    starts = [end - size for size, end in zip(sizes, accumulate(sizes))]
+    rows = [{starts[b] + k: c for b, c in row.items()}
+            for size, row in zip(sizes, pattern) for k in range(size)]
+    return scalar_matrix(module, module, rows, check=False)
 
 
 def direct_sum(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
@@ -377,6 +378,16 @@ def scalar_part(mat: GradedMatrix) -> list[dict[int, Scalar]]:
     return out
 
 
+def scalar_matrix(
+    source: FreeModule, target: FreeModule, rows: list[dict[int, Scalar]], check: bool = True
+) -> GradedMatrix:
+    """The matrix over k given as sparse rows {column: nonzero Scalar}, lifted
+    to the algebra; `check` is GradedMatrix's homogeneity pass."""
+    zero, scalar = source.algebra.zero(), source.algebra.scalar
+    entries = [[scalar(row[j]) if j in row else zero for j in range(target.rank)] for row in rows]
+    return GradedMatrix(source, target, entries, check=check)
+
+
 def is_invertible(mat: GradedMatrix) -> tuple[bool, GradedMatrix | None]:
     """Invertibility over the graded algebra, with the inverse on success.
 
@@ -393,18 +404,8 @@ def is_invertible(mat: GradedMatrix) -> tuple[bool, GradedMatrix | None]:
     s_inv = linalg.invert(s)
     if s_inv is None:
         return False, None
-    algebra = mat.algebra
-    n = mat.source.rank
-    s_mat = GradedMatrix(
-        mat.source,
-        mat.target,
-        [[algebra.scalar(row.get(j, ZERO)) for j in range(n)] for row in s],
-    )
-    s_inv_mat = GradedMatrix(
-        mat.target,
-        mat.source,
-        [[algebra.scalar(row.get(j, ZERO)) for j in range(n)] for row in s_inv],
-    )
+    s_mat = scalar_matrix(mat.source, mat.target, s)
+    s_inv_mat = scalar_matrix(mat.target, mat.source, s_inv)
     if mat == s_mat:
         # N = 0: the matrix lives over k, and S^{-1} is its inverse
         inverse = s_inv_mat

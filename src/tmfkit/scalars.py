@@ -13,8 +13,9 @@ coefficients alone, without building or sorting a polynomial.
 A GaussRational is (a + b*i)/d over the integers with d > 0 and
 gcd(a, b, d) = 1, so each operation costs at most one integer gcd.
 
-Equality of canonical forms is structural equality, so Scalars are hashable
-and can be used as dict keys by the polynomial layer above.
+Equality of canonical forms is structural equality, and a Scalar's hash
+agrees with it.  The polynomial layer above keys its terms by exponent
+vectors, with Scalars as the values, so it does not hash them.
 """
 
 from __future__ import annotations

@@ -484,11 +484,7 @@ def _single_eigenvalue(mat: GradedMatrix) -> Scalar:
         return ONE
     c = sum((row.get(i, ZERO) for i, row in enumerate(s)), ZERO) / Scalar.from_int(n)
     # (S - cI)^n must vanish
-    scalar = mat.algebra.scalar
-    m = GradedMatrix(
-        mat.source, mat.target, [[scalar(row.get(j, ZERO)) for j in range(n)] for row in s]
-    )
-    m = m - gm.identity_matrix(mat.source).scale(c)
+    m = gm.scalar_matrix(mat.source, mat.target, s) - gm.identity_matrix(mat.source).scale(c)
     power = m
     for _ in range(n - 1):
         power = gm.compose(power, m)

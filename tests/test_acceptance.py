@@ -25,6 +25,7 @@ from tmfkit.gradedmod import FreeModule
 from tmfkit.ncalgebra import hilbert_series, parse_poly
 from tmfkit.scalars import Scalar
 from tmfkit.tmf import (
+    Check,
     T_functor,
     coker_hilbert,
     direct_sum_tmf,
@@ -204,8 +205,7 @@ def test_criterion_06_lemma_5_13():
     for t in targets:
         sc = second_cover(t.context)
         report = check_lemma_5_13(sc, t, functor_C(sc.first, t), functor_H(sc.uv, t))
-        assert report.conjugation_exact
-        assert report.restriction_exact
+        assert report == Check("lemma-5-13", True, "")
     note(
         "ACCEPTANCE 06 PASS: Lemma 5.13 conjugation by the printed matrix "
         "(entries 1, -1, +-i) yields H + TH exactly for case (c) and "

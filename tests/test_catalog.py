@@ -19,8 +19,10 @@ from tmfkit.ncalgebra import (
     normalizing_automorphism,
     parse_poly,
 )
-from tmfkit.scalars import ONE, ZERO, Scalar
+from tmfkit.scalars import ONE, Scalar
 from tmfkit.tmf import verify
+
+from test_suite_outputs import pinned_checks
 
 
 def test_build_h_sigma():
@@ -261,14 +263,15 @@ def test_run_suite_fails_a_family_over_another_context():
 
 def test_run_suite_records_a_zhang_crosscheck_over_another_context():
     # the transports land in the entry's identity context, the printed
-    # families live in the true one: every Zhang check fails, none aborts
+    # families live in the true one: no transport verifies there, so every
+    # Zhang check fails, none aborts, and no witness is searched for
     names = [c.name for c in run_suite(build("g", 3), seed=0, trials=8, deep=True).checks]
     report = run_suite(_entry_over_identity("g", 3), seed=0, trials=8, deep=True)
     assert [c.name for c in report.checks] == names
     checks = {c.name: c for c in report.checks}
     for name in ("zhang-crosscheck:j=1", "zhang-crosscheck:j=2"):
         assert not checks[name].ok
-        assert checks[name].detail == "factorizations live in different contexts"
+        assert checks[name].detail == "transport does not verify; exact=True"
 
 
 def test_run_suite_records_a_non_isomorphism_check_across_contexts():
@@ -472,8 +475,8 @@ def test_zhang_crosscheck_finds_a_witness_for_a_conjugate_family(monkeypatch):
     entry = build("g", 3)
     t = entry.factorization("j=1")
     two = Scalar.from_int(2)
-    alpha = gm.block_scalar_matrix(t.phi.source, [1, 1], [[two, ZERO], [ZERO, ONE]])
-    beta = gm.block_scalar_matrix(t.phi.target, [1, 1], [[ONE, ZERO], [ZERO, two]])
+    alpha = gm.block_scalar_matrix(t.phi.source, [1, 1], [{0: two}, {1: ONE}])
+    beta = gm.block_scalar_matrix(t.phi.target, [1, 1], [{0: ONE}, {1: two}])
     entry.families["j=1"] = tm.conjugate(t, alpha, beta)
     assert entry.factorization("j=1") != t
     searches = counting(monkeypatch, "probably_isomorphic_tmf", [tm])
@@ -495,9 +498,35 @@ def test_zhang_crosscheck_fails_a_transport_that_does_not_verify(monkeypatch):
         return tm.TMF(t.context, gm.GradedMatrix(t.phi.source, t.phi.target, rows), t.psi)
 
     monkeypatch.setattr(catalog, "zhang_untransport_tmf", broken)
+    searches = counting(monkeypatch, "probably_isomorphic_tmf", [tm])
     checks = zhang_crosscheck(build("g", 3), trials=8, seed=0)
-    expected = "transport does not verify; no isomorphism found; exact=False"
+    expected = "transport does not verify; exact=False"
     assert [(c.ok, c.detail) for c in checks] == [(False, expected)] * 2
+    # no witness is searched for on a transport that does not verify
+    assert searches == []
+
+
+def test_run_suite_fails_only_the_zhang_checks_on_a_psi_doubling_transport(monkeypatch):
+    # doubling psi keeps phi, so a phi-side witness exists, but psi*phi = 2f:
+    # the transport does not verify, and no search runs to trip on the
+    # psi-side identity; every other check reads as pinned
+    from tmfkit import catalog
+
+    transport = catalog.zhang_untransport_tmf
+
+    def doubled(tw, t_xi, target_ctx):
+        t = transport(tw, t_xi, target_ctx)
+        return tm.TMF(t.context, t.phi, t.psi.scale(Scalar.from_int(2)))
+
+    monkeypatch.setattr(catalog, "zhang_untransport_tmf", doubled)
+    report = run_suite(build("g", 3), seed=0, deep=True)
+    expected = [
+        [name, False, "transport does not verify; exact=False"]
+        if name.startswith("zhang-crosscheck:") else [name, ok, detail]
+        for name, ok, detail in pinned_checks("g", 3, True)
+    ]
+    assert sum(name.startswith("zhang-crosscheck:") for name, _, _ in expected) == 2
+    assert [list(c) for c in report.checks] == expected
 
 
 def test_printed_shift_vectors():

@@ -4,6 +4,7 @@ from tmfkit import cover as cover_mod
 from tmfkit import gradedmod as gm
 from tmfkit import tmf as tm
 from tmfkit.cover import (
+    CoverContext,
     lift_matrix,
     EquivariantModule,
     HypothesisViolation,
@@ -29,9 +30,10 @@ from tmfkit.ncalgebra import (
     hilbert_series,
     parse_poly,
 )
-from tmfkit.scalars import I as IMAG, ONE, Scalar, parse_scalar
+from tmfkit.scalars import I as IMAG, MINUS_ONE, ONE, Scalar, parse_scalar
 from tmfkit.tmf import (
     TMF,
+    Check,
     NormalContext,
     T_functor,
     coker_hilbert,
@@ -44,6 +46,7 @@ from tmfkit.tmf import (
     verify,
 )
 
+from test_suite_outputs import pinned_checks
 from test_tmf import (
     case_c_context,
     case_c_tmf,
@@ -62,6 +65,22 @@ def test_make_cover_case_c():
     # f + z^2 is central here (sigma extended is the identity)
     assert cover.sigma.is_identity()
     assert zeta(cover)(cover.x()) == -cover.x()
+
+
+def test_a_cover_is_its_normal_context():
+    t = case_c_tmf()
+    cover = make_cover(t.context)
+    assert isinstance(cover, NormalContext) and cover.base is t.context
+    assert {name for name in vars(CoverContext) if not name.startswith("__")} == {
+        "base", "names", "x", "y"
+    }
+    assert cover.ell == cover.d // 2 == t.context.d // 2
+    assert functor_C(cover, t).context is cover
+    # the w cover covers the z cover itself
+    sc = second_cover(t.context)
+    assert sc.second.base is sc.first and sc.first.base is t.context
+    assert sc.second.names == ("w",)
+    assert functor_C(sc.second, functor_C(sc.first, t)).context is sc.second
 
 
 def zeta(cover):
@@ -143,8 +162,8 @@ def test_covers_build_without_solving_for_sigma(monkeypatch):
         if name.startswith("tmfkit") and hasattr(module, "normalizing_automorphism"):
             monkeypatch.setattr(module, "normalizing_automorphism", refuse)
     for entry in entries:
-        assert make_cover(entry.context).context.algebra.names[-1] == "z"
-        assert second_cover(entry.context).second.context.algebra.names[-2:] == ("z", "w")
+        assert make_cover(entry.context).algebra.names[-1] == "z"
+        assert second_cover(entry.context).second.algebra.names[-2:] == ("z", "w")
 
 
 def test_second_cover_checks_each_context_once(monkeypatch):
@@ -162,7 +181,7 @@ def test_second_cover_checks_each_context_once(monkeypatch):
 
     monkeypatch.setattr(NormalContext, "_prove", counting)
     cover = second_cover(base)
-    assert ran == [cover.uv.context, cover.first.context, cover.second.context]
+    assert ran == [cover.uv, cover.first, cover.second]
     # a failed check is not recorded, so it fails again
     bad = commutative_context("x*y", lambda x, y: [-x, y], check=False)
     for _ in range(2):
@@ -258,14 +277,23 @@ def test_lemma_5_13_restriction_bites_without_a_verify():
     t = case_c_tmf()
     sc = second_cover(t.context)
     c1 = functor_C(sc.first, t)
-    h = with_entry_negated_where_restriction_sees_it(functor_H(sc.uv, t), sc.base)
-    assert not check_lemma_5_13(sc, t, c1, h).restriction_exact
+    h = functor_H(sc.uv, t)
+    # a changed H(t) breaks both halves, and the detail names both
+    report = check_lemma_5_13(sc, t, c1, with_entry_negated_where_restriction_sees_it(h, sc.base))
+    assert report == Check(
+        "lemma-5-13", False, "conjugation is not exact; restriction is not exact"
+    )
+    # the conjugation half reads only the ranks of t, so a changed t breaks the
+    # restriction half alone
+    t_bad = with_entry_negated_where_restriction_sees_it(t, sc.base)
+    report = check_lemma_5_13(sc, t_bad, c1, h)
+    assert report == Check("lemma-5-13", False, "restriction is not exact")
 
 
 def test_res_of_trivial():
     ctx = case_c_context()
     cover = make_cover(ctx)
-    t = trivial(cover.context, FreeModule(cover.algebra, (0, 2)), "unit-first")
+    t = trivial(cover, FreeModule(cover.algebra, (0, 2)), "unit-first")
     out = restrict_tmf(t, ctx)
     assert verify(out).ok
     assert out.phi.entries == trivial(ctx, FreeModule(ctx.algebra, (0, 2)), "unit-first").phi.entries
@@ -377,7 +405,7 @@ def test_second_cover_change_of_variables():
     # round trips on generators
     for g in range(zw.ngens):
         assert sc.from_uv(sc.to_uv(zw.gen(g))) == zw.gen(g)
-    assert sc.from_uv(sc.uv.f_cover) == sc.second.f_cover
+    assert sc.from_uv(sc.uv.f) == sc.second.f
 
 
 def test_functor_H_verifies():
@@ -434,7 +462,7 @@ def explicit_H(sc, t):
     assert phi_h.source == src and psi_h.target == src
     assert phi_h.target == FM((g_sh, d), (f_sh, ell))
     assert psi_h.source == FM((g_sh, 2 * d), (f_sh, 3 * ell))
-    return TMF(sc.uv.context, phi_h, psi_h)
+    return TMF(sc.uv, phi_h, psi_h)
 
 
 @pytest.mark.parametrize(
@@ -457,8 +485,7 @@ def test_lemma_5_13_case_c():
     t = case_c_tmf()
     sc = second_cover(t.context)
     report = check_lemma_5_13(sc, t, functor_C(sc.first, t), functor_H(sc.uv, t))
-    assert report.conjugation_exact
-    assert report.restriction_exact
+    assert report == Check("lemma-5-13", True, "")
 
 
 def test_lemma_5_13_case_g():
@@ -477,9 +504,9 @@ def test_lemma_5_13_irrelevant():
 
 
 def old_lemma_5_13_route(sc, t, c1, h, pattern):
-    """conjugation_exact as it was once computed: invert P over the algebra,
-    conjugate C2(c1) and compare with h + T h."""
-    mapped = tm.map_tmf(functor_C(sc.second, c1), sc.to_uv, sc.uv.context)
+    """The conjugation half as it was once computed: invert P over the
+    algebra, conjugate C2(c1) and compare with h + T h."""
+    mapped = tm.map_tmf(functor_C(sc.second, c1), sc.to_uv, sc.uv)
     rF, rG = t.phi.source.rank, t.phi.target.rank
     p_src = gm.block_scalar_matrix(mapped.phi.source, [rF, rG, rG, rF], pattern)
     p_tgt = gm.block_scalar_matrix(mapped.phi.target, [rG, rF, rF, rG], pattern)
@@ -487,7 +514,7 @@ def old_lemma_5_13_route(sc, t, c1, h, pattern):
 
 
 def lemma_5_13_pattern_with_corner(value):
-    pattern = [row[:] for row in cover_mod.LEMMA_5_13_PATTERN]
+    pattern = [dict(row) for row in cover_mod.LEMMA_5_13_PATTERN]
     pattern[0][3] = parse_scalar(value)
     return pattern
 
@@ -502,12 +529,25 @@ def test_lemma_5_13_bites_on_a_changed_pattern(monkeypatch):
     changed = lemma_5_13_pattern_with_corner("2*i")
     monkeypatch.setattr(cover_mod, "LEMMA_5_13_PATTERN", changed)
     report = check_lemma_5_13(sc, t, c1, h)
-    assert not report.conjugation_exact and report.restriction_exact
+    assert report == Check("lemma-5-13", False, "conjugation is not exact")
     assert not old_lemma_5_13_route(sc, t, c1, h, changed)
     # the corner i made -i makes P singular: the check refuses it
     monkeypatch.setattr(cover_mod, "LEMMA_5_13_PATTERN", lemma_5_13_pattern_with_corner("-i"))
     with pytest.raises(ValueError, match="not invertible over k"):
         check_lemma_5_13(sc, t, c1, h)
+
+
+def test_run_suite_fails_only_lemma_5_13_on_a_changed_pattern(monkeypatch):
+    from tmfkit.catalog import build, run_suite
+
+    monkeypatch.setattr(cover_mod, "LEMMA_5_13_PATTERN", lemma_5_13_pattern_with_corner("2*i"))
+    report = run_suite(build("c"), seed=0, deep=True)
+    pinned = pinned_checks("c", None, True)
+    assert ["lemma-5-13:rank2", True, ""] in pinned
+    # every other check reads as pinned
+    failed = ["lemma-5-13:rank2", False, "conjugation is not exact"]
+    expected = [failed if name == failed[0] else [name, ok, detail] for name, ok, detail in pinned]
+    assert [list(c) for c in report.checks] == expected
 
 
 def test_lemma_5_13_forms_no_inverse(monkeypatch):
@@ -581,15 +621,13 @@ def test_zeta_conjugates_C_output():
     cover = make_cover(t.context)
     c = functor_C(cover, t)
     zeta_c = tm.TMF(
-        cover.context,
+        cover,
         c.phi.map_entries(zeta(cover), cover.algebra),
         c.psi.map_entries(zeta(cover), cover.algebra),
     )
     assert verify(zeta_c).ok
     r = t.rank
-    from tmfkit.scalars import MINUS_ONE, ONE
-
-    pattern = [[ONE, Scalar.from_int(0)], [Scalar.from_int(0), MINUS_ONE]]
+    pattern = [{0: ONE}, {1: MINUS_ONE}]
     d_src = gm.block_scalar_matrix(c.phi.source, [r, r], pattern)
     d_tgt = gm.block_scalar_matrix(c.phi.target, [r, r], pattern)
     assert tm.conjugate(c, d_src, d_tgt) == zeta_c
@@ -628,7 +666,7 @@ def test_map_tmf_of_rank_zero_lands_over_the_target():
     # from the context alone
     ctx = case_c_context()
     cover = make_cover(ctx)
-    t = irrelevant(cover.context)
+    t = irrelevant(cover)
     down = tm.map_tmf(t, lambda e: e.restrict(ctx.algebra), ctx)
     assert down.context == ctx
     for mat in (down.phi, down.psi):

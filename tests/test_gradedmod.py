@@ -18,6 +18,7 @@ from tmfkit.gradedmod import (
     is_invertible,
     left_multiplication,
     probably_isomorphic,
+    scalar_matrix,
     scalar_part,
     shift_matrix,
     solve_intertwiners,
@@ -296,7 +297,7 @@ def test_block_scalar_matrix_is_a_pattern_times_identities():
     A = case_h_algebra()
     module = FreeModule(A, (0, 1, 0, 1, 2))
     two, i = S("2"), S("i")
-    m = block_scalar_matrix(module, [2, 2, 1], [[ONE, two, ZERO], [i, ZERO, ZERO], [ZERO, ZERO, -ONE]])
+    m = block_scalar_matrix(module, [2, 2, 1], [{0: ONE, 1: two}, {0: i}, {2: -ONE}])
     assert m.source == m.target == module
     c = A.scalar
     z = A.zero()
@@ -309,24 +310,30 @@ def test_block_scalar_matrix_is_a_pattern_times_identities():
     ]
     # a nonzero entry between summands with different shifts has no identity
     with pytest.raises(ShapeMismatch, match="scalar block"):
-        block_scalar_matrix(FreeModule(A, (0, 1)), [1, 1], [[ONE, ONE], [ZERO, ONE]])
-    # ... while a zero one is a zero block
-    lower = block_scalar_matrix(FreeModule(A, (0, 1)), [1, 1], [[ONE, ZERO], [ZERO, two]])
+        block_scalar_matrix(FreeModule(A, (0, 1)), [1, 1], [{0: ONE, 1: ONE}, {1: ONE}])
+    # ... while an absent one is a zero block
+    lower = block_scalar_matrix(FreeModule(A, (0, 1)), [1, 1], [{0: ONE}, {1: two}])
     assert lower.entries == ((c(ONE), z), (z, c(two)))
     with pytest.raises(ShapeMismatch):
-        block_scalar_matrix(module, [2, 2], [[ONE, ZERO], [ZERO, ONE]])
+        block_scalar_matrix(module, [2, 2], [{0: ONE}, {1: ONE}])
     with pytest.raises(ShapeMismatch):
-        block_scalar_matrix(module, [2, 2, 1], [[ONE, ZERO], [ZERO, ONE]])
+        block_scalar_matrix(module, [2, 2, 1], [{0: ONE}, {1: ONE}])
+    # a column outside the summands is refused too
+    with pytest.raises(ShapeMismatch, match="pattern shape"):
+        block_scalar_matrix(module, [2, 2, 1], [{0: ONE}, {1: ONE}, {3: ONE}])
 
 
 def test_block_scalar_matrix_skips_the_homogeneity_pass(monkeypatch):
     A = case_h_algebra()
     module = FreeModule(A, (0, 1, 0, 1, 2))
-    pattern = [[ONE, S("2"), ZERO], [S("i"), ZERO, ZERO], [ZERO, ZERO, -ONE]]
+    pattern = [{0: ONE, 1: S("2")}, {0: S("i")}, {2: -ONE}]
     parts = [FreeModule(A, (0, 1)), FreeModule(A, (0, 1)), FreeModule(A, (2,))]
     reference = block_matrix(
         [
-            [identity_matrix(a).scale(c) if a == b else zero_matrix(a, b) for b, c in zip(parts, row)]
+            [
+                identity_matrix(a).scale(row[b]) if b in row else zero_matrix(a, p)
+                for b, p in enumerate(parts)
+            ]
             for a, row in zip(parts, pattern)
         ]
     )
@@ -338,11 +345,11 @@ def test_block_scalar_matrix_skips_the_homogeneity_pass(monkeypatch):
     reference.check_homogeneous()
     # the refusals come before any entry is built
     with pytest.raises(ShapeMismatch, match="scalar block"):
-        block_scalar_matrix(module, [2, 2, 1], [[ONE, ZERO, ONE], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]])
+        block_scalar_matrix(module, [2, 2, 1], [{0: ONE, 2: ONE}, {1: ONE}, {2: ONE}])
     with pytest.raises(ShapeMismatch, match="pattern shape"):
-        block_scalar_matrix(module, [2, 2, 1], [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]])
+        block_scalar_matrix(module, [2, 2, 1], [{0: ONE}, {1: ONE}])
     with pytest.raises(ShapeMismatch, match="do not add up"):
-        block_scalar_matrix(module, [2, 2], [[ONE, ZERO], [ZERO, ONE]])
+        block_scalar_matrix(module, [2, 2], [{0: ONE}, {1: ONE}])
 
 
 def test_matrix_foreign_operands_raise_type_error():
@@ -461,6 +468,27 @@ def test_is_invertible_lemma_5_13_matrix():
     assert linalg.rank(scalar_part(m)) == 4
 
 
+def test_scalar_matrix_lifts_sparse_rows_and_passes_check_through(monkeypatch):
+    A = case_h_algebra()
+    F = FreeModule(A, (0, 1, 1))
+    rows = [{0: S("2")}, {1: S("i"), 2: ONE}, {}]
+    m = scalar_matrix(F, F, rows)
+    z = A.zero()
+    assert m.entries == (
+        (A.scalar(S("2")), z, z), (z, A.scalar(S("i")), A.one()), (z, z, z)
+    )
+    assert scalar_part(m) == rows
+    # an entry over k between generators of different degrees is not homogeneous
+    with pytest.raises(DegreeMismatch):
+        scalar_matrix(F, F, [{1: ONE}, {}, {}])
+    checks = []
+    monkeypatch.setattr(GradedMatrix, "check_homogeneous", lambda self: checks.append(self))
+    unchecked = scalar_matrix(F, F, [{1: ONE}, {}, {}], check=False)
+    assert checks == []
+    assert scalar_matrix(F, F, rows, check=True) == m and len(checks) == 1
+    assert unchecked.entries[0][1] == A.one()
+
+
 def counting_compose(monkeypatch):
     """Count the calls is_invertible makes to gradedmod.compose."""
     from tmfkit import gradedmod
@@ -487,7 +515,8 @@ def test_is_invertible_over_k_composes_only_for_the_guard(monkeypatch):
     # no series: the two composites are the exactness guard
     assert composes[0] == 2
     # a singular pattern over k has no inverse
-    singular = block_scalar_matrix(FreeModule(A, (0, 1, 0, 1)), [2, 2], [[ONE, S("i")], [S("i"), -ONE]])
+    singular_pattern = [{0: ONE, 1: S("i")}, {0: S("i"), 1: -ONE}]
+    singular = block_scalar_matrix(FreeModule(A, (0, 1, 0, 1)), [2, 2], singular_pattern)
     assert is_invertible(singular) == (False, None)
 
 

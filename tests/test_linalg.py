@@ -325,8 +325,8 @@ def test_rank_matches_dense_reference_on_slice_matrices(monkeypatch, case, n, wi
 @pytest.mark.parametrize("case, n", [("c", None), ("h", None), ("d-odd", 5), ("g", 3), ("b", 3)])
 def test_rank_matches_dense_reference_on_cover_slices(monkeypatch, case, n, names):
     cover = CoverContext(build(case, n).context, names)
-    D = 2 * cover.context.d
-    seen = ranked_matrices(monkeypatch, lambda: left_ranks(cover.f_cover, D))
+    D = 2 * cover.d
+    seen = ranked_matrices(monkeypatch, lambda: left_ranks(cover.f, D))
     assert len(seen) == D + 1
     for rows in seen:
         assert rank(rows) == len(dense_rref(dense(rows))[1])

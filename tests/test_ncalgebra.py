@@ -382,7 +382,7 @@ def test_per_degree_normalizing_solve_matches_the_per_generator_one():
                     ("g", 3), ("h", None), ("commutative-A1", None)]:
         ctx = build(case, n).context
         sc = second_cover(ctx)
-        for c in (ctx, sc.first.context, sc.second.context, sc.uv.context):
+        for c in (ctx, sc.first, sc.second, sc.uv):
             algebras.append((c.algebra, c.f))
     yx = GradedAlgebra([("x", 1), ("y", 1)], {(1, 0): []})
     xyz = xyz_algebra()
@@ -417,7 +417,7 @@ def test_normalizing_automorphism_runs_one_rref_per_generator_degree(monkeypatch
     for case, n in [("h", None), ("g", 3), ("c", None)]:
         cover = second_cover(build(case, n).context).second
         calls.clear()
-        normalizing_automorphism(cover.f_cover)
+        normalizing_automorphism(cover.f)
         assert len(calls) == len(set(cover.algebra.degrees)) < cover.algebra.ngens
 
 
@@ -695,7 +695,7 @@ def test_slice_matrix_columns_are_ncpoly_products():
     for case, n in cases:
         ctx = build(case, n).context
         cover = make_cover(ctx)
-        for A, f in ((ctx.algebra, ctx.f), (cover.algebra, cover.f_cover)):
+        for A, f in ((ctx.algebra, ctx.f), (cover.algebra, cover.f)):
             pool = [m for e in range(5) for m in A.monomials_of_degree(e)]
             columns, images = [], []
             for m in rng.sample(pool, min(6, len(pool))):
