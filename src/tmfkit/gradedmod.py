@@ -248,11 +248,10 @@ def compose(
     for i, first_row in enumerate(first.entries):
         row = []
         for k, column in enumerate(columns):
-            # each entry product keeps its own rewrite budget, as a * b does
             acc: dict = dict(seed) if i == k else {}
             for a, b in zip(first_row, column):
                 if a.terms and b.terms:
-                    algebra._mul_into(acc, a.terms, b.terms, [nca.REWRITE_FUEL])
+                    algebra._mul_into(acc, a.terms, b.terms)
             row.append(nca._wrap(algebra, acc))
         rows.append(row)
     return GradedMatrix(first.source, second.target, rows, check=False)

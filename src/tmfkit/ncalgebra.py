@@ -6,9 +6,10 @@ rewrite rule x_b*x_a -> sum of normal-ordered monomials of the same degree.
 Normal-ordered monomials (exponent vectors) form the PBW basis; rewriting a
 word to its normal form defines the multiplication.
 
-The diamond test on all generator triples is run at construction time and
-its failure is a hard error.  Termination is certified per rule (targets are
-normal ordered) and enforced globally by an operation budget.
+One product cache per algebra holds x^e1 * x^e2: a generator step is the
+product with the one-letter monomial units[g] and applies at most one pair
+rule.  Each product owns a budget of REWRITE_FUEL steps.  The diamond test on
+all generator triples runs at construction time; its failure is an error.
 """
 
 from __future__ import annotations
@@ -108,7 +109,9 @@ class GradedAlgebra:
                 cleaned.append((coeff, exps))
             normalized[(b, a)] = tuple(cleaned)
         self.rules = normalized
-        self._gen_mul_cache: dict = {}
+        self.units = tuple(
+            tuple(int(h == g) for h in range(self.ngens)) for g in range(self.ngens)
+        )
         self._mono_mul_cache: dict = {}
         self._basis_cache: dict[int, tuple[Exps, ...]] = {}
         self._degree_cache: dict[Exps, int] = {}
@@ -134,9 +137,7 @@ class GradedAlgebra:
     def gen(self, g: int | str) -> NCPoly:
         if isinstance(g, str):
             g = self.gen_index(g)
-        exps = [0] * self.ngens
-        exps[g] = 1
-        return NCPoly(self, {tuple(exps): ONE})
+        return NCPoly(self, {self.units[g]: ONE})
 
     def monomial(self, exps: Exps, coeff: Scalar = ONE) -> NCPoly:
         return NCPoly(self, {tuple(exps): coeff} if not coeff.is_zero() else {})
@@ -164,64 +165,52 @@ class GradedAlgebra:
 
     # -- rewriting -----------------------------------------------------------
 
-    def _exps_word(self, exps: Exps) -> tuple[int, ...]:
-        word: list[int] = []
-        for g, e in enumerate(exps):
-            word.extend([g] * e)
-        return tuple(word)
-
-    def _mono_times_gen(self, exps: Exps, g: int, fuel: list[int]) -> dict:
-        key = (exps, g)
-        hit = self._gen_mul_cache.get(key)
-        if hit is not None:
-            return hit
-        fuel[0] -= 1
-        if fuel[0] <= 0:
-            raise RewriteLimitExceeded("operation budget exhausted")
-        last = None
-        for j in range(self.ngens - 1, -1, -1):
-            if exps[j]:
-                last = j
-                break
-        if last is None or last <= g:
-            out_exps = list(exps)
-            out_exps[g] += 1
-            result = {tuple(out_exps): ONE}
-        else:
-            head = list(exps)
-            head[last] -= 1
-            head_t = tuple(head)
-            result = {}
-            for coeff, target in self.rules[(last, g)]:
-                _acc_into(result, self._mono_times_mono(head_t, target, fuel), coeff)
-        self._gen_mul_cache[key] = result
-        return result
-
     def _mono_times_mono(self, e1: Exps, e2: Exps, fuel: list[int]) -> dict:
+        """Normal form of x^e1 * x^e2 as terms, cached per pair.  A one-letter
+        e2 = units[g] is one step: it applies at most one pair rule and, when
+        not cached, costs one unit of fuel.  A longer e2 is multiplied on one
+        generator at a time."""
         key = (e1, e2)
         hit = self._mono_mul_cache.get(key)
         if hit is not None:
             return hit
-        current = {e1: ONE}
-        for g in self._exps_word(e2):
-            nxt: dict = {}
-            for e, c in current.items():
-                _acc_into(nxt, self._mono_times_gen(e, g, fuel), c)
-            current = nxt
-        self._mono_mul_cache[key] = current
-        return current
+        if sum(e2) == 1:
+            fuel[0] -= 1
+            if fuel[0] <= 0:
+                raise RewriteLimitExceeded("operation budget exhausted")
+            g = e2.index(1)
+            last = next((j for j in range(self.ngens - 1, g, -1) if e1[j]), None)
+            if last is None:
+                result = {tuple(x + y for x, y in zip(e1, e2)): ONE}
+            else:
+                head = e1[:last] + (e1[last] - 1,) + e1[last + 1 :]
+                result = {}
+                for coeff, target in self.rules[(last, g)]:
+                    _acc_into(result, self._mono_times_mono(head, target, fuel), coeff)
+        else:
+            result = {e1: ONE}
+            for g, k in enumerate(e2):
+                for _ in range(k):
+                    nxt: dict = {}
+                    for e, c in result.items():
+                        _acc_into(nxt, self._mono_times_mono(e, self.units[g], fuel), c)
+                    result = nxt
+        self._mono_mul_cache[key] = result
+        return result
 
-    # The rewriting entry points below (_mul_into, normal_form and
-    # check_diamond) turn an exhausted budget, or a word deep enough to
-    # exhaust Python's recursion depth in the two methods above, into one
-    # RewriteLimitExceeded naming the algebra and the word.
+    # The rewriting entry points below (_mul_into and normal_form) turn an
+    # exhausted budget, or a word deep enough to exhaust Python's recursion
+    # depth in the method above, into one RewriteLimitExceeded naming the
+    # algebra and the word.
     def _rewrite_failure(self, word: str, exc: Exception) -> RewriteLimitExceeded:
         reason = "recursion depth exhausted" if isinstance(exc, RecursionError) else exc
         return RewriteLimitExceeded(f"rewriting {word} in {self!r}: {reason}")
 
-    def _mul_into(self, out: dict, terms_a: dict, terms_b: dict, fuel: list[int]) -> None:
+    def _mul_into(self, out: dict, terms_a: dict, terms_b: dict) -> None:
         """Accumulate the product of two term dicts into out, which never
-        holds a zero coefficient; rewriting draws on fuel."""
+        holds a zero coefficient; the product owns a budget of REWRITE_FUEL
+        rewrite steps."""
+        fuel = [REWRITE_FUEL]
         for e1, c1 in terms_a.items():
             for e2, c2 in terms_b.items():
                 try:
@@ -235,17 +224,16 @@ class GradedAlgebra:
         """Matrix of a k-linear map on a graded slice, one column per image,
         as sparse rows ``{column: nonzero Scalar}``.
 
-        Each column is a list of (key, terms_a, terms_b) products, each with
-        its own rewrite budget; row (key, exps) holds the coefficient of exps
-        in the sum of the column's products under key.  Rows come in
-        first-seen order.
+        Each column is a list of (key, terms_a, terms_b) products; row
+        (key, exps) holds the coefficient of exps in the sum of the column's
+        products under key.  Rows come in first-seen order.
         """
         rows: dict = {}
         for j, products in enumerate(columns):
             parts: dict = {}
             for key, terms_a, terms_b in products:
                 if terms_a and terms_b:
-                    self._mul_into(parts.setdefault(key, {}), terms_a, terms_b, [REWRITE_FUEL])
+                    self._mul_into(parts.setdefault(key, {}), terms_a, terms_b)
             for key, part in parts.items():
                 for e, c in part.items():
                     rows.setdefault((key, e), {})[j] = c
@@ -262,7 +250,7 @@ class GradedAlgebra:
             for g in word:
                 nxt: dict = {}
                 for e, c in current.items():
-                    _acc_into(nxt, self._mono_times_gen(e, g, fuel), c)
+                    _acc_into(nxt, self._mono_times_mono(e, self.units[g], fuel), c)
                 current = nxt
         except (RewriteLimitExceeded, RecursionError) as exc:
             text = "*".join(self.names[g] for g in word)
@@ -270,34 +258,24 @@ class GradedAlgebra:
         return _wrap(self, current)
 
     def check_diamond(self) -> None:
-        """Local confluence: both first steps on x_c x_b x_a agree."""
+        """Local confluence: (x_c x_b) x_a = x_c (x_b x_a) on every triple,
+        each side one product of a rule's right side and a generator."""
+        rhs: dict = {ba: {} for ba in self.rules}
+        for ba, rule in self.rules.items():
+            for coeff, target in rule:
+                _acc_into(rhs[ba], {target: ONE}, coeff)
         for c in range(self.ngens):
             for b in range(c):
                 for a in range(b):
-                    fuel = [REWRITE_FUEL]
                     left: dict = {}
                     right: dict = {}
-                    unit_c = self._unit(c)
-                    try:
-                        for coeff, target in self.rules[(c, b)]:
-                            part = self._mono_times_mono(target, self._unit(a), fuel)
-                            _acc_into(left, part, coeff)
-                        for coeff, target in self.rules[(b, a)]:
-                            part = self._mono_times_mono(unit_c, target, fuel)
-                            _acc_into(right, part, coeff)
-                    except (RewriteLimitExceeded, RecursionError) as exc:
-                        text = "*".join(self.names[g] for g in (c, b, a))
-                        raise self._rewrite_failure(text, exc) from None
+                    self._mul_into(left, rhs[(c, b)], {self.units[a]: ONE})
+                    self._mul_into(right, {self.units[c]: ONE}, rhs[(b, a)])
                     if left != right:
                         raise ConfluenceFailure(
                             f"diamond fails on ({self.names[c]}, {self.names[b]}, "
                             f"{self.names[a]})"
                         )
-
-    def _unit(self, g: int) -> Exps:
-        exps = [0] * self.ngens
-        exps[g] = 1
-        return tuple(exps)
 
     # -- graded pieces --------------------------------------------------------
 
@@ -416,7 +394,7 @@ class NCPoly:
         if terms is None:
             return NotImplemented
         out: dict = {}
-        self.algebra._mul_into(out, self.terms, terms, [REWRITE_FUEL])
+        self.algebra._mul_into(out, self.terms, terms)
         return _wrap(self.algebra, out)
 
     def __pow__(self, k: int) -> NCPoly:
@@ -604,7 +582,7 @@ class GradedAutomorphism(AlgebraMorphism):
         inv = linalg.invert(self.linear_matrix())
         if inv is None:
             raise Singular("generator coefficient matrix is singular")
-        units = [self.algebra._unit(h) for h in range(self.algebra.ngens)]
+        units = self.algebra.units
         # terms in generator order: an Ore cover stores its rules, and writes
         # them to JSON, in the term order of these images
         images = [NCPoly(self.algebra, {units[h]: row[h] for h in sorted(row)}) for row in inv]
@@ -698,7 +676,7 @@ def normalizing_automorphism(f: NCPoly) -> GradedAutomorphism:
             gens = [h for h, e in enumerate(algebra.degrees) if e == degree]
             basis = algebra.monomials_of_degree(degree)
             columns = [[(0, f.terms, {m: ONE})] for m in basis]
-            columns += [[(0, {algebra._unit(h): ONE}, f.terms)] for h in gens]
+            columns += [[(0, {algebra.units[h]: ONE}, f.terms)] for h in gens]
             solved[degree] = (gens, basis, linalg.rref(algebra.slice_matrix(columns)))
         gens, basis, echelon = solved[degree]
         n = len(basis)
@@ -751,7 +729,7 @@ class ZhangTwist:
             raise AlgebraMismatch("phi lives over a different algebra")
         eigen: list[Scalar] = []
         for g, img in enumerate(phi.images):
-            unit = base._unit(g)
+            unit = base.units[g]
             if set(img.terms) != {unit}:
                 raise NotLinear("zhang transport implemented for diagonal phi only")
             eigen.append(img.terms[unit])

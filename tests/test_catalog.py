@@ -287,6 +287,45 @@ def test_run_suite_records_a_non_isomorphism_check_across_contexts():
     assert checks["verify:j=1"].ok and not checks["verify:j=2"].ok
 
 
+def _entry_over_tau(tau_of):
+    """(g) n=3 over an unchecked context whose tau is tau_of(true context),
+    holding the catalog's families moved onto that context."""
+    entry = build("g", 3)
+    ctx = entry.context
+    bad = tm.NormalContext(ctx.algebra, ctx.f, ctx.sigma, tau_of(ctx), check=False)
+    mutant = CatalogEntry.new("g", 3, bad)
+    for label, t in entry.families.items():
+        mutant.families[label] = tm.map_tmf(t, lambda x: x, bad)
+    return mutant
+
+
+def _negating_tau(ctx):
+    """(p*a1, -a2, p^-1*a3) with p = t^-9: it squares to sigma, but it
+    negates the a2^3 term of f."""
+    A, p = ctx.algebra, Scalar.t_power(-9)
+    images = [A.gen("a1").scale(p), -A.gen("a2"), A.gen("a3").scale(p.inverse())]
+    return GradedAutomorphism(A, images)
+
+
+@pytest.mark.parametrize(
+    "tau_of, failed_tau_check, reason",
+    [
+        (lambda ctx: ctx.sigma, "tau-squared-is-sigma", "tau*tau != sigma"),
+        (_negating_tau, "tau-fixes-f", "tau does not fix f"),
+    ],
+    ids=["tau-is-sigma", "tau-moves-f"],
+)
+def test_run_suite_fails_a_wrong_tau(tau_of, failed_tau_check, reason):
+    report = run_suite(_entry_over_tau(tau_of), seed=0)
+    assert [c.name for c in report.checks] == [c[0] for c in pinned_checks("g", 3, False)]
+    cover_checks = ["cover-normality"] + [
+        f"{check}:{label}" for label in ("j=1", "j=2")
+        for check in ("functor-C-verifies", "lemma-5-5")
+    ]
+    expected = {failed_tau_check: "", **{name: reason for name in cover_checks}}
+    assert {c.name: c.detail for c in report.checks if not c.ok} == expected
+
+
 def test_run_suite_records_a_failed_normalizing_automorphism():
     # over k<x,y>/(yx), f = y^2 is not normal, so normalizing_automorphism
     # raises NotNormal; the suite records it and runs on to the cover

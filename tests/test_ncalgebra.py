@@ -119,7 +119,8 @@ def test_normal_form_idempotent_degree_preserving():
     assert p.degree() == 4  # raises when p is not homogeneous
     rebuilt = A.zero()
     for e, c in p.terms.items():
-        rebuilt = rebuilt + A.normal_form(A._exps_word(e)).scale(c)
+        word = [g for g, k in enumerate(e) for _ in range(k)]
+        rebuilt = rebuilt + A.normal_form(word).scale(c)
     assert rebuilt == p
 
 
@@ -164,6 +165,21 @@ def test_confluence_failure_detected():
     }
     with pytest.raises(ConfluenceFailure):
         GradedAlgebra([("a1", 1), ("a2", 1), ("a3", 1)], bad_rules)
+
+
+def test_diamond_sums_the_repeated_terms_of_a_rule():
+    # (h) with 2*a2^2 in a3*a2 written as a2^2 + a2^2 is the same algebra;
+    # with the second a2^2 written as -a2^2 it fails the diamond test
+    A = case_h_algebra()
+    for sign, confluent in ((ONE, True), (-ONE, False)):
+        rules = dict(A.rules)
+        rules[(2, 1)] = [(ONE, (0, 1, 1)), (ONE, (0, 2, 0)), (sign, (0, 2, 0))]
+        if confluent:
+            B = GradedAlgebra(list(zip(A.names, A.degrees)), rules)
+            assert B.normal_form([2, 1]).terms == A.normal_form([2, 1]).terms
+        else:
+            with pytest.raises(ConfluenceFailure):
+                GradedAlgebra(list(zip(A.names, A.degrees)), rules)
 
 
 def test_case_c_diamond_and_hilbert():
@@ -332,7 +348,7 @@ def normalizing_reference(f):
         basis = algebra.monomials_of_degree(algebra.degrees[g])
         n = len(basis)
         columns = [[(0, f.terms, {m: ONE})] for m in basis]
-        columns.append([(0, {algebra._unit(g): ONE}, f.terms)])
+        columns.append([(0, {algebra.units[g]: ONE}, f.terms)])
         echelon = linalg.rref(algebra.slice_matrix(columns))
         pivots = [pc for pc, _ in echelon]
         if n in pivots:
@@ -670,6 +686,14 @@ def test_exhausted_budget_names_the_word(monkeypatch):
         parse_poly("a3^3", A) * parse_poly("a1^2", A)
     with pytest.raises(RewriteLimitExceeded, match="operation budget exhausted"):
         A.normal_form([2, 2, 2, 0, 0])
+
+
+def test_exhausted_diamond_budget_names_the_product(monkeypatch):
+    # each side of a diamond is one product with its own budget: the first,
+    # (a3*a2)*a1, rewrites a2*a3 * a1 first
+    monkeypatch.setattr("tmfkit.ncalgebra.REWRITE_FUEL", 1)
+    with pytest.raises(RewriteLimitExceeded, match=r"rewriting a2\*a3 \* a1 in GradedAlgebra\("):
+        case_h_algebra()
 
 
 def first_seen_matrix(images):
