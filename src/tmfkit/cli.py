@@ -2,11 +2,11 @@
 
 Exit codes: 0 pass, 1 verification failure, 2 input error (a malformed
 option or TMFKIT_SEED, an option over MAX_DEGREE_WINDOW, MAX_TRIALS or
-MAX_CATALOG_N, an unwritable output and an exhausted rewrite budget
-included), 3 probabilistic negative; ``main`` alone maps typed errors to 1
-and 2.  All randomized procedures take an explicit seed (flag --seed, falling
-back to the TMFKIT_SEED environment variable, an integer, then 0), so
-reports are reproducible.
+MAX_CATALOG_N, a matrix over MAX_MATRIX_RANK, an unwritable output and an
+exhausted rewrite budget included), 3 probabilistic negative; ``main``
+alone maps typed errors to 1 and 2.  All randomized procedures take an
+explicit seed (flag --seed, falling back to the TMFKIT_SEED environment
+variable, an integer, then 0), so reports are reproducible.
 """
 
 from __future__ import annotations
@@ -48,6 +48,10 @@ MAX_CATALOG_N = 128
 # Largest --trials: iso runs every trial on a non-isomorphic pair whose Hom
 # space is nonzero.
 MAX_TRIALS = 1024
+
+# Largest source or target rank of a matrix read from a file: exact
+# elimination on a dense matrix grows much faster than its rank.
+MAX_MATRIX_RANK = 64
 
 
 class InputError(ValueError):
@@ -195,6 +199,9 @@ def matrix_to_json(mat: GradedMatrix) -> dict:
 def matrix_from_json(obj: dict, A: GradedAlgebra) -> GradedMatrix:
     source = FreeModule(A, tuple(json_int(x, "source shift") for x in obj["source"]))
     target = FreeModule(A, tuple(json_int(x, "target shift") for x in obj["target"]))
+    for module in (source, target):
+        if module.rank > MAX_MATRIX_RANK:
+            raise InputError(f"rank {module.rank} exceeds MAX_MATRIX_RANK = {MAX_MATRIX_RANK}")
     entries = [[parse_poly(text, A) for text in row] for row in obj["entries"]]
     return GradedMatrix(source, target, entries, check=False)
 

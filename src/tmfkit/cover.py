@@ -2,14 +2,14 @@
 
 One cover construction serves f + z^2 and f + uv.  The cover of a context
 (A, f, sigma, tau) by new variables x, ..., y is itself a NormalContext: the
-iterated Ore extension E = A[x]...[y] with a*x = x*tau(a) (rewrite rule
-x*a -> tau^{-1}(a)*x), the element f + x*y, and sigma and tau extended by
-fixing the new variables (sigma so extended normalizes f + x*y); it keeps
-its base and the names of its new variables.  The functor C is one block
-construction over the z cover; H is the same construction over the u, v
-cover, applied to tw(t).  The blocks were fixed by requiring the two
-factorization identities to hold exactly on the rank-one trivial input and
-are verified mechanically on every call.
+Ore extension E = A[x, ..., y] (one step) with a*x = x*tau(a), the element
+f + x*y, and sigma and tau extended by fixing the new variables; it keeps
+its base and the names of its new variables.  The second cover (B#)# is the
+u, v cover: f + z^2 + w^2 is f + uv for z = (u + v)/2, w = -(i/2)(u - v).
+One block construction gives C over the z cover, H over the u, v cover
+applied to tw(t), and C2 of Lemma 5.13 over the u, v cover with w for x and
+y.  The blocks were fixed by requiring the two factorization identities to
+hold exactly on the rank-one trivial input and are verified on every call.
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ class CoverContext(NormalContext):
     data), with the base it covers and the names of its new variables.
 
     names lists the new variables: ("z",) gives f + z^2, ("u", "v") gives
-    f + uv.  Each is Ore-adjoined in turn with tau^{-1}, and sigma and tau
-    are extended to fix it.  NormalContext.check proves the hypotheses, of
-    the base and of the cover itself; a failure is a HypothesisViolation
-    carrying the check's message."""
+    f + uv.  They are Ore-adjoined in one step with tau^{-1}, and sigma and
+    tau are extended to fix them.  NormalContext.check proves the hypotheses,
+    of the base and of the cover itself; a failure, or a tau that does not
+    invert, is a HypothesisViolation carrying the error's message."""
 
     __slots__ = ("base", "names")
 
@@ -62,15 +62,13 @@ class CoverContext(NormalContext):
                 raise HypothesisViolation(f"generator name {name!r} already used")
         self.base = base
         self.names = tuple(names)
-        extended, sigma, tau = base.algebra, base.sigma, base.tau
-        for name in names:
-            extended = ore_extension(extended, name, base.d // 2, tau.inverse())
-            new = extended.gen(name)
-            sigma = extend_automorphism(sigma, extended, [new])
-            tau = extend_automorphism(tau, extended, [new])
-        f = base.f.lift(extended) + extended.gen(names[0]) * extended.gen(names[-1])
         try:
             base.check()
+            extended = ore_extension(base.algebra, self.names, base.d // 2, base.tau.inverse())
+            new = [extended.gen(name) for name in names]
+            sigma = extend_automorphism(base.sigma, extended, new)
+            tau = extend_automorphism(base.tau, extended, new)
+            f = base.f.lift(extended) + new[0] * new[-1]
             super().__init__(extended, f, sigma, tau)
         except ValueError as exc:
             raise HypothesisViolation(str(exc)) from exc
@@ -108,19 +106,17 @@ def lift_matrix(mat: GradedMatrix, extended: GradedAlgebra) -> GradedMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _cover_blocks(cover: CoverContext, t: TMF) -> TMF:
+def _cover_blocks(
+    cover: CoverContext, phi: GradedMatrix, psi: GradedMatrix, x: NCPoly, y: NCPoly
+) -> TMF:
     """The block construction (phi, psi) -> ([[psi, -y], [x, tau-tw phi]],
-    [[sigma-tw phi, y], [-x, tau-tw psi]]) over the cover, unchecked.
+    [[sigma-tw phi, y], [-x, tau-tw psi]]) over the cover, unchecked, of phi
+    and psi carried into the cover's algebra.
 
     Source tw(G) + tau(F), target F + tau(G); x and y stand for left
-    multiplication by the cover variables, with the twist bookkeeping
+    multiplication by elements of degree ell, with the twist bookkeeping
     resolved so that both identities hold exactly for f + xy."""
-    if t.context != cover.base:
-        raise HypothesisViolation("factorization does not live over the base")
     d, ell = cover.base.d, cover.ell
-    x, y = cover.x(), cover.y()
-    phi = lift_matrix(t.phi, cover.algebra)
-    psi = lift_matrix(t.psi, cover.algebra)
     F, G = phi.source, phi.target
     lam = lambda module, g: gm.left_multiplication(module, g, ell)
     phi_c = gm.block_matrix(
@@ -138,9 +134,17 @@ def _cover_blocks(cover: CoverContext, t: TMF) -> TMF:
     return TMF(cover, phi_c, psi_c)
 
 
+def _lifted_blocks(cover: CoverContext, t: TMF) -> TMF:
+    """The block construction of t lifted to the cover, with x() and y()."""
+    if t.context != cover.base:
+        raise HypothesisViolation("factorization does not live over the base")
+    phi, psi = (lift_matrix(m, cover.algebra) for m in (t.phi, t.psi))
+    return _cover_blocks(cover, phi, psi, cover.x(), cover.y())
+
+
 def functor_C(cover: CoverContext, t: TMF) -> TMF:
     """The block construction of f + z^2 (checked)."""
-    return _checked(_cover_blocks(cover, t), "functor C output")
+    return _checked(_lifted_blocks(cover, t), "functor C output")
 
 
 def restrict_tmf(t: TMF, base: NormalContext) -> TMF:
@@ -158,25 +162,18 @@ def truncate_context(ctx: NormalContext) -> NormalContext:
     keep = A.ngens - 1
     if keep <= 0:
         raise HypothesisViolation("nothing left after truncation")
-    gens = list(zip(A.names[:keep], A.degrees[:keep]))
-    rules = {}
-    for (b, a), rhs in A.rules.items():
-        if b >= keep:
-            continue
-        cleaned = []
-        for c, e in rhs:
-            if any(e[keep:]):
-                raise HypothesisViolation("base rules involve cover variables")
-            cleaned.append((c, e[:keep]))
-        rules[(b, a)] = cleaned
+    kept = {ba: rhs for ba, rhs in A.rules.items() if ba[0] < keep}
+    if any(any(e[keep:]) for rhs in kept.values() for _, e in rhs):
+        raise HypothesisViolation("base rules involve cover variables")
+    rules = {ba: [(c, e[:keep]) for c, e in rhs] for ba, rhs in kept.items()}
     try:
-        base = GradedAlgebra(gens, rules)
-        f = ctx.f.restrict(base)
-        sigma = GradedAutomorphism(base, [ctx.sigma.images[g].restrict(base) for g in range(keep)])
-        tau = None
-        if ctx.tau is not None:
-            tau = GradedAutomorphism(base, [ctx.tau.images[g].restrict(base) for g in range(keep)])
-        return NormalContext(base, f, sigma, tau)
+        base = GradedAlgebra(list(zip(A.names[:keep], A.degrees[:keep])), rules)
+
+        def restricted(auto: GradedAutomorphism) -> GradedAutomorphism:
+            return GradedAutomorphism(base, [img.restrict(base) for img in auto.images[:keep]])
+
+        tau = None if ctx.tau is None else restricted(ctx.tau)
+        return NormalContext(base, ctx.f.restrict(base), restricted(ctx.sigma), tau)
     except ValueError as exc:
         raise HypothesisViolation(f"the context does not truncate: {exc}") from exc
 
@@ -301,43 +298,31 @@ def delta_sigma(cover: CoverContext, m: EquivariantModule) -> TMF:
 # ---------------------------------------------------------------------------
 
 
+# z = (u + v)/2 and w = -(i/2)(u - v), as rows over (u, v)
+ZW_IN_UV = [{0: HALF, 1: HALF}, {0: -IMAG * HALF, 1: IMAG * HALF}]
+
+
 class SecondCover:
-    """Iterated cover A[z][w] together with its u, v presentation.
+    """The second cover (B#)# in its u, v presentation: the cover uv of A by
+    f + u*v, the first cover A[z] by f + z^2, the embedding of A[z] into
+    A[u][v] with z -> (u + v)/2, and w = -(i/2)(u - v), so that
+    f + z^2 + w^2 = f + uv (checked at construction)."""
 
-    u = z + i*w and v = z - i*w give the cover uv of A by f + u*v; the
-    generator-level isomorphisms both ways are validated at construction.
-    """
-
-    __slots__ = ("base", "uv", "first", "second", "to_uv", "from_uv")
+    __slots__ = ("base", "uv", "first", "embed", "w")
 
     def __init__(self, base: NormalContext) -> None:
         self.base = base
         self.uv = CoverContext(base, ("u", "v"))
         self.first = make_cover(base, ("z",))
-        self.second = make_cover(self.first, ("w",))
         ev = self.uv.algebra
-        u, v = ev.gen("u"), ev.gen("v")
-        zw = self.second.algebra
-        z, w = zw.gen("z"), zw.gen("w")
-        # u = z + i w, v = z - i w
-        self.from_uv = AlgebraMorphism(
-            ev,
-            zw,
-            [zw.gen(g) for g in range(base.algebra.ngens)]
-            + [z + w.scale(IMAG), z - w.scale(IMAG)],
+        z, self.w = (ev.gen("u").scale(row[0]) + ev.gen("v").scale(row[1]) for row in ZW_IN_UV)
+        self.embed = AlgebraMorphism(
+            self.first.algebra, ev, [ev.gen(g) for g in range(base.algebra.ngens)] + [z]
         )
-        # z = (u + v)/2, w = -(i/2)(u - v)
-        self.to_uv = AlgebraMorphism(
-            zw,
-            ev,
-            [ev.gen(g) for g in range(base.algebra.ngens)]
-            + [(u + v).scale(HALF), (u - v).scale(MINUS_ONE * IMAG * HALF)],
-        )
-        for g in range(ev.ngens):
-            if self.to_uv(self.from_uv(ev.gen(g))) != ev.gen(g):
-                raise HypothesisViolation("u,v change of variables is not invertible")
-        if self.from_uv(self.uv.f) != self.second.f:
+        if self.embed(self.first.f) + self.w * self.w != self.uv.f:
             raise HypothesisViolation("change of variables does not match f + z^2 + w^2")
+        if linalg.invert(ZW_IN_UV) is None:
+            raise HypothesisViolation("u,v change of variables is not invertible")
 
 
 def second_cover(base: NormalContext) -> SecondCover:
@@ -350,7 +335,7 @@ def functor_H(uv: CoverContext, t: TMF) -> TMF:
     uv."""
     if len(uv.names) != 2:
         raise HypothesisViolation("H needs the cover f + uv by two new variables")
-    return _checked(_cover_blocks(uv, tm.tw_functor(t)), "functor H output")
+    return _checked(_lifted_blocks(uv, tm.tw_functor(t)), "functor H output")
 
 
 # the printed 4x4 matrix P over k, as sparse rows
@@ -364,16 +349,19 @@ LEMMA_5_13_PATTERN = [
 
 def check_lemma_5_13(sc: SecondCover, t: TMF, c1: TMF, h: TMF) -> Check:
     """Check that the printed 4x4 matrix P (invertible over k, or ValueError)
-    is a morphism from C2(c1), after the u, v change of variables, to h + T h
-    on phi and psi, which is P^{-1} C2(c1) P = h + T h with no inverse formed;
-    also that killing u and v from h gives tw(t) + tw(T t) blockwise, an
-    entrywise comparison with a sum built from t (no verify of its own).
-    c1 = C1(t) over the first cover of sc and h = H(t).  The detail names
-    each half that fails."""
+    is a morphism from C2(c1), built over A[u][v] from c1 embedded and w, to
+    h + T h on phi and psi, which is P^{-1} C2(c1) P = h + T h with no
+    inverse formed; also that killing u and v from h gives tw(t) + tw(T t)
+    blockwise, an entrywise comparison with a sum built from t (no verify of
+    its own).  c1 = C1(t) over the first cover of sc and h = H(t).  The
+    detail names each half that fails."""
     if linalg.invert(LEMMA_5_13_PATTERN) is None:
         raise ValueError("the Lemma 5.13 pattern is not invertible over k")
+    if c1.context != sc.first:
+        raise HypothesisViolation("factorization does not live over the base")
+    phi, psi = (m.map_entries(sc.embed, sc.uv.algebra) for m in (c1.phi, c1.psi))
     # unchecked: the identity below and the verified h make C2(c1) verify
-    mapped = tm.map_tmf(_cover_blocks(sc.second, c1), sc.to_uv, sc.uv)
+    mapped = _cover_blocks(sc.uv, phi, psi, sc.w, sc.w)
     rF, rG = t.phi.source.rank, t.phi.target.rank
     p_src = gm.block_scalar_matrix(mapped.phi.source, [rF, rG, rG, rF], LEMMA_5_13_PATTERN)
     p_tgt = gm.block_scalar_matrix(mapped.phi.target, [rG, rF, rF, rG], LEMMA_5_13_PATTERN)

@@ -193,25 +193,11 @@ class GradedMatrix:
 
 
 def identity_matrix(module: FreeModule) -> GradedMatrix:
-    one = module.algebra.one()
-    zero = module.algebra.zero()
-    n = module.rank
-    return GradedMatrix(
-        module,
-        module,
-        [[one if i == j else zero for j in range(n)] for i in range(n)],
-        check=False,
-    )
+    return scalar_matrix(module, module, [{i: ONE} for i in range(module.rank)], check=False)
 
 
 def zero_matrix(source: FreeModule, target: FreeModule) -> GradedMatrix:
-    zero = source.algebra.zero()
-    return GradedMatrix(
-        source,
-        target,
-        [[zero for _ in range(target.rank)] for _ in range(source.rank)],
-        check=False,
-    )
+    return scalar_matrix(source, target, [{} for _ in range(source.rank)], check=False)
 
 
 def left_multiplication(module: FreeModule, g: NCPoly, shift: int) -> GradedMatrix:

@@ -87,6 +87,9 @@ class GradedAlgebra:
         self.degrees = tuple(degrees)
         self.ngens = len(names)
         normalized: dict[tuple[int, int], tuple[tuple[Scalar, Exps], ...]] = {}
+        # each rule as its summed terms, whatever their order: equality and
+        # the diamond test read these
+        self._rule_sums: dict[tuple[int, int], dict] = {}
         for b in range(self.ngens):
             for a in range(b):
                 if (b, a) not in rules:
@@ -95,7 +98,7 @@ class GradedAlgebra:
             if not (0 <= a < b < self.ngens):
                 raise ValueError(f"rule pair {(b, a)} is not an out-of-order pair")
             target_deg = degrees[b] + degrees[a]
-            cleaned = []
+            cleaned, sums = [], {}
             for coeff, exps in rhs:
                 if coeff.is_zero():
                     continue
@@ -107,7 +110,9 @@ class GradedAlgebra:
                         f"rule ({names[b]},{names[a]}) is not degree-homogeneous"
                     )
                 cleaned.append((coeff, exps))
+                _acc_into(sums, {exps: coeff}, ONE)
             normalized[(b, a)] = tuple(cleaned)
+            self._rule_sums[(b, a)] = sums
         self.rules = normalized
         self.units = tuple(
             tuple(int(h == g) for h in range(self.ngens)) for g in range(self.ngens)
@@ -153,7 +158,7 @@ class GradedAlgebra:
         return (
             self.names == other.names
             and self.degrees == other.degrees
-            and self.rules == other.rules
+            and self._rule_sums == other._rule_sums
         )
 
     def __hash__(self) -> int:
@@ -260,10 +265,7 @@ class GradedAlgebra:
     def check_diamond(self) -> None:
         """Local confluence: (x_c x_b) x_a = x_c (x_b x_a) on every triple,
         each side one product of a rule's right side and a generator."""
-        rhs: dict = {ba: {} for ba in self.rules}
-        for ba, rule in self.rules.items():
-            for coeff, target in rule:
-                _acc_into(rhs[ba], {target: ONE}, coeff)
+        rhs = self._rule_sums
         for c in range(self.ngens):
             for b in range(c):
                 for a in range(b):
@@ -620,22 +622,27 @@ class GradedAutomorphism(AlgebraMorphism):
 
 def ore_extension(
     algebra: GradedAlgebra,
-    name: str,
+    names: tuple[str, ...],
     degree: int,
     tau: GradedAutomorphism,
 ) -> GradedAlgebra:
-    """Append a generator z with z*x_a -> tau(x_a)*z.
+    """Append generators z, ..., w of one degree, with z*x_a -> tau(x_a)*z,
+    and commuting with one another, in the order of names.
 
-    The new generator is ordered last.  tau is well defined, as every
-    GradedAutomorphism is; the diamond test is re-run on the extension.
+    tau is well defined, as every GradedAutomorphism is; the diamond test is
+    re-run on the extension.
     """
     if tau.algebra != algebra:
         raise AlgebraMismatch("tau lives over a different algebra")
-    gens = list(zip(algebra.names, algebra.degrees)) + [(name, degree)]
-    z = algebra.ngens
-    rules = {ba: [(c, e + (0,)) for c, e in rhs] for ba, rhs in algebra.rules.items()}
-    for a in range(z):
-        rules[(z, a)] = [(c, e + (1,)) for e, c in tau.images[a].terms.items()]
+    gens = list(zip(algebra.names, algebra.degrees)) + [(name, degree) for name in names]
+    n, k = algebra.ngens, len(names)
+    rules = {ba: [(c, e + (0,) * k) for c, e in rhs] for ba, rhs in algebra.rules.items()}
+    for z in range(k):
+        mark = tuple(int(j == z) for j in range(k))
+        for a in range(n):
+            rules[(n + z, a)] = [(c, e + mark) for e, c in tau.images[a].terms.items()]
+        for a in range(z):
+            rules[(n + z, n + a)] = [(ONE, (0,) * n + tuple(int(j in (a, z)) for j in range(k)))]
     return GradedAlgebra(gens, rules)
 
 
@@ -754,11 +761,8 @@ class ZhangTwist:
         for (b, a), _ in base.rules.items():
             # x_b * x_a in the twist = xi_{deg a}(x_b) x_a in the base
             coeff = self.eigenvalues[b] ** base.degrees[a]
-            product = base.gen(b) * base.gen(a)
-            rhs: list[tuple[Scalar, Exps]] = []
-            for e, c in product.terms.items():
-                rhs.append((coeff * c / self._star_factor(e), e))
-            rules[(b, a)] = rhs
+            product = (base.gen(b) * base.gen(a)).terms
+            rules[(b, a)] = [(coeff * c / self._star_factor(e), e) for e, c in product.items()]
         return GradedAlgebra(list(zip(base.names, base.degrees)), rules)
 
     def to_base(self, p: NCPoly) -> NCPoly:

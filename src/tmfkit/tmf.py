@@ -81,8 +81,9 @@ class NormalContext:
             self._checked = True
 
     def _prove(self) -> None:
-        """f is homogeneous of positive degree, sigma normalizes it, and tau
-        (when there is one) is a square root of sigma that fixes f."""
+        """f is homogeneous of positive degree, sigma normalizes it and has
+        the inverse that a twist by sigma applies, and tau (when there is
+        one) is a square root of sigma that fixes f."""
         if self.f.is_zero() or self.d is None or self.d <= 0:
             raise ValueError("f must be homogeneous of positive degree")
         for g in range(self.algebra.ngens):
@@ -92,6 +93,8 @@ class NormalContext:
                     f"sigma is not the normalizing automorphism at "
                     f"{self.algebra.names[g]}"
                 )
+        if not self.sigma.is_identity():
+            self.sigma.inverse()  # Singular or NotLinear when there is none
         if self.tau is not None:
             if self.d % 2 != 0:
                 raise ValueError("square root context needs even deg f")
@@ -250,13 +253,9 @@ def _verify(t: TMF) -> VerifyReport:
 def trivial(ctx: NormalContext, module: FreeModule, kind: str = "unit-first") -> TMF:
     """Trivial factorization on a free module: (1, f*I) or (f*I, 1)."""
     if kind == "unit-first":
-        phi = gm.identity_matrix(module)
-        psi = lambda_matrix(ctx, module)
-        return TMF(ctx, phi, psi)
+        return TMF(ctx, gm.identity_matrix(module), lambda_matrix(ctx, module))
     if kind == "f-first":
-        phi = lambda_matrix(ctx, module)
-        psi = gm.identity_matrix(module.twisted(ctx.d))
-        return TMF(ctx, phi, psi)
+        return TMF(ctx, lambda_matrix(ctx, module), gm.identity_matrix(module.twisted(ctx.d)))
     raise ValueError(f"unknown trivial kind {kind!r}")
 
 

@@ -298,7 +298,7 @@ def test_criterion_10_rewriting_soundness():
         algebras.append(ctx.algebra)
         sc = second_cover(ctx)
         algebras.append(sc.first.algebra)
-        algebras.append(sc.second.algebra)
+        algebras.append(make_cover(sc.first, ("w",)).algebra)
         algebras.append(sc.uv.algebra)
     for A in algebras:
         A.check_diamond()

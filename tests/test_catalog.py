@@ -308,21 +308,29 @@ def _negating_tau(ctx):
 
 
 @pytest.mark.parametrize(
-    "tau_of, failed_tau_check, reason",
+    "tau_of, failed_tau_check, detail, reason",
     [
-        (lambda ctx: ctx.sigma, "tau-squared-is-sigma", "tau*tau != sigma"),
-        (_negating_tau, "tau-fixes-f", "tau does not fix f"),
+        (
+            lambda ctx: ctx.sigma, "tau-squared-is-sigma",
+            "tau(tau(a1)) = ((1)/(t^36))*a1, sigma(a1) = ((1)/(t^18))*a1", "tau*tau != sigma",
+        ),
+        (
+            _negating_tau, "tau-fixes-f",
+            "tau(f) - f has the term ((2)/(t^6))*a2^3", "tau does not fix f",
+        ),
     ],
     ids=["tau-is-sigma", "tau-moves-f"],
 )
-def test_run_suite_fails_a_wrong_tau(tau_of, failed_tau_check, reason):
+def test_run_suite_fails_a_wrong_tau(tau_of, failed_tau_check, detail, reason):
+    # the failed tau check names the first generator, or the first term,
+    # where the two sides differ
     report = run_suite(_entry_over_tau(tau_of), seed=0)
     assert [c.name for c in report.checks] == [c[0] for c in pinned_checks("g", 3, False)]
     cover_checks = ["cover-normality"] + [
         f"{check}:{label}" for label in ("j=1", "j=2")
         for check in ("functor-C-verifies", "lemma-5-5")
     ]
-    expected = {failed_tau_check: "", **{name: reason for name in cover_checks}}
+    expected = {failed_tau_check: detail, **{name: reason for name in cover_checks}}
     assert {c.name: c.detail for c in report.checks if not c.ok} == expected
 
 
@@ -604,7 +612,7 @@ def test_commutative_a1_entry():
 
 
 def test_exps_degree_memo_matches_the_raw_degree():
-    from tmfkit.cover import second_cover
+    from tmfkit.cover import make_cover, second_cover
 
     cases = [
         ("b", 3), ("c", None), ("d-odd", 5), ("d-even", 4), ("e", 2), ("g", 3),
@@ -612,7 +620,8 @@ def test_exps_degree_memo_matches_the_raw_degree():
     ]
     for case, n in cases:
         sc = second_cover(build(case, n).context)
-        for A in (sc.base.algebra, sc.first.algebra, sc.second.algebra, sc.uv.algebra):
+        zw = make_cover(sc.first, ("w",))
+        for A in (sc.base.algebra, sc.first.algebra, zw.algebra, sc.uv.algebra):
             for degree in range(13):
                 for exps in A.monomials_of_degree(degree):
                     # the first call fills the memo, the second reads it

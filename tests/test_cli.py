@@ -324,6 +324,51 @@ def test_catalog_n_at_and_over_the_cap(tmp_path, capsys):
         )
 
 
+def test_matrix_rank_at_and_over_the_cap(tmp_path, capsys):
+    from tmfkit.catalog import build
+    from tmfkit.cli import MAX_MATRIX_RANK, matrix_from_json
+
+    def square(rank):
+        return {"source": [0] * rank, "target": [0] * rank,
+                "entries": [["0"] * rank for _ in range(rank)]}
+
+    A = build("c").algebra
+    assert matrix_from_json(square(MAX_MATRIX_RANK), A).source.rank == MAX_MATRIX_RANK
+    main(["catalog", "export", "c", "--out", str(tmp_path)])
+    path = capsys.readouterr().out.strip().splitlines()[-1]
+    with open(path) as handle:
+        obj = json.load(handle)
+    over = MAX_MATRIX_RANK + 1
+    obj["phi"] = square(over)
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(obj))
+    assert main(["verify", str(big)]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: bad factorization file {big}: rank {over} "
+        f"exceeds MAX_MATRIX_RANK = {MAX_MATRIX_RANK}\n"
+    )
+
+
+def test_a_file_whose_sigma_does_not_invert_exits_2(tmp_path, capsys):
+    # verify twists by sigma, and functor C also inverts tau: both used to
+    # end in a Singular traceback
+    from tmfkit.cli import dump_tmf
+    from tmfkit.gradedmod import FreeModule
+    from tmfkit.tmf import trivial
+    from test_cover import singular_sigma_context
+
+    ctx = singular_sigma_context(check=False)
+    path = str(tmp_path / "singular.json")
+    dump_tmf(trivial(ctx, FreeModule(ctx.algebra, (0,))), path)
+    out = str(tmp_path / "c.json")
+    for argv in (["verify", path], ["functor", "C", "--input", path, "--output", out]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"input error: bad factorization file {path}: "
+            "bad context: generator coefficient matrix is singular\n"
+        )
+
+
 def test_functor_T_twice_is_identity_bytewise(tmp_path, capsys):
     main(["catalog", "export", "h", "--out", str(tmp_path)])
     path = capsys.readouterr().out.strip().splitlines()[-1]

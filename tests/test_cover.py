@@ -5,6 +5,7 @@ from tmfkit import gradedmod as gm
 from tmfkit import tmf as tm
 from tmfkit.cover import (
     CoverContext,
+    SecondCover,
     lift_matrix,
     EquivariantModule,
     HypothesisViolation,
@@ -24,13 +25,14 @@ from tmfkit.cover import (
 )
 from tmfkit.gradedmod import FreeModule, GradedMatrix
 from tmfkit.ncalgebra import (
+    AlgebraMorphism,
     GradedAlgebra,
     GradedAutomorphism,
     extend_automorphism,
     hilbert_series,
     parse_poly,
 )
-from tmfkit.scalars import I as IMAG, MINUS_ONE, ONE, Scalar, parse_scalar
+from tmfkit.scalars import HALF, I as IMAG, MINUS_ONE, ONE, Scalar, parse_scalar
 from tmfkit.tmf import (
     TMF,
     Check,
@@ -76,11 +78,12 @@ def test_a_cover_is_its_normal_context():
     }
     assert cover.ell == cover.d // 2 == t.context.d // 2
     assert functor_C(cover, t).context is cover
-    # the w cover covers the z cover itself
+    # a w cover covers the z cover itself
     sc = second_cover(t.context)
-    assert sc.second.base is sc.first and sc.first.base is t.context
-    assert sc.second.names == ("w",)
-    assert functor_C(sc.second, functor_C(sc.first, t)).context is sc.second
+    zw = make_cover(sc.first, ("w",))
+    assert zw.base is sc.first and sc.first.base is t.context
+    assert zw.names == ("w",)
+    assert functor_C(zw, functor_C(sc.first, t)).context is zw
 
 
 def zeta(cover):
@@ -144,6 +147,23 @@ def test_make_cover_refuses_a_used_name():
         make_cover(ctx, ("u", "y"))
 
 
+def singular_sigma_context(check=True):
+    """k<x,y>/(yx) with f = x^2 and sigma = tau = (x, 0): sigma normalizes f,
+    tau squares to sigma and fixes f, but neither inverts."""
+    A = GradedAlgebra([("x", 1), ("y", 1)], {(1, 0): []})
+    x = A.gen("x")
+    tau = GradedAutomorphism(A, [x, A.zero()])
+    return NormalContext(A, x * x, tau, tau, check=check)
+
+
+def test_a_context_and_its_cover_refuse_a_sigma_that_does_not_invert():
+    # every twist by sigma applies its inverse, and a cover needs tau^{-1}
+    with pytest.raises(ValueError, match="generator coefficient matrix is singular"):
+        singular_sigma_context()
+    with pytest.raises(HypothesisViolation, match="generator coefficient matrix is singular"):
+        make_cover(singular_sigma_context(check=False))
+
+
 def test_covers_build_without_solving_for_sigma(monkeypatch):
     # NormalContext.check proves a*F = F*sigma(a) on every generator, so no
     # cover build solves for the normalizing automorphism
@@ -163,12 +183,14 @@ def test_covers_build_without_solving_for_sigma(monkeypatch):
             monkeypatch.setattr(module, "normalizing_automorphism", refuse)
     for entry in entries:
         assert make_cover(entry.context).algebra.names[-1] == "z"
-        assert second_cover(entry.context).second.algebra.names[-2:] == ("z", "w")
+        sc = second_cover(entry.context)
+        assert sc.uv.algebra.names[-2:] == ("u", "v")
+        assert make_cover(sc.first, ("w",)).algebra.names[-2:] == ("z", "w")
 
 
 def test_second_cover_checks_each_context_once(monkeypatch):
-    # a context records a passed check: the catalog's base context and the z
-    # cover's context, the base of the w cover, are not checked again
+    # a context records a passed check: the catalog's base context is not
+    # checked again, nor is the z cover's context as the base of a w cover
     from tmfkit.catalog import build
 
     base = build("g", 3).context
@@ -181,7 +203,9 @@ def test_second_cover_checks_each_context_once(monkeypatch):
 
     monkeypatch.setattr(NormalContext, "_prove", counting)
     cover = second_cover(base)
-    assert ran == [cover.uv, cover.first, cover.second]
+    assert ran == [cover.uv, cover.first]
+    zw = make_cover(cover.first, ("w",))
+    assert ran == [cover.uv, cover.first, zw]
     # a failed check is not recorded, so it fails again
     bad = commutative_context("x*y", lambda x, y: [-x, y], check=False)
     for _ in range(2):
@@ -392,20 +416,61 @@ def test_delta_sigma_free_module_not_reduced():
     assert result.unit_first + result.f_first > 0
 
 
+def zw_to_uv(sc, zw):
+    """The change of variables z = (u + v)/2, w = -(i/2)(u - v) from the
+    cover zw of sc.first by w onto the u, v cover of sc, written out here
+    independently of sc.embed and sc.w."""
+    ev = sc.uv.algebra
+    u, v = ev.gen("u"), ev.gen("v")
+    base = [ev.gen(g) for g in range(sc.base.algebra.ngens)]
+    return AlgebraMorphism(
+        zw.algebra, ev, base + [(u + v).scale(HALF), (u - v).scale(-IMAG * HALF)]
+    )
+
+
 def test_second_cover_change_of_variables():
     ctx = case_c_context()
     sc = second_cover(ctx)
-    zw = sc.second.algebra
+    # (B#)# has one presentation, the u, v cover
+    assert set(SecondCover.__slots__) == {"base", "uv", "first", "embed", "w"}
     ev = sc.uv.algebra
-    z, w = zw.gen("z"), zw.gen("w")
     u, v = ev.gen("u"), ev.gen("v")
-    # (z+iw)(z-iw) + (z-iw)(z+iw) = 2(z^2+w^2) since z, w commute here
-    lhs = sc.from_uv(u * v + v * u)
-    assert lhs == (z * z + w * w).scale(Scalar.from_int(2))
-    # round trips on generators
-    for g in range(zw.ngens):
-        assert sc.from_uv(sc.to_uv(zw.gen(g))) == zw.gen(g)
-    assert sc.from_uv(sc.uv.f) == sc.second.f
+    z = sc.embed(sc.first.x())
+    assert z == (u + v).scale(HALF) and sc.w == (u - v).scale(-IMAG * HALF)
+    # z^2 + w^2 = uv since u, v commute
+    assert z * z + sc.w * sc.w == u * v
+    assert sc.embed(sc.first.f) + sc.w * sc.w == sc.uv.f
+    # the z, w cover, built on its own, maps onto it
+    zw = make_cover(sc.first, ("w",))
+    to_uv = zw_to_uv(sc, zw)
+    assert [to_uv(zw.algebra.gen(g)) for g in range(zw.algebra.ngens - 1)] == list(
+        sc.embed.images
+    )
+    assert to_uv(zw.y()) == sc.w and to_uv(zw.f) == sc.uv.f
+
+
+def test_second_cover_refuses_a_w_that_breaks_f(monkeypatch):
+    # w = -(i/2)(u + v) gives z^2 + w^2 = 0, so f + z^2 + w^2 is not f + uv
+    wrong = [cover_mod.ZW_IN_UV[0], {0: -IMAG * HALF, 1: -IMAG * HALF}]
+    monkeypatch.setattr(cover_mod, "ZW_IN_UV", wrong)
+    with pytest.raises(HypothesisViolation, match=r"does not match f \+ z\^2 \+ w\^2"):
+        second_cover(case_c_context())
+
+
+def test_a_second_cover_builds_each_presentation_once(monkeypatch):
+    # A[u][v] and A[z] for a second cover, A[u][v] alone for a u, v cover:
+    # no intermediate A[u], and no z, w presentation beside the u, v one
+    ctx = case_c_context()
+    built = []
+    init = GradedAlgebra.__init__
+    monkeypatch.setattr(
+        GradedAlgebra, "__init__", lambda self, *args: built.append(self) or init(self, *args)
+    )
+    sc = second_cover(ctx)
+    assert built == [sc.uv.algebra, sc.first.algebra]
+    built.clear()
+    uv = make_cover(ctx, ("u", "v"))
+    assert built == [uv.algebra]
 
 
 def test_functor_H_verifies():
@@ -505,12 +570,41 @@ def test_lemma_5_13_irrelevant():
 
 def old_lemma_5_13_route(sc, t, c1, h, pattern):
     """The conjugation half as it was once computed: invert P over the
-    algebra, conjugate C2(c1) and compare with h + T h."""
-    mapped = tm.map_tmf(functor_C(sc.second, c1), sc.to_uv, sc.uv)
+    algebra, conjugate C2(c1), built over the z, w cover and carried to the
+    u, v cover, and compare with h + T h."""
+    zw = make_cover(sc.first, ("w",))
+    mapped = tm.map_tmf(functor_C(zw, c1), zw_to_uv(sc, zw), sc.uv)
     rF, rG = t.phi.source.rank, t.phi.target.rank
     p_src = gm.block_scalar_matrix(mapped.phi.source, [rF, rG, rG, rF], pattern)
     p_tgt = gm.block_scalar_matrix(mapped.phi.target, [rG, rF, rF, rG], pattern)
     return tm.conjugate(mapped, p_src, p_tgt) == direct_sum_tmf(h, T_functor(h))
+
+
+def test_lemma_5_13_builds_C2_over_uv_as_the_zw_route(monkeypatch):
+    # C2(c1), built by the lemma over the u, v cover, equals C over the z, w
+    # cover carried through the change of variables, entry for entry, on
+    # every family of every catalog case, rank 4 included
+    from tmfkit.catalog import build
+    from test_acceptance import CATALOG_CASES
+
+    built = []
+    blocks = cover_mod._cover_blocks
+    monkeypatch.setattr(
+        cover_mod, "_cover_blocks", lambda *args: built.append(blocks(*args)) or built[-1]
+    )
+    ranks = set()
+    for case, n in CATALOG_CASES:
+        entry = build(case, n)
+        sc = second_cover(entry.context)
+        zw = make_cover(sc.first, ("w",))
+        to_uv = zw_to_uv(sc, zw)
+        for label in entry.labels():
+            t = entry.factorization(label)
+            c1 = functor_C(sc.first, t)
+            check_lemma_5_13(sc, t, c1, functor_H(sc.uv, t))
+            assert built[-1] == tm.map_tmf(functor_C(zw, c1), to_uv, sc.uv), (case, n, label)
+            ranks.add(t.rank)
+    assert ranks == {1, 2, 4}
 
 
 def lemma_5_13_pattern_with_corner(value):

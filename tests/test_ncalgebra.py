@@ -182,6 +182,29 @@ def test_diamond_sums_the_repeated_terms_of_a_rule():
                 GradedAlgebra(list(zip(A.names, A.degrees)), rules)
 
 
+def test_algebra_equality_reads_each_rule_as_its_summed_terms():
+    # stored rules keep their written order; equality does not read it
+    A = build("h").algebra
+    gens = list(zip(A.names, A.degrees))
+    reversed_rules = dict(A.rules)
+    reversed_rules[(2, 1)] = list(reversed(A.rules[(2, 1)]))
+    B = GradedAlgebra(gens, reversed_rules)
+    assert B.rules[(2, 1)] != A.rules[(2, 1)]
+    assert B == A and hash(B) == hash(A)
+    assert A.gen(0) + B.gen(0) == A.gen(0).scale(S("2"))
+    # a2^2 + a2^2 is 2*a2^2, and a2^2 + 2*a2^2 - a2^2 is too
+    for terms in (
+        [(ONE, (0, 1, 1)), (ONE, (0, 2, 0)), (ONE, (0, 2, 0))],
+        [(ONE, (0, 1, 1)), (ONE, (0, 2, 0)), (S("2"), (0, 2, 0)), (-ONE, (0, 2, 0))],
+    ):
+        rules = dict(A.rules)
+        rules[(2, 1)] = terms
+        assert GradedAlgebra(gens, rules) == A
+    # other rules on the same generators: another algebra, with the same hash
+    C = commutative(gens)
+    assert C != A and hash(C) == hash(A)
+
+
 def test_case_c_diamond_and_hilbert():
     A = case_c_algebra()
     # 1/((1-s)(1-s^3)(1-s^4)) prefix
@@ -398,7 +421,7 @@ def test_per_degree_normalizing_solve_matches_the_per_generator_one():
                     ("g", 3), ("h", None), ("commutative-A1", None)]:
         ctx = build(case, n).context
         sc = second_cover(ctx)
-        for c in (ctx, sc.first, sc.second, sc.uv):
+        for c in (ctx, sc.first, make_cover(sc.first, ("w",)), sc.uv):
             algebras.append((c.algebra, c.f))
     yx = GradedAlgebra([("x", 1), ("y", 1)], {(1, 0): []})
     xyz = xyz_algebra()
@@ -431,7 +454,7 @@ def test_normalizing_automorphism_runs_one_rref_per_generator_degree(monkeypatch
     rref = linalg.rref
     monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(1) or rref(rows))
     for case, n in [("h", None), ("g", 3), ("c", None)]:
-        cover = second_cover(build(case, n).context).second
+        cover = make_cover(second_cover(build(case, n).context).first, ("w",))
         calls.clear()
         normalizing_automorphism(cover.f)
         assert len(calls) == len(set(cover.algebra.degrees)) < cover.algebra.ngens
@@ -442,7 +465,7 @@ def test_extension_checks_the_rules_it_adds():
     # - (-a)*(z + a) = 2*a^2
     A = commutative([("a", 1)])
     a = A.gen("a")
-    E = ore_extension(A, "z", 1, GradedAutomorphism(A, [-a]))
+    E = ore_extension(A, ("z",), 1, GradedAutomorphism(A, [-a]))
     ident = GradedAutomorphism.identity(A)
     with pytest.raises(IllDefined, match=r"rule \(z, a\)"):
         nca.extend_automorphism(ident, E, [E.gen("z") + E.gen("a")])
@@ -466,7 +489,7 @@ def test_extension_with_other_base_rules_gets_the_full_check(monkeypatch):
         GradedAutomorphism, "check_well_defined",
         lambda self, first=0: firsts.append(first) or check(self, first),
     )
-    lifted = ore_extension(base, "z", 1, GradedAutomorphism.identity(base))
+    lifted = ore_extension(base, ("z",), 1, GradedAutomorphism.identity(base))
     firsts.clear()
     nca.extend_automorphism(auto, lifted, [lifted.gen("z")])
     assert firsts == [2]
@@ -500,10 +523,32 @@ def test_left_ranks_see_a_zero_divisor():
 
 def test_ore_extension_commutative():
     A = commutative([("a", 1)])
-    E = ore_extension(A, "z", 1, GradedAutomorphism.identity(A))
+    E = ore_extension(A, ("z",), 1, GradedAutomorphism.identity(A))
     assert E.names == ("a", "z")
     assert E.normal_form([1, 0]) == E.monomial((1, 1))
     assert hilbert_series(E, 3) == [1, 2, 3, 4]
+
+
+def iterated_ore_extension(A, names, degree, tau):
+    """The reference: adjoin one name at a time with the inverse of tau,
+    extended to fix the variables adjoined before it."""
+    extended = A
+    for name in names:
+        extended = ore_extension(extended, (name,), degree, tau.inverse())
+        tau = nca.extend_automorphism(tau, extended, [extended.gen(name)])
+    return extended
+
+
+def test_ore_extension_of_two_names_is_the_iterated_one():
+    # on every catalog algebra
+    from test_acceptance import CATALOG_CASES
+
+    for case, n in CATALOG_CASES + [("d-even", 4), ("e", 2)]:
+        ctx = build(case, n).context
+        E = ore_extension(ctx.algebra, ("u", "v"), ctx.d // 2, ctx.tau.inverse())
+        R = iterated_ore_extension(ctx.algebra, ("u", "v"), ctx.d // 2, ctx.tau)
+        # stored rules are tuples of terms, so this compares their order too
+        assert (E.names, E.degrees, E.rules) == (R.names, R.degrees, R.rules), (case, n)
 
 
 def test_ore_extension_case_g_cover_rule():
@@ -514,7 +559,7 @@ def test_ore_extension_case_g_cover_rule():
     tau = GradedAutomorphism(
         A, [A.gen("a1").scale(p), A.gen("a2"), A.gen("a3").scale(p.inverse())]
     )
-    E = ore_extension(A, "z", n, tau.inverse())
+    E = ore_extension(A, ("z",), n, tau.inverse())
     assert E.normal_form([3, 0]) == E.monomial((1, 0, 0, 1), p.inverse())
     # f + z^2 is normal with sigma extended by z -> z
     q = Scalar.t_power(2)
@@ -796,7 +841,7 @@ def test_algebra_json_roundtrip():
 def test_lift_restrict():
     A = case_g_algebra(2)
     tau = GradedAutomorphism.identity(A)
-    E = ore_extension(A, "z", 2, tau)
+    E = ore_extension(A, ("z",), 2, tau)
     p = parse_poly("a1*a3 - 2*a2^2", A)
     lifted = p.lift(E)
     assert lifted.restrict(A) == p
