@@ -645,12 +645,19 @@ def run_suite(
 
     check("tau-squared-is-sigma", tau_squared)
     check("tau-fixes-f", tau_fixes_f)
-    # one rank pass answers both checks: f is regular on the window when m ->
-    # f*m is injective on each A_e, and as m*f = f*sigma(m) for f normal (checked
-    # above), dim B_e = dim A_e - rank_{e-d} must equal HS(A)_e - HS(A)_{e-d}
+    # one rank pass answers both checks and gates coker-oracle: f is regular on the
+    # window when m -> f*m is injective on each A_e, and as m*f = f*sigma(m) for f normal
+    # (checked above), dim B_e = dim A_e - rank_{e-d} must equal HS(A)_e - HS(A)_{e-d}
     ranks = output(left_ranks, ctx.f, D)
     dims = [len(A.monomials_of_degree(e)) for e in range(D + 1)]
-    check("f-regular-window", lambda: (built(ranks) == dims, ""))
+    # the first degree where m -> f*m is not injective, D + 1 when there is none
+    short = output(lambda rs: next((e for e in range(D + 1) if rs[e] < dims[e]), D + 1), ranks)
+
+    def f_regular():
+        e = built(short)
+        return e > D, "" if e > D else f"dim f*A_{e} = {built(ranks)[e]} < dim A_{e} = {dims[e]}"
+
+    check("f-regular-window", f_regular)
 
     def quotient_oracle():
         hs = hilbert_series(A, D)
@@ -674,13 +681,23 @@ def run_suite(
         t, t2 = entry.factorization(la), entry.factorization(lb)
         return tm.probably_isomorphic_tmf(t, t2, trials=trials, seed=seed).isomorphic
 
+    def coker_series(t: TMF):
+        # the precondition of tm.coker_hilbert: f regular through D - min(F shifts)
+        low = min(t.phi.source.shifts, default=0)
+        reach, e = D - low, built(short)
+        if low < 0:
+            return False, f"F has the negative shift {low}: the series needs degree {reach} > D"
+        if e <= reach:
+            return False, f"f is not regular in degree {e} <= D - min(F shifts) = {reach}"
+        return True, f"prefix {tm.coker_hilbert(t, D)}"
+
     labels = entry.labels()
     for label in labels:
         t = entry.factorization(label)
         check(f"verify:{label}", lambda: verified(t))
         check(f"reduced:{label}", lambda: (tm.is_reduced(t), ""))
         check(f"endo-dim-1:{label}", lambda: (tm.endomorphism_dimension(t) == 1, ""))
-        check(f"coker-oracle:{label}", lambda: (True, f"prefix {tm.coker_hilbert(t, D)}"))
+        check(f"coker-oracle:{label}", lambda: coker_series(t))
     for i, la in enumerate(labels):
         for lb in labels[i + 1 :]:
             check(f"non-isomorphic:{la}|{lb}", lambda: (not isomorphic(la, lb), ""))

@@ -746,13 +746,16 @@ class ZhangTwist:
         self.twisted = self._build_twisted()
 
     def _star_factor(self, exps: Exps) -> Scalar:
-        """Scalar s with (star monomial exps) = s * (base monomial exps)."""
+        """Scalar s with (star monomial exps) = s * (base monomial exps): the
+        k-th x_g from the right meets xi_h, h = S_g + k*d_g with S_g the degree
+        of the letters after g, so x_g^e gives lambda_g^(e*S_g + d_g*e(e-1)/2)."""
         factor = ONE
         suffix_degree = 0
         for g in range(self.base.ngens - 1, -1, -1):
-            for _ in range(exps[g]):
-                factor = factor * self.eigenvalues[g] ** suffix_degree
-                suffix_degree += self.base.degrees[g]
+            e, d = exps[g], self.base.degrees[g]
+            if e:
+                factor = factor * self.eigenvalues[g] ** (e * suffix_degree + d * e * (e - 1) // 2)
+            suffix_degree += e * d
         return factor
 
     def _build_twisted(self) -> GradedAlgebra:

@@ -3,6 +3,7 @@ import gc
 import pytest
 
 from tmfkit import gradedmod as gm
+from tmfkit import linalg
 from tmfkit import tmf as tm
 from tmfkit.catalog import (
     BadParams,
@@ -192,9 +193,14 @@ def test_run_suite_records_a_coker_oracle_failure(monkeypatch):
 def test_one_rank_shortfall_fails_regularity_and_the_oracle_below_D_minus_d(monkeypatch):
     from tmfkit import catalog
 
+    # (c): the quotient oracle needs f regular through D - d = 6, the
+    # cokernel series of rank2 through D - min(F shifts) = 9
     entry = build("c")
     d, D = entry.context.d, 2 * entry.context.d
+    assert (d, D, entry.factorization("rank2").phi.source.shifts) == (6, 12, (4, 3))
     ranks = catalog.left_ranks(entry.context.f, D)
+    dims = [len(entry.algebra.monomials_of_degree(e)) for e in range(D + 1)]
+    assert ranks == dims
     names = [c.name for c in run_suite(entry, seed=2, trials=8).checks]
     for k in range(D + 1):
         short = ranks[:k] + [ranks[k] - 1] + ranks[k + 1 :]
@@ -202,11 +208,32 @@ def test_one_rank_shortfall_fails_regularity_and_the_oracle_below_D_minus_d(monk
         report = run_suite(entry, seed=2, trials=8)
         assert [c.name for c in report.checks] == names
         failed = {c.name: c.detail for c in report.checks if not c.ok}
-        if k <= D - d:
-            assert list(failed) == ["f-regular-window", "hilbert-quotient-oracle"]
+        window = f"dim f*A_{k} = {dims[k] - 1} < dim A_{k} = {dims[k]}"
+        coker = f"f is not regular in degree {k} <= D - min(F shifts) = 9"
+        if k <= 6:
+            oracles = ["hilbert-quotient-oracle", "coker-oracle:rank2"]
+            assert list(failed) == ["f-regular-window", *oracles]
             assert failed["hilbert-quotient-oracle"].startswith("cokernel series disagree: ")
+        elif k <= 9:
+            assert list(failed) == ["f-regular-window", "coker-oracle:rank2"]
         else:
             assert list(failed) == ["f-regular-window"]
+        assert failed["f-regular-window"] == window
+        assert failed.get("coker-oracle:rank2", coker) == coker
+
+
+def test_a_negative_F_shift_fails_the_coker_oracle_alone():
+    # rank2 shifted by 4 has F = (0, -1): its series would need f regular in
+    # degree D + 1, outside the rank pass
+    entry = build("c")
+    shifted = CatalogEntry.new("c", None, entry.context)
+    shifted.families["rank2[4]"] = tm.shift_tmf(entry.factorization("rank2"), 4)
+    assert shifted.factorization("rank2[4]").phi.source.shifts == (0, -1)
+    report = run_suite(shifted, seed=2, trials=8)
+    failed = {c.name: c.detail for c in report.checks if not c.ok}
+    assert failed == {
+        "coker-oracle:rank2[4]": "F has the negative shift -1: the series needs degree 13 > D"
+    }
 
 
 def test_run_suite_makes_one_rank_pass_and_no_trivial_factorization(monkeypatch):
@@ -216,10 +243,35 @@ def test_run_suite_makes_one_rank_pass_and_no_trivial_factorization(monkeypatch)
     rank_passes = counting(monkeypatch, "left_ranks", [catalog])
     cokernels = counting(monkeypatch, "coker_hilbert", [tm])
     trivials = counting(monkeypatch, "trivial", [tm])
+    # each slice matrix and rank asked for, and whether a coker_hilbert call
+    # was running: the cokernel series comes from the shifts alone
+    running = [False]
+    asked = []
+    coker_hilbert = tm.coker_hilbert
+
+    def cokernel(*args):
+        running[0] = True
+        try:
+            return coker_hilbert(*args)
+        finally:
+            running[0] = False
+
+    def asking(name, original):
+        def wrapper(*args):
+            asked.append((name, running[0]))
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(tm, "coker_hilbert", cokernel)
+    for owner, name in ((GradedAlgebra, "slice_matrix"), (linalg, "rank")):
+        monkeypatch.setattr(owner, name, asking(name, getattr(owner, name)))
     assert run_suite(entry, seed=0, trials=8, deep=True).ok
     assert [D for _, D in rank_passes] == [2 * entry.context.d]
     assert [args[0] for args in cokernels] == [entry.factorization(la) for la in entry.labels()]
     assert trivials == []
+    assert {name for name, _ in asked} == {"slice_matrix", "rank"}
+    assert [name for name, inside in asked if inside] == []
 
 
 def _identity_context(entry):

@@ -597,6 +597,31 @@ def test_zhang_twist_case_g():
     assert hilbert_series(twisted, 8) == hilbert_series(A, 8)
 
 
+def star_factor_reference(tw, exps):
+    """The per-letter product: from the right, each letter x_g of the
+    monomial times lambda_g to the degree of the letters after it."""
+    factor = ONE
+    suffix_degree = 0
+    for g in range(tw.base.ngens - 1, -1, -1):
+        for _ in range(exps[g]):
+            factor = factor * tw.eigenvalues[g] ** suffix_degree
+            suffix_degree += tw.base.degrees[g]
+    return factor
+
+
+@pytest.mark.parametrize("case, q", [("g", Scalar.t_power(2)), ("b", -ONE)])
+def test_zhang_star_factor_is_the_per_letter_product(case, q):
+    # the twist of the (g) and (b) cross-check, n = 3
+    n = 3
+    A = build(case, n).algebra
+    phi = GradedAutomorphism(A, [A.gen(0), A.gen(1).scale(q ** -1), A.gen(2).scale(q ** -n)])
+    tw = nca.ZhangTwist(A, phi)
+    monomials = [m for degree in range(9) for m in A.monomials_of_degree(degree)]
+    factors = [tw._star_factor(m) for m in monomials]
+    assert factors == [star_factor_reference(tw, m) for m in monomials]
+    assert len(set(factors)) > 1
+
+
 def test_zhang_identity_twist():
     A = case_g_algebra(2)
     tw = nca.ZhangTwist(A, GradedAutomorphism.identity(A))
