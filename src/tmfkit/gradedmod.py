@@ -229,15 +229,19 @@ def compose(
         if minus.algebra != algebra:
             raise AlgebraMismatch("diagonal term lives over a different algebra")
         seed = {e: -c for e, c in minus.terms.items()}
-    columns = [[row[k] for row in second.entries] for k in range(second.target.rank)]
+    # each column of SECOND as its nonzero entries (j, terms)
+    columns = [
+        [(j, row[k].terms) for j, row in enumerate(second.entries) if row[k].terms]
+        for k in range(second.target.rank)
+    ]
     rows = []
     for i, first_row in enumerate(first.entries):
         row = []
         for k, column in enumerate(columns):
             acc: dict = dict(seed) if i == k else {}
-            for a, b in zip(first_row, column):
-                if a.terms and b.terms:
-                    algebra._mul_into(acc, a.terms, b.terms)
+            for j, terms in column:
+                if first_row[j].terms:
+                    algebra._mul_into(acc, first_row[j].terms, terms)
             row.append(nca._wrap(algebra, acc))
         rows.append(row)
     return GradedMatrix(first.source, second.target, rows, check=False)

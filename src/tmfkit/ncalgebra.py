@@ -6,16 +6,23 @@ rewrite rule x_b*x_a -> sum of normal-ordered monomials of the same degree.
 Normal-ordered monomials (exponent vectors) form the PBW basis; rewriting a
 word to its normal form defines the multiplication.
 
-One product cache per algebra holds x^e1 * x^e2: a generator step is the
-product with the one-letter monomial units[g] and applies at most one pair
-rule.  Each product owns a budget of REWRITE_FUEL steps.  The diamond test on
-all generator triples runs at construction time; its failure is an error.
+One product cache per algebra holds x^e1 * x^e2.  A q-rule is x_b*x_a ->
+q*x_a*x_b with q a unit of Z[i] times a power of t.  When every pair of
+letters that x^e1 * x^e2 must cross has a q-rule, the product is one step in
+closed form: those rules applied letter by letter.  Otherwise a generator
+step, the product with the one-letter monomial units[g], applies the pair
+rule of e1's last letter after g.  Each product owns a budget of
+REWRITE_FUEL steps.  The diamond test on all generator triples runs at
+construction time; its failure is an error.
 """
 
 from __future__ import annotations
 
+import operator
+
 from . import linalg
 from .scalars import (
+    I,
     MINUS_ONE,
     ONE,
     ZERO,
@@ -30,6 +37,8 @@ from .scalars import (
 Exps = tuple  # tuple[int, ...], one exponent per generator
 
 REWRITE_FUEL = 5_000_000
+
+_UNITS = (ONE, I, MINUS_ONE, -I)  # i^k for k = 0..3
 
 
 class AlgebraMismatch(ValueError):
@@ -85,7 +94,7 @@ class GradedAlgebra:
             raise ValueError("generator degrees must be positive")
         self.names = tuple(names)
         self.degrees = tuple(degrees)
-        self.ngens = len(names)
+        self.ngens = n = len(names)
         normalized: dict[tuple[int, int], tuple[tuple[Scalar, Exps], ...]] = {}
         # each rule as its summed terms, whatever their order: equality and
         # the diamond test read these
@@ -114,8 +123,13 @@ class GradedAlgebra:
             normalized[(b, a)] = tuple(cleaned)
             self._rule_sums[(b, a)] = sums
         self.rules = normalized
-        self.units = tuple(
-            tuple(int(h == g) for h in range(self.ngens)) for g in range(self.ngens)
+        self.units = tuple(tuple(int(h == g) for h in range(n)) for g in range(n))
+        # each pair a < b with the k, v of its q-rule x_b*x_a -> i^k*t^v*x_a*x_b,
+        # or None, None when that rule is no q-rule
+        self._crossings = tuple(
+            (a, b, *_q_rule(self._rule_sums[(b, a)], tuple(int(h in (a, b)) for h in range(n))))
+            for b in range(n)
+            for a in range(b)
         )
         self._mono_mul_cache: dict = {}
         self._basis_cache: dict[int, tuple[Exps, ...]] = {}
@@ -170,28 +184,46 @@ class GradedAlgebra:
 
     # -- rewriting -----------------------------------------------------------
 
+    def _q_factor(self, e1: Exps, e2: Exps) -> Scalar | None:
+        """q with x^e1 * x^e2 = q*x^(e1+e2) when every crossing pair has a
+        q-rule, else None.  A crossing pair is a letter x_b of e1 and a letter
+        x_a of e2 with b > a, so x_a moves left past x_b; those q-rules
+        applied letter by letter give q = prod q_ba^(e1_b*e2_a)."""
+        k = v = 0
+        for a, b, qk, qv in self._crossings:
+            m = e2[a] * e1[b]
+            if m:
+                if qk is None:
+                    return None
+                k += qk * m
+                v += qv * m
+        unit = _UNITS[k % 4]
+        return unit * Scalar.t_power(v) if v else unit
+
     def _mono_times_mono(self, e1: Exps, e2: Exps, fuel: list[int]) -> dict:
-        """Normal form of x^e1 * x^e2 as terms, cached per pair.  A one-letter
-        e2 = units[g] is one step: it applies at most one pair rule and, when
-        not cached, costs one unit of fuel.  A longer e2 is multiplied on one
-        generator at a time."""
+        """Normal form of x^e1 * x^e2 as terms, cached per pair.  When every
+        crossing pair has a q-rule, the product is one step in closed form.
+        Otherwise a one-letter e2 = units[g] is one step that applies the
+        rule of e1's last letter after g, and a longer e2 is multiplied on
+        one generator at a time.  A step not cached costs one unit of fuel."""
         key = (e1, e2)
         hit = self._mono_mul_cache.get(key)
         if hit is not None:
             return hit
-        if sum(e2) == 1:
+        q = self._q_factor(e1, e2)
+        if q is not None or sum(e2) == 1:
             fuel[0] -= 1
             if fuel[0] <= 0:
                 raise RewriteLimitExceeded("operation budget exhausted")
+        if q is not None:
+            result = {tuple(map(operator.add, e1, e2)): q}
+        elif sum(e2) == 1:
             g = e2.index(1)
-            last = next((j for j in range(self.ngens - 1, g, -1) if e1[j]), None)
-            if last is None:
-                result = {tuple(x + y for x, y in zip(e1, e2)): ONE}
-            else:
-                head = e1[:last] + (e1[last] - 1,) + e1[last + 1 :]
-                result = {}
-                for coeff, target in self.rules[(last, g)]:
-                    _acc_into(result, self._mono_times_mono(head, target, fuel), coeff)
+            last = max(j for j in range(g + 1, self.ngens) if e1[j])
+            head = e1[:last] + (e1[last] - 1,) + e1[last + 1 :]
+            result = {}
+            for coeff, target in self.rules[(last, g)]:
+                _acc_into(result, self._mono_times_mono(head, target, fuel), coeff)
         else:
             result = {e1: ONE}
             for g, k in enumerate(e2):
@@ -215,14 +247,19 @@ class GradedAlgebra:
         """Accumulate the product of two term dicts into out, which never
         holds a zero coefficient; the product owns a budget of REWRITE_FUEL
         rewrite steps."""
-        fuel = [REWRITE_FUEL]
+        cache = self._mono_mul_cache
+        fuel = None
         for e1, c1 in terms_a.items():
             for e2, c2 in terms_b.items():
-                try:
-                    part = self._mono_times_mono(e1, e2, fuel)
-                except (RewriteLimitExceeded, RecursionError) as exc:
-                    word = " * ".join(_format_monomial(self, e) or "1" for e in (e1, e2))
-                    raise self._rewrite_failure(word, exc) from None
+                part = cache.get((e1, e2))
+                if part is None:
+                    if fuel is None:
+                        fuel = [REWRITE_FUEL]
+                    try:
+                        part = self._mono_times_mono(e1, e2, fuel)
+                    except (RewriteLimitExceeded, RecursionError) as exc:
+                        word = " * ".join(_format_monomial(self, e) or "1" for e in (e1, e2))
+                        raise self._rewrite_failure(word, exc) from None
                 _acc_into(out, part, c1 * c2)
 
     def slice_matrix(self, columns: list[list[tuple]]) -> list[dict[int, Scalar]]:
@@ -307,6 +344,16 @@ class GradedAlgebra:
         result = tuple(prefix for prefix, remaining in partial if remaining == 0)
         self._basis_cache[degree] = result
         return result
+
+
+def _q_rule(rule_sum: dict, exps: Exps) -> tuple:
+    """(k, v) when a rule's summed terms are i^k*t^v*x^exps, else (None, None)."""
+    c = rule_sum.get(exps) if len(rule_sum) == 1 else None
+    if c is not None:
+        for k, unit in enumerate(_UNITS):
+            if c == unit * Scalar.t_power(c.v):
+                return k, c.v
+    return None, None
 
 
 def _acc_into(acc: dict, part: dict, coeff: Scalar) -> None:

@@ -21,8 +21,9 @@ KEPT = {
         "benchmark change may do"
     ),
     "normal_form": (
-        "the reference that the rewriting-soundness tests (acceptance criterion "
-        "10) compare products against"
+        "builds the random elements of the rewriting-soundness tests (acceptance "
+        "criterion 10); it shares the product step, which test_ncalgebra checks "
+        "against an independent word rewriter"
     ),
     "solve": "the oracle that the inverse test of test_gradedmod solves with",
     "irrelevant": _PAPER_NOTION,

@@ -734,9 +734,10 @@ def test_single_term_powers_with_dense_coefficients_are_capped():
 
 
 def test_deep_rewrites_raise_rewrite_limit_exceeded():
-    # rewriting a3^1000 * a1^1000 recurses once per exponent, past Python's
-    # recursion depth: a typed error naming the algebra and the word
-    A = case_g_algebra(3)
+    # (h) has no q-rule, so rewriting a3^1000 * a1^1000 recurses once per
+    # exponent, past Python's recursion depth: a typed error naming the
+    # algebra and the word
+    A = case_h_algebra()
     with pytest.raises(RewriteLimitExceeded) as info:
         parse_poly("a3^1000*a1^1000", A)
     message = str(info.value)
@@ -747,6 +748,110 @@ def test_deep_rewrites_raise_rewrite_limit_exceeded():
     # the algebra still works, and its caches stay sound
     a1, a3 = A.gen("a1"), A.gen("a3")
     assert a3**3 * a1**2 == A.normal_form([2, 2, 2, 0, 0])
+
+
+def test_q_rules_multiply_a_deep_product_in_one_step(monkeypatch):
+    # every rule of (g) is a q-rule, so a3^1000 * a1^1000 is one step: a
+    # budget of 2 covers it, and a3 passes a1 a million times at q = t^18
+    A = case_g_algebra(3)
+    monkeypatch.setattr("tmfkit.ncalgebra.REWRITE_FUEL", 2)
+    assert parse_poly("a3^1000*a1^1000", A) == A.monomial(
+        (1000, 0, 1000), Scalar.t_power(18_000_000)
+    )
+
+
+def word_normal_form(A, word):
+    """Reference normal form of a word of generator indices, with no cache
+    and no closed form: rewrite the leftmost out-of-order adjacent pair of
+    some word by its pair rule until every word is ordered."""
+    pending, done = {tuple(word): ONE}, {}
+    while pending:
+        w, c = pending.popitem()
+        i = next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), None)
+        if i is None:
+            add_term(done, tuple(w.count(g) for g in range(A.ngens)), c)
+            continue
+        for coeff, exps in A.rules[(w[i], w[i + 1])]:
+            letters = tuple(g for g, e in enumerate(exps) for _ in range(e))
+            add_term(pending, w[:i] + letters + w[i + 2 :], c * coeff)
+    return done
+
+
+def add_term(acc, key, c):
+    total = acc.pop(key, ZERO) + c
+    if not total.is_zero():
+        acc[key] = total
+
+
+def power_presentations():
+    """Skew presentations with every q = 2 and with every q = t + 1: neither
+    is a unit of Z[i] times a power of t, so both stay on the rule path."""
+    return [skew_three_gens(q, q, q, (1, 1, 1)) for q in (S("2"), S("t + 1"))]
+
+
+def oracle_algebras():
+    for case, n in (("b", 3), ("c", None), ("d-odd", 3), ("d-even", 2), ("e", 1),
+                    ("g", 2), ("h", None), ("commutative-A1", None)):
+        ctx = build(case, n).context
+        yield case, ctx.algebra
+        yield case + " z", make_cover(ctx).algebra
+        yield case + " u, v", make_cover(ctx, ("u", "v")).algebra
+    for A in power_presentations():
+        yield "power", A
+
+
+def random_monomial(A, rng, letters):
+    exps = [0] * A.ngens
+    for _ in range(rng.randint(0, letters)):
+        exps[rng.randrange(A.ngens)] += 1
+    return tuple(exps)
+
+
+def test_products_match_the_word_rewriting_oracle():
+    # seeded random monomial pairs on every catalog algebra, its z and u, v
+    # covers and the two power presentations; the covers of (c) and (h),
+    # and all of (d-odd), mix q-rules with other rules
+    rng = random.Random(20261021)
+    for name, A in oracle_algebras():
+        for _ in range(24):
+            e1, e2 = random_monomial(A, rng, 4), random_monomial(A, rng, 4)
+            word = [g for e in (e1, e2) for g, k in enumerate(e) for _ in range(k)]
+            assert (A.monomial(e1) * A.monomial(e2)).terms == word_normal_form(A, word), (
+                name, A, e1, e2
+            )
+
+
+def test_only_unit_times_t_power_coefficients_are_q_rules(monkeypatch):
+    # a q-rule multiplies a3^2 * a1^2 in one step, within a budget of 2; the
+    # rule path needs more.  A rule written as 2*a1*a3 - a1*a3 is q = 1.
+    q_one = GradedAlgebra(
+        [("a1", 1), ("a2", 1), ("a3", 1)],
+        {(1, 0): [(ONE, (1, 1, 0))],
+         (2, 0): [(S("2"), (1, 0, 1)), (S("-1"), (1, 0, 1))],
+         (2, 1): [(ONE, (0, 1, 1))]},
+    )
+    i_t3 = skew_three_gens(S("i*t^3"), S("-t^-2"), S("-i"), (1, 1, 1))
+    powers = power_presentations()
+    monkeypatch.setattr("tmfkit.ncalgebra.REWRITE_FUEL", 2)
+    product = parse_poly("a3^2", q_one) * parse_poly("a1^2", q_one)
+    assert product == q_one.monomial((2, 0, 2))
+    # a3 passes a1 four times at q = -t^-2
+    product = parse_poly("a3^2", i_t3) * parse_poly("a1^2", i_t3)
+    assert product == i_t3.monomial((2, 0, 2), S("t^-8"))
+    for A in powers:
+        a3_2, a1_2 = parse_poly("a3^2", A), parse_poly("a1^2", A)
+        with pytest.raises(RewriteLimitExceeded, match="budget"):
+            a3_2 * a1_2
+
+
+def test_rule_path_powers_stay_bounded():
+    # on the rule path a3^1000 * a1^1000 exhausts the recursion depth long
+    # before any coefficient reaches q^(10^6)
+    for A in power_presentations():
+        start = time.perf_counter()
+        with pytest.raises(RewriteLimitExceeded, match="recursion depth exhausted"):
+            parse_poly("a3^1000*a1^1000", A)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_exhausted_budget_names_the_word(monkeypatch):
@@ -808,8 +913,8 @@ def test_slice_matrix_columns_are_ncpoly_products():
 
 
 def test_slice_matrix_keeps_the_rewrite_budget_per_product(monkeypatch):
-    # as for compose: on a fresh algebra a3^3 * a1^2 takes 43 rewrite steps
-    # and then a3^2*a2 * a2*a1 takes 8; a budget of 44 covers each, not
+    # as for compose: on a fresh algebra a3^3 * a1^2 takes 57 rewrite steps
+    # and then a3^2*a2 * a2*a1 takes 10; a budget of 58 covers each, not
     # their sum, though both products fill one column
     def run(budget):
         A = case_h_algebra()
@@ -819,9 +924,9 @@ def test_slice_matrix_keeps_the_rewrite_budget_per_product(monkeypatch):
         monkeypatch.setattr("tmfkit.ncalgebra.REWRITE_FUEL", budget)
         return A.slice_matrix([[(0, a3_3, a1_2), (1, a3_2a2, a2a1)]])
 
-    assert run(44)
+    assert run(58)
     with pytest.raises(RewriteLimitExceeded, match=r"a3\^3 \* a1\^2"):
-        run(43)
+        run(57)
 
 
 def test_automorphism_of_a_long_monomial_needs_no_deep_recursion():
